@@ -324,7 +324,8 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     the shrink branch is empty, the peak is P = p_star / eta_star, and the
     active fraction pins the rim threshold directly: eta = exp(-tau_hat^2 /
     lambda_rs). The remaining self-consistency in chi is solved in closed
-    form for Marchenko-Pastur and by root finding otherwise.
+    form for Marchenko-Pastur and by root finding otherwise; raises
+    NoConvergenceError when that iteration has not settled after 200 passes.
     """
     if not (0 < eta_star <= 1):
         raise NotAchievableError("eta target must lie in (0, 1]")
@@ -348,10 +349,15 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
         except NoSignChangeError:
             raise NotAchievableError(
                 "no self-consistent response for the constant-envelope boundary")
-        if abs(chi_new - chi) <= 1e-13 * max(1.0, abs(chi)):
-            chi = chi_new
-            break
+        step = abs(chi_new - chi)
+        settled = step <= 1e-13 * max(1.0, abs(chi))
         chi = chi_new
+        if settled:
+            break
+    else:
+        raise NoConvergenceError(
+            f"constant-envelope response did not settle (last step {step:.3e})",
+            residual=step)
     kappa = 1.0 / rt.evaluate(chi)
     # back out a representable weight pair when the branch geometry allows it
     if tau_hat >= math.sqrt(peak):

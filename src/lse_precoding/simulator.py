@@ -8,9 +8,13 @@ from a ridge warm start systematically keeps too many antennas active: the
 single-coordinate exchange rate 1/||h_j||^2 understates how well the other
 antennas compensate for a removal. The default pipeline therefore selects
 the support first by greedy backward elimination with exact re-optimized
-objective deltas (rank-one updates of the ridge system), then polishes
-with coordinate descent; the tracked objective decides, so the result
-never falls behind a plain descent run.
+objective deltas, then polishes with coordinate descent; the tracked
+objective decides, so the result never falls behind a plain descent run.
+Each greedy drop is a rank-one update: the inverse ridge matrix is kept as
+the last from-scratch inverse plus the stored rank-one terms, and the
+removal scores (leverages d and correlations u) are updated in place; every
+64 drops the inverse is recomputed from the active columns, which discards
+the stored terms and resets u.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .numerics import RandomStream, complex_normal
 from .penalty import DISK, PenaltySpec, penalty_value, thresholds
 
 _RESTART_STREAM_OFFSET = 1 << 48
+_GREEDY_REFRESH = 64  # drops between from-scratch inverses in greedy selection
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -105,9 +110,11 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
 # closed-form ridge precoder
 # ---------------------------------------------------------------------------
 
-def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
-    """Best-effort x = H^H (H H^H + lam I)^{-1} s with one refinement step;
-    no residual contract (used for warm starts)."""
+def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-effort ridge solve with one refinement step; returns (x, A, y)
+    with A = H H^H + lam I, y = A^{-1} s and x = H^H y. No residual
+    contract (used for warm starts; precode_rzf checks A y against s)."""
     k = H.shape[0]
     A = H @ H.conj().T + lam * np.eye(k)
     try:
@@ -160,39 +167,51 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
         F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
     and removing column j changes the quadratic part by
     lam |u_j|^2 / (1 - d_j) with u = H^H M^{-1} s and d_j = h_j^H M^{-1} h_j.
-    Columns are dropped while the best delta is negative; M^{-1} is kept by
-    rank-one updates and refreshed periodically.
+    Columns are dropped while the best delta is negative (ties go to the
+    lowest index). Removing column j adds v v^H / (1 - d_j), v = M^{-1} h_j,
+    to M^{-1}; that term is kept unexpanded, M^{-1} = M0 + sum v_i v_i^H /
+    (1 - d_i), and d and u are updated by the same rank-one term, so a
+    drop costs O(k^2 + k n). Every _GREEDY_REFRESH drops M0 is recomputed
+    from the active columns, the stored terms are discarded and u is
+    recomputed from M0; d is only ever updated.
     """
     k, n = H.shape
-    active = np.ones(n, dtype=bool)
+    HH = H.conj().T
     eye = np.eye(k)
-    M_inv = np.linalg.inv(lam * eye + H @ H.conj().T)
-    w = M_inv @ s
-    u = H.conj().T @ w
-    d = np.einsum("ij,ij->j", H.conj(), M_inv @ H).real
+    M0 = np.linalg.inv(lam * eye + H @ HH)
+    u = HH @ (M0 @ s)
+    d = np.einsum("ij,ij->j", H.conj(), M0 @ H).real
+    V = np.empty((k, _GREEDY_REFRESH), dtype=complex)   # v_i
+    Vd = np.empty_like(V)                               # v_i / (1 - d_i)
+    m = 0
+    active = np.ones(n, dtype=bool)
     drops = 0
-    while active.sum() > 1:
-        act = np.where(active)[0]
-        denom = np.maximum(1.0 - d[act], 1e-12)
-        delta = lam * np.abs(u[act]) ** 2 / denom - lam0
-        i = int(np.argmin(delta))
-        if delta[i] >= 0.0:
+    while drops < n - 1:
+        denom = np.maximum(1.0 - d, 1e-12)
+        delta = lam * np.abs(u) ** 2 / denom - lam0
+        delta[~active] = np.inf
+        j = int(np.argmin(delta))
+        if delta[j] >= 0.0:
             break
-        j = act[i]
         hj = H[:, j]
-        v = M_inv @ hj
+        v = M0 @ hj
+        if m:
+            v += V[:, :m] @ (Vd[:, :m].conj().T @ hj)
         dj = max(1.0 - d[j], 1e-12)
-        M_inv = M_inv + np.outer(v, v.conj()) / dj
         active[j] = False
         drops += 1
-        if drops % 64 == 0:
-            cols = np.where(active)[0]
-            Ha = H[:, cols]
-            M_inv = np.linalg.inv(lam * eye + Ha @ Ha.conj().T)
-        t = H.conj().T @ v
-        d = d + (np.abs(t) ** 2) / dj
-        w = M_inv @ s
-        u = H.conj().T @ w
+        t = HH @ v
+        d += np.abs(t) ** 2 / dj
+        if drops % _GREEDY_REFRESH == 0:
+            Ha = H[:, active]
+            M0 = np.linalg.inv(lam * eye + Ha @ Ha.conj().T)
+            m = 0
+            u = HH @ (M0 @ s)
+        else:
+            V[:, m] = v
+            Vd[:, m] = v / dj
+            m += 1
+            u += t * (np.vdot(v, s) / dj)
     return active
 
 

@@ -10,6 +10,7 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    fixed_point_update, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
+from lse_precoding.spectral import RTransform, marcenko_pastur
 
 FULL = Support.full_plane()
 
@@ -234,6 +235,25 @@ def test_constant_envelope_consistency_with_update():
     p_new, chi_new = fixed_point_update(disk_params, sol.state)
     assert p_new == pytest.approx(sol.state.p, abs=1e-10)
     assert chi_new == pytest.approx(sol.state.chi, abs=1e-10)
+
+
+def test_constant_envelope_raises_when_response_cycles():
+    # stub ensemble whose decoupled variance jumps across chi = 2: the
+    # Marchenko-Pastur value 3 below, 8 above (lambda_s = 1, p = 0.5), so
+    # the response alternates between about 2.64 and 0.80 and never settles
+    mp = marcenko_pastur(0.5)
+
+    def derivative(chi):
+        if chi < 2.0:
+            return mp.derivative(chi)
+        r = mp.evaluate(chi)
+        return (8.0 * r * r - r) / (chi - 0.5)
+
+    rt = RTransform(evaluate=mp.evaluate, derivative=derivative, load=0.5)
+    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(),
+                          rtransform=rt)
+    with pytest.raises(NoConvergenceError):
+        solve_constant_envelope(params, 0.5, 0.5)
 
 
 def test_calibrate_monotone_distortion_in_eta():

@@ -6,6 +6,7 @@ import pytest
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import PenaltySpec, Support
 from lse_precoding.simulator import (PrecodeProblem, SingularSystemError,
+                                     _greedy_backward_support,
                                      generate_problem, measure, monte_carlo,
                                      precode_ccd, precode_rzf, random_tas_rzf)
 
@@ -136,6 +137,86 @@ def test_ccd_skips_degenerate_column():
     res = precode_ccd(bad)
     assert res.degenerate_columns == (3,)
     assert res.x[3] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# greedy support selection
+# ---------------------------------------------------------------------------
+
+# Reference: the explicit version, which adds each rank-one term to M^{-1}
+# and recomputes w and u from it after every drop. The rank-one-updated
+# selection in the package must return exactly the same masks.
+def _reference_greedy_support(H: np.ndarray, s: np.ndarray, lam: float,
+                              lam0: float) -> np.ndarray:
+    """Active-set mask from greedy antenna removal with exact ridge deltas.
+
+    For support S the partially minimized objective is
+        F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
+    and removing column j changes the quadratic part by
+    lam |u_j|^2 / (1 - d_j) with u = H^H M^{-1} s and d_j = h_j^H M^{-1} h_j.
+    Columns are dropped while the best delta is negative; M^{-1} is kept by
+    rank-one updates and refreshed periodically.
+    """
+    k, n = H.shape
+    active = np.ones(n, dtype=bool)
+    eye = np.eye(k)
+    M_inv = np.linalg.inv(lam * eye + H @ H.conj().T)
+    w = M_inv @ s
+    u = H.conj().T @ w
+    d = np.einsum("ij,ij->j", H.conj(), M_inv @ H).real
+    drops = 0
+    while active.sum() > 1:
+        act = np.where(active)[0]
+        denom = np.maximum(1.0 - d[act], 1e-12)
+        delta = lam * np.abs(u[act]) ** 2 / denom - lam0
+        i = int(np.argmin(delta))
+        if delta[i] >= 0.0:
+            break
+        j = act[i]
+        hj = H[:, j]
+        v = M_inv @ hj
+        dj = max(1.0 - d[j], 1e-12)
+        M_inv = M_inv + np.outer(v, v.conj()) / dj
+        active[j] = False
+        drops += 1
+        if drops % 64 == 0:
+            cols = np.where(active)[0]
+            Ha = H[:, cols]
+            M_inv = np.linalg.inv(lam * eye + Ha @ Ha.conj().T)
+        t = H.conj().T @ v
+        d = d + (np.abs(t) ** 2) / dj
+        w = M_inv @ s
+        u = H.conj().T @ w
+    return active
+
+
+def _calibrated_weights(papr_db):
+    from lse_precoding.replica import SystemParams, calibrate
+
+    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec())
+    papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
+    lam, lam0, _ = calibrate(params, p_star=0.5, eta_star=0.5, papr_star=papr)
+    return lam, lam0
+
+
+@pytest.mark.parametrize("papr_db", [None, 8.0], ids=["iv_a", "disk_8db"])
+def test_greedy_support_matches_reference(papr_db):
+    # n = 400 at the calibrated weights drops well over 64 columns, so the
+    # from-scratch refreshes run as well as the rank-one updates
+    lam, lam0 = _calibrated_weights(papr_db)
+    for t in range(8):
+        pr = generate_problem(400, 200, 1.0, PenaltySpec(), RandomStream(29, t))
+        mask = _greedy_backward_support(pr.H, pr.s, lam, lam0)
+        assert np.array_equal(mask, _reference_greedy_support(pr.H, pr.s, lam, lam0))
+        assert 400 - mask.sum() > 128
+
+
+def test_greedy_support_matches_reference_small():
+    # the size and weights of the thread-determinism acceptance run
+    for t in range(20):
+        pr = generate_problem(64, 32, 1.0, PenaltySpec(), RandomStream(4242, t))
+        mask = _greedy_backward_support(pr.H, pr.s, 0.1, 0.05)
+        assert np.array_equal(mask, _reference_greedy_support(pr.H, pr.s, 0.1, 0.05))
 
 
 # ---------------------------------------------------------------------------
