@@ -3,8 +3,8 @@ predictions for penalized precoders and finite-n Monte Carlo validation."""
 
 __version__ = "0.1.0"
 
-from .numerics import (QuadratureRule, RandomStream, find_root_1d,
-                       ks_distance, q_function, radial_expectation)
+from .numerics import (RandomStream, find_root_1d, ks_distance, q_function,
+                       radial_expectation)
 from .penalty import (PenaltySpec, Support, ThresholdSet, penalty_value, prox,
                       prox_array, prox_oracle, thresholds)
 from .replica import (ReplicaSolution, ReplicaState, SystemParams, calibrate,
@@ -18,8 +18,8 @@ from .spectral import (RTransform, asymptotic_distortion, lambda_rs,
                        marcenko_pastur)
 
 __all__ = [
-    "QuadratureRule", "RandomStream", "find_root_1d", "ks_distance",
-    "q_function", "radial_expectation",
+    "RandomStream", "find_root_1d", "ks_distance", "q_function",
+    "radial_expectation",
     "PenaltySpec", "Support", "ThresholdSet", "penalty_value", "prox",
     "prox_array", "prox_oracle", "thresholds",
     "ReplicaSolution", "ReplicaState", "SystemParams", "calibrate",

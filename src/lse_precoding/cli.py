@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import (ConfigError, ExperimentConfig, apply_overrides,
-                          load_config, run, validate_config)
-
-MODES = ("replica", "sweep", "simulate", "compare", "calibrate", "saving", "plot")
+from .experiments import (_RUNNERS, ConfigError, ExperimentConfig,
+                          apply_overrides, load_config, run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lse",
         description="Replica predictions and Monte Carlo validation for "
                     "penalized least-square precoders.")
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=tuple(_RUNNERS))
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="section.key=value",
@@ -46,7 +44,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.threads is not None:
             cfg.threads = args.threads
-        validate_config(cfg)
         written = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

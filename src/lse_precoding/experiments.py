@@ -218,10 +218,8 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    modes = ("replica", "sweep", "simulate", "compare", "calibrate",
-             "saving", "plot")
-    if cfg.mode not in modes:
-        raise ConfigError(f"mode must be one of {modes}, got {cfg.mode!r}")
+    if cfg.mode not in _RUNNERS:
+        raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {cfg.mode!r}")
     if cfg.mode == "plot":
         if not cfg.plot_inputs:
             raise ConfigError("plot mode needs [plot] inputs")
@@ -349,13 +347,23 @@ def _direct_params(cfg: ExperimentConfig, alpha_inverse: float) -> SystemParams:
                         penalty=spec)
 
 
+def _calibrated_point(cfg: ExperimentConfig, alpha_inverse: float,
+                      eta_target: float, papr_db: float | None) -> CalibratedPoint:
+    return calibrated_point(alpha_inverse, cfg.lambda_s, cfg.p_target, eta_target,
+                            papr_db, cfg.support, cfg.peak_power, cfg.solver_opts())
+
+
+def _target_grid(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
+    """(eta targets, papr targets in dB or (None,)) of a sweep or saving study."""
+    return (cfg.eta_targets or (cfg.eta_target,),
+            cfg.papr_db_targets or (cfg.papr_db_target,))
+
+
 def _point_for_config(cfg: ExperimentConfig):
     """(lam, lam0, solution, params, status) at the single configured load."""
     ainv = cfg.alpha_inverse[0]
     if cfg.uses_targets:
-        pt = calibrated_point(ainv, cfg.lambda_s, cfg.p_target, cfg.eta_target,
-                              cfg.papr_db_target, cfg.support, cfg.peak_power,
-                              cfg.solver_opts())
+        pt = _calibrated_point(cfg, ainv, cfg.eta_target, cfg.papr_db_target)
         sol = pt.solution
         support = Support.disk(sol.papr * sol.state.p) if math.isfinite(sol.papr) \
             else Support.full_plane()
@@ -396,12 +404,16 @@ def read_csv(path: str):
 # modes
 # ---------------------------------------------------------------------------
 
-def _solution_lines(lam, lam0, sol: ReplicaSolution, status: str) -> list[str]:
+def _header_lines(status: str, lam, lam0) -> list[str]:
+    return [f"status = {status}", f"lambda = {_fmt(lam)}", f"lambda0 = {_fmt(lam0)}"]
+
+
+def run_replica_point(cfg: ExperimentConfig, out_dir: str) -> dict:
+    """Fixed-point solve at the single configured load; replica mode writes
+    replica.txt, calibrate mode the same report as calibration.txt."""
+    lam, lam0, sol, _, status = _point_for_config(cfg)
     st = sol.state
-    return [
-        f"status = {status}",
-        f"lambda = {_fmt(lam)}",
-        f"lambda0 = {_fmt(lam0)}",
+    lines = _header_lines(status, lam, lam0) + [
         f"chi = {_fmt(st.chi)}",
         f"p = {_fmt(st.p)}",
         f"lambda_rs = {_fmt(st.lambda_rs)}",
@@ -417,37 +429,13 @@ def _solution_lines(lam, lam0, sol: ReplicaSolution, status: str) -> list[str]:
         f"residual = {_fmt(sol.residual)}",
         f"iterations = {sol.iterations}",
     ]
-
-
-def run_replica_point(cfg: ExperimentConfig, out_dir: str) -> dict:
-    lam, lam0, sol, _, status = _point_for_config(cfg)
-    path = _write(os.path.join(out_dir, "replica.txt"),
-                  "\n".join(_solution_lines(lam, lam0, sol, status)) + "\n")
-    manifest = _write(os.path.join(out_dir, "manifest.cfg"), manifest_text(cfg))
-    return {"replica": path, "manifest": manifest}
-
-
-def run_calibrate(cfg: ExperimentConfig, out_dir: str) -> dict:
-    lam, lam0, sol, _, status = _point_for_config(cfg)
-    path = _write(os.path.join(out_dir, "calibration.txt"),
-                  "\n".join(_solution_lines(lam, lam0, sol, status)) + "\n")
-    manifest = _write(os.path.join(out_dir, "manifest.cfg"), manifest_text(cfg))
-    return {"calibration": path, "manifest": manifest}
-
-
-def _sweep_row(ainv: float, pt: CalibratedPoint):
-    sol = pt.solution
-    st = sol.state
-    row = (ainv, pt.lam, pt.lam0, st.chi, st.p, sol.eta, db10(sol.papr),
-           db10(sol.distortion), sol.residual, sol.iterations)
-    return row, pt.status
+    name = "calibration" if cfg.mode == "calibrate" else "replica"
+    return {name: _write(os.path.join(out_dir, f"{name}.txt"), "\n".join(lines) + "\n")}
 
 
 def run_replica_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     """One CSV per (eta target, papr target) curve over the load grid."""
-    etas = cfg.eta_targets or (cfg.eta_target,)
-    paprs = cfg.papr_db_targets or ((cfg.papr_db_target,)
-                                    if cfg.papr_db_target is not None else (None,))
+    etas, paprs = _target_grid(cfg)
     written = {}
     for eta_t in etas:
         for papr_db in paprs:
@@ -457,32 +445,33 @@ def run_replica_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
             rows = []
             for ainv in cfg.alpha_inverse:
                 try:
-                    pt = calibrated_point(ainv, cfg.lambda_s, cfg.p_target, eta_t,
-                                          papr_db, cfg.support, cfg.peak_power,
-                                          cfg.solver_opts())
-                    rows.append(_sweep_row(ainv, pt))
+                    pt = _calibrated_point(cfg, ainv, eta_t, papr_db)
                 except (NotAchievableError, NoConvergenceError) as exc:
                     blank = (ainv,) + (math.nan,) * 8 + (0,)
                     rows.append((blank, f"error: {exc}"))
-            path = write_csv(os.path.join(out_dir, f"sweep_{tag}.csv"),
-                             SWEEP_COLUMNS, rows)
-            written[tag] = path
-    written["manifest"] = _write(os.path.join(out_dir, "manifest.cfg"),
-                                 manifest_text(cfg))
+                    continue
+                sol = pt.solution
+                rows.append(((ainv, pt.lam, pt.lam0, sol.state.chi, sol.state.p,
+                              sol.eta, db10(sol.papr), db10(sol.distortion),
+                              sol.residual, sol.iterations), pt.status))
+            written[tag] = write_csv(os.path.join(out_dir, f"sweep_{tag}.csv"),
+                                     SWEEP_COLUMNS, rows)
     return written
 
 
-def _run_monte_carlo(cfg: ExperimentConfig, params: SystemParams, lam, lam0):
-    for weight in (lam, lam0):
-        if weight is not None and math.isnan(weight):
-            raise ConfigError("the clamped boundary point has no representable "
-                              "penalty weights; simulate with direct weights")
-    ainv = cfg.alpha_inverse[0]
-    k = int(round(cfg.n / ainv))
-    return monte_carlo(cfg.n, k, cfg.lambda_s, params.penalty,
-                       trials=cfg.trials, master_seed=cfg.seed,
-                       solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps,
-                       threads=cfg.threads)
+def _simulated_point(cfg: ExperimentConfig):
+    """Replica solution, system parameters, Monte Carlo report and the
+    status/lambda/lambda0 report header at the single configured load."""
+    lam, lam0, sol, params, status = _point_for_config(cfg)
+    if math.isnan(lam) or math.isnan(lam0):
+        raise ConfigError("the clamped boundary point has no representable "
+                          "penalty weights; simulate with direct weights")
+    k = int(round(cfg.n / cfg.alpha_inverse[0]))
+    report = monte_carlo(cfg.n, k, cfg.lambda_s, params.penalty,
+                         trials=cfg.trials, master_seed=cfg.seed,
+                         solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps,
+                         threads=cfg.threads)
+    return sol, params, report, _header_lines(status, lam, lam0)
 
 
 def _report_lines(report) -> list[str]:
@@ -500,26 +489,22 @@ def _report_lines(report) -> list[str]:
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
-    lam, lam0, sol, params, status = _point_for_config(cfg)
-    report = _run_monte_carlo(cfg, params, lam, lam0)
-    lines = [f"status = {status}", f"lambda = {_fmt(lam)}",
-             f"lambda0 = {_fmt(lam0)}"] + _report_lines(report)
-    path = _write(os.path.join(out_dir, "simulation.txt"), "\n".join(lines) + "\n")
+    _, _, report, header = _simulated_point(cfg)
+    path = _write(os.path.join(out_dir, "simulation.txt"),
+                  "\n".join(header + _report_lines(report)) + "\n")
     hist_rows = [((edge, mass, first, second), "ok") for edge, mass, first, second
                  in zip(report.histogram_edges[:-1], report.magnitude_histogram,
                         report.per_index_marginals["first_half"],
                         report.per_index_marginals["second_half"])]
     hist = write_csv(os.path.join(out_dir, "histogram.csv"),
                      ("bin_left", "mass", "first_half", "second_half"), hist_rows)
-    manifest = _write(os.path.join(out_dir, "manifest.cfg"), manifest_text(cfg))
-    return {"simulation": path, "histogram": hist, "manifest": manifest}
+    return {"simulation": path, "histogram": hist}
 
 
 def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Replica solve and Monte Carlo at the same parameters, side by side,
     plus distribution distances against the decoupled law."""
-    lam, lam0, sol, params, status = _point_for_config(cfg)
-    report = _run_monte_carlo(cfg, params, lam, lam0)
+    sol, params, report, header = _simulated_point(cfg)
 
     stream = RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX)
     law = np.abs(decoupled_sample(sol.state, params.penalty, stream, 10 ** 6))
@@ -542,14 +527,11 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     csv_path = write_csv(os.path.join(out_dir, "compare.csv"),
                          ("metric", "replica", "empirical", "ci95", "rel_gap"),
                          rows)
-    lines = [f"status = {status}", f"lambda = {_fmt(lam)}",
-             f"lambda0 = {_fmt(lam0)}",
-             f"ks_decoupled = {_fmt(ks_law)}",
-             f"ks_index_halves = {_fmt(ks_halves)}"] + _report_lines(report)
+    lines = header + [f"ks_decoupled = {_fmt(ks_law)}",
+                      f"ks_index_halves = {_fmt(ks_halves)}"] + _report_lines(report)
     summary = _write(os.path.join(out_dir, "compare_summary.txt"),
                      "\n".join(lines) + "\n")
-    manifest = _write(os.path.join(out_dir, "manifest.cfg"), manifest_text(cfg))
-    return {"compare": csv_path, "summary": summary, "manifest": manifest}
+    return {"compare": csv_path, "summary": summary}
 
 
 def match_random_selection(alpha_inverse: float, lambda_s: float, p_target: float,
@@ -594,17 +576,13 @@ def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
     """For each (eta, papr, load): solve the penalized precoder, then find
     the random-selection fraction with equal distortion; saving is the
     difference."""
-    etas = cfg.eta_targets or (cfg.eta_target,)
-    paprs = cfg.papr_db_targets or ((cfg.papr_db_target,)
-                                    if cfg.papr_db_target is not None else (None,))
+    etas, paprs = _target_grid(cfg)
     rows = []
     for papr_db in paprs:
         for eta_t in etas:
             for ainv in cfg.alpha_inverse:
                 try:
-                    pt = calibrated_point(ainv, cfg.lambda_s, cfg.p_target, eta_t,
-                                          papr_db, cfg.support, cfg.peak_power,
-                                          cfg.solver_opts())
+                    pt = _calibrated_point(cfg, ainv, eta_t, papr_db)
                     eta_r = match_random_selection(ainv, cfg.lambda_s,
                                                    cfg.p_target,
                                                    pt.solution.distortion,
@@ -616,10 +594,8 @@ def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
                     row = (ainv, math.nan if papr_db is None else papr_db, eta_t,
                            math.nan, math.nan, math.nan)
                     rows.append((row, f"error: {exc}"))
-    path = write_csv(os.path.join(out_dir, "antenna_saving.csv"),
-                     SAVING_COLUMNS, rows)
-    manifest = _write(os.path.join(out_dir, "manifest.cfg"), manifest_text(cfg))
-    return {"saving": path, "manifest": manifest}
+    return {"saving": write_csv(os.path.join(out_dir, "antenna_saving.csv"),
+                                SAVING_COLUMNS, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -719,23 +695,27 @@ def emit_plot(csv_paths, out_path: str, title: str = "") -> str:
 
 
 def run_plot(cfg: ExperimentConfig, out_dir: str) -> dict:
-    path = emit_plot(cfg.plot_inputs, os.path.join(out_dir, "plot.svg"),
-                     cfg.plot_title)
-    manifest = _write(os.path.join(out_dir, "manifest.cfg"), manifest_text(cfg))
-    return {"plot": path, "manifest": manifest}
+    return {"plot": emit_plot(cfg.plot_inputs, os.path.join(out_dir, "plot.svg"),
+                              cfg.plot_title)}
 
 
+# mode -> runner; each runner returns {name: path} of the files it wrote
 _RUNNERS = {
     "replica": run_replica_point,
-    "calibrate": run_calibrate,
     "sweep": run_replica_sweep,
     "simulate": run_simulate,
     "compare": run_compare,
+    "calibrate": run_replica_point,
     "saving": run_antenna_saving,
     "plot": run_plot,
 }
 
 
 def run(cfg: ExperimentConfig) -> dict:
+    """Validate cfg, run its mode into cfg.out and write manifest.cfg next
+    to the outputs; returns {name: path} of every file written."""
     validate_config(cfg)
-    return _RUNNERS[cfg.mode](cfg, cfg.out)
+    written = _RUNNERS[cfg.mode](cfg, cfg.out)
+    written["manifest"] = _write(os.path.join(cfg.out, "manifest.cfg"),
+                                 manifest_text(cfg))
+    return written

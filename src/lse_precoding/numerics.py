@@ -1,5 +1,5 @@
-"""Shared numerical primitives: special functions, quadrature, root finding,
-deterministic random streams and distribution-distance statistics.
+"""Shared numerical primitives: special functions, panel quadrature, root
+finding, deterministic random streams and distribution-distance statistics.
 
 Everything here is a pure function of its arguments; repeated calls agree
 bit for bit.
@@ -181,27 +181,14 @@ def expand_bracket(f: Callable[[float], float], x0: float, step: float,
 # Kolmogorov-Smirnov distance
 # ---------------------------------------------------------------------------
 
-def ks_distance(sample_a: Sequence[float], sample_b_or_cdf) -> float:
-    """Kolmogorov-Smirnov sup-distance between the empirical CDF of
-    sample_a and either a second sample's empirical CDF or a reference CDF
-    callable."""
+def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
+    """Two-sample Kolmogorov-Smirnov sup-distance between the empirical CDFs
+    of sample_a and sample_b."""
     a = np.sort(np.asarray(sample_a, dtype=float))
     n = a.size
     if n == 0:
         raise EmptySampleError("sample_a is empty")
-    if callable(sample_b_or_cdf):
-        cdf = sample_b_or_cdf
-        try:
-            fvals = np.asarray(cdf(a), dtype=float)
-            if fvals.shape != a.shape:
-                raise TypeError
-        except TypeError:
-            fvals = np.array([float(cdf(x)) for x in a])
-        i = np.arange(1, n + 1)
-        d_plus = np.max(i / n - fvals)
-        d_minus = np.max(fvals - (i - 1) / n)
-        return float(max(d_plus, d_minus, 0.0))
-    b = np.sort(np.asarray(sample_b_or_cdf, dtype=float))
+    b = np.sort(np.asarray(sample_b, dtype=float))
     m = b.size
     if m == 0:
         raise EmptySampleError("sample_b is empty")
@@ -216,59 +203,6 @@ def ks_distance(sample_a: Sequence[float], sample_b_or_cdf) -> float:
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
-
-RADIAL_GAUSSIAN = "radial-Gaussian"
-SEGMENT_LEGENDRE = "segment-Legendre"
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and strictly positive weights of a fixed quadrature rule.
-
-    kind "radial-Gaussian": sum(w * g(r)) approximates
-        int_0^inf g(r) (2r/v) exp(-r^2/v) dr
-    exactly for g polynomial in r^2 up to the rule's degree.
-    kind "segment-Legendre": plain Gauss-Legendre on a segment [a, b].
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
-        if self.kind not in (RADIAL_GAUSSIAN, SEGMENT_LEGENDRE):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-
-
-def radial_gaussian_rule(variance: float, n: int = 96) -> QuadratureRule:
-    """Rule for E[g(|s|)] with s complex Gaussian of total variance `variance`.
-
-    Substituting t = r^2/variance turns the expectation into a Gauss-Laguerre
-    integral, so the rule is exact for g polynomial in r^2 up to degree
-    2n - 1 in t.
-    """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    t, w = sc.roots_laguerre(n)
-    return QuadratureRule(np.sqrt(variance * t), w, RADIAL_GAUSSIAN)
-
-
-def segment_rule(a: float, b: float, n: int = 64) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b]."""
-    if not (b > a):
-        raise ValueError("segment must have b > a")
-    x, w = sc.roots_legendre(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(mid + half * x, half * w, SEGMENT_LEGENDRE)
-
 
 def _gaussian_tail_moments(b: float, variance: float) -> tuple[float, float, float]:
     """(E0, E1, E2) = int_b^inf r^m (2r/v) exp(-r^2/v) dr for m = 0, 1, 2."""
@@ -291,8 +225,7 @@ def _eval_vectorized(g, nodes: np.ndarray) -> np.ndarray:
     return np.array([float(g(r)) for r in nodes])
 
 
-def radial_expectation(g, variance: float, rule: QuadratureRule | None = None,
-                       breakpoints: Sequence[float] = (),
+def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
                        tail: tuple[float, float, float] | None = None,
                        r_max_factor: float = 10.0,
                        nodes_per_panel: int = 64) -> float:
@@ -307,20 +240,9 @@ def radial_expectation(g, variance: float, rule: QuadratureRule | None = None,
     tail integral starts at whichever is larger, so breakpoints past r_max
     stay exact). With tail=None the tail is dropped; at the default r_max
     its Gaussian weight is exp(-100).
-
-    A precomputed radial-Gaussian rule may be passed instead; it covers the
-    whole half line but is only accurate for smooth g.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
-    if rule is not None:
-        if rule.kind != RADIAL_GAUSSIAN:
-            raise ValueError("explicit rule must be radial-Gaussian")
-        vals = _eval_vectorized(g, rule.nodes)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("g returned a non-finite value at a quadrature node")
-        return float(np.dot(rule.weights, vals))
-
     sigma = math.sqrt(variance)
     r_max = r_max_factor * sigma
     edges = sorted({0.0, r_max} | {float(b) for b in breakpoints if 0.0 < float(b) < r_max})

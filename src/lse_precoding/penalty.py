@@ -5,9 +5,6 @@ The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over either the
 whole complex plane or a disk of radius sqrt(P). The prox of this family
 has a closed four-branch form (shrink, drop, or clip to the rim); the
 brute-force polar-grid oracle below certifies global optimality in tests.
-
-Other separable penalties can be used by passing any object that
-implements thresholds(c) / prox(z, c) / value(v) with the same semantics.
 """
 from __future__ import annotations
 
@@ -98,26 +95,33 @@ def thresholds(spec: PenaltySpec, c: float) -> ThresholdSet:
     return ThresholdSet(tau, tau_tilde, tau_hat)
 
 
-def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
-    """Exact global minimizer over the support of |v - z|^2 + c u(v).
-
-    The output preserves the phase of z or is an exact 0 (so zero-norm
-    counts need no epsilon downstream). Ties at the thresholds are resolved
-    toward the branch printed first below; the competing branches are
-    cost-equal there.
-    """
-    t = thresholds(spec, c)
-    a = abs(z)
-    if spec.is_disk and a >= t.tau_hat:
+def _prox_scalar(z: complex, a: float, t: ThresholdSet, radius: float,
+                 shrink: float) -> complex:
+    """The four-branch prox rule for one input z with a = |z|, thresholds t,
+    support radius (inf for the full plane, where tau_hat = inf too) and
+    shrink factor 1/(1 + c lam). Ties at the thresholds go to the branch
+    tested first; the competing branches are cost-equal there."""
+    if a >= t.tau_hat:
         # clip to the rim; tau_hat >= tau_tilde > 0 so z != 0 here
-        return complex(z) * (spec.support.radius / a)
+        return z * (radius / a)
     if a > t.tau_tilde:
         return 0.0 + 0.0j
     if a >= t.tau:
         # multiply by the real reciprocal: componentwise rounding matches
         # the vectorized path bit for bit
-        return complex(z) * (1.0 / (1.0 + c * spec.lam))
+        return z * shrink
     return 0.0 + 0.0j
+
+
+def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
+    """Exact global minimizer over the support of |v - z|^2 + c u(v).
+
+    The output preserves the phase of z or is an exact 0 (so zero-norm
+    counts need no epsilon downstream).
+    """
+    z = complex(z)
+    return _prox_scalar(z, abs(z), thresholds(spec, c), spec.support.radius,
+                        1.0 / (1.0 + c * spec.lam))
 
 
 def prox_array(spec: PenaltySpec, z: np.ndarray, c: float) -> np.ndarray:

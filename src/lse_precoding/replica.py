@@ -431,7 +431,7 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
         u = _newton_init(params_base, support, p_star, eta_star, solver_opts)
         u, sol = _damped_newton(residuals, u, tol)
     except (NoConvergenceError, InvalidStateError, NoSignChangeError,
-            NotAchievableError, ValueError):
+            NotAchievableError, np.linalg.LinAlgError):
         sol = None
     if sol is None:
         u, sol = _nested_bisection(params_base, support, p_star, eta_star,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import RandomStream, complex_normal
-from .penalty import DISK, PenaltySpec, penalty_value, thresholds
+from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 
 _RESTART_STREAM_OFFSET = 1 << 48
 _GREEDY_REFRESH = 64  # drops between from-scratch inverses in greedy selection
@@ -111,10 +111,11 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
 # ---------------------------------------------------------------------------
 
 def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best-effort ridge solve with one refinement step; returns (x, A, y)
-    with A = H H^H + lam I, y = A^{-1} s and x = H^H y. No residual
-    contract (used for warm starts; precode_rzf checks A y against s)."""
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Best-effort ridge solve with one refinement step; returns x = H^H y
+    with y = A^{-1} s, A = H H^H + lam I, and the normal-equation residual
+    s - A y. No residual contract (used for warm starts; precode_rzf checks
+    the residual)."""
     k = H.shape[0]
     A = H @ H.conj().T + lam * np.eye(k)
     try:
@@ -122,7 +123,7 @@ def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     y = y + np.linalg.solve(A, s - A @ y)
-    return H.conj().T @ y, A, y
+    return H.conj().T @ y, s - A @ y
 
 
 def precode_rzf(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
@@ -132,8 +133,8 @@ def precode_rzf(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
     below 1e-10 ||s||; raises SingularSystemError when that cannot be met
     (singular or numerically near-singular system).
     """
-    x, A, y = _ridge_solve(H, s, lam)
-    if np.linalg.norm(s - A @ y) > 1e-10 * np.linalg.norm(s):
+    x, residual = _ridge_solve(H, s, lam)
+    if np.linalg.norm(residual) > 1e-10 * np.linalg.norm(s):
         raise SingularSystemError("ridge system residual above tolerance")
     return x
 
@@ -215,15 +216,6 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
     return active
 
 
-def _ridge_on_support(H: np.ndarray, s: np.ndarray, lam: float,
-                      active: np.ndarray) -> np.ndarray:
-    x = np.zeros(H.shape[1], dtype=complex)
-    cols = np.where(active)[0]
-    if cols.size:
-        x[cols], _, _ = _ridge_solve(H[:, cols], s, lam)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # cyclic coordinate descent
 # ---------------------------------------------------------------------------
@@ -235,7 +227,7 @@ def _objective(problem: PrecodeProblem, x: np.ndarray) -> float:
 
 
 def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
-    if spec.support.kind != DISK:
+    if not spec.is_disk:
         return x
     radius = spec.support.radius
     a = np.abs(x)
@@ -247,26 +239,25 @@ def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
 
 def _init_vector(problem: PrecodeProblem, kind: str,
                  rng: np.random.Generator | None) -> np.ndarray:
-    spec = problem.penalty
+    H, s, spec = problem.H, problem.s, problem.penalty
     lam_eff = max(spec.lam, 1e-6)
-    if kind == "zero":
-        return np.zeros(problem.n, dtype=complex)
-    if kind == "rzf":
-        x, _, _ = _ridge_solve(problem.H, problem.s, lam_eff)
-        return _clip_to_support(spec, x)
+    x = np.zeros(problem.n, dtype=complex)
     if kind == "greedy":
-        active = _greedy_backward_support(problem.H, problem.s, lam_eff, spec.lam0)
-        return _clip_to_support(spec, _ridge_on_support(problem.H, problem.s,
-                                                        lam_eff, active))
-    if kind == "random":
+        # the greedy loop stops at one antenna, so the support is never empty
+        active = _greedy_backward_support(H, s, lam_eff, spec.lam0)
+        x[active], _ = _ridge_solve(H[:, active], s, lam_eff)
+    elif kind == "rzf":
+        x, _ = _ridge_solve(H, s, lam_eff)
+    elif kind == "random":
         if rng is None:
             raise ValueError("random restarts need a stream")
         density = 0.25 + 0.5 * rng.random()
         mask = rng.random(problem.n) < density
-        x, _, _ = _ridge_solve(problem.H, problem.s, lam_eff)
+        x, _ = _ridge_solve(H, s, lam_eff)
         x[~mask] = 0.0
-        return _clip_to_support(spec, x)
-    raise ValueError(f"unknown init {kind!r}")
+    elif kind != "zero":
+        raise ValueError(f"unknown init {kind!r}")
+    return _clip_to_support(spec, x)
 
 
 def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
@@ -274,16 +265,18 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     """Exact-prox cyclic descent from x0, tracking the objective
     incrementally with a from-scratch refresh every 50 sweeps."""
     H, s, spec = problem.H, problem.s, problem.penalty
-    n = problem.n
     rows = np.ascontiguousarray(H.T)  # rows[j] is column j of H
     g = np.einsum("ij,ij->j", H.conj(), H).real
     degenerate = tuple(int(j) for j in np.where(g <= 0.0)[0])
-    order = [j for j in range(n) if g[j] > 0.0]
-    weights = [1.0 / g[j] if g[j] > 0.0 else math.inf for j in range(n)]
-    ts = [thresholds(spec, weights[j]) if g[j] > 0.0 else None
-          for j in range(n)]
-    is_disk = spec.support.kind == DISK
-    radius = spec.support.radius if is_disk else math.inf
+    # per usable column j: h_j, g_j = ||h_j||^2, and the prox thresholds and
+    # shrink factor at the coordinate weight c_j = 1/g_j
+    columns = []
+    for j, gj in enumerate(g.tolist()):
+        if gj > 0.0:
+            cj = 1.0 / gj
+            columns.append((j, rows[j], gj, thresholds(spec, cj),
+                            1.0 / (1.0 + cj * spec.lam)))
+    radius = spec.support.radius
     lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
@@ -295,23 +288,10 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     sweeps = 0
     for sweep in range(max_sweeps):
         prev = obj
-        for j in order:
-            hj = rows[j]
-            gj = g[j]
-            cj = weights[j]
+        for j, hj, gj, t, shrink in columns:
             xj = x[j]
             zj = xj + np.vdot(hj, r) / gj
-            t = ts[j]
-            a = abs(zj)
-            # branch order mirrors penalty.prox: rim, drop, shrink, drop
-            if is_disk and a >= t.tau_hat:
-                xn = zj * (radius / a)
-            elif a > t.tau_tilde:
-                xn = 0.0 + 0.0j
-            elif a >= t.tau:
-                xn = zj * (1.0 / (1.0 + cj * lam))
-            else:
-                xn = 0.0 + 0.0j
+            xn = _prox_scalar(zj, abs(zj), t, radius, shrink)
             if xn != xj:
                 d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
                          + lam0 * (float(xn != 0.0) - float(xj != 0.0)))

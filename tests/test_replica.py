@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lse_precoding.numerics import RandomStream
+from lse_precoding import replica
 from lse_precoding.penalty import PenaltySpec, Support
 from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    SystemParams, calibrate, decoupled_sample,
@@ -192,6 +193,32 @@ def test_calibrate_both_targets():
     assert lam == pytest.approx(0.15593417, abs=1e-6)
     assert lam0 == pytest.approx(0.11475326, abs=1e-6)
     assert sol.distortion == pytest.approx(0.092811948, abs=1e-7)
+
+
+def test_calibrate_propagates_programming_errors(monkeypatch):
+    # only named solver failures may divert calibration to bisection
+    def broken(residuals, u, tol):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(replica, "_damped_newton", broken)
+    with pytest.raises(ValueError, match="bug"):
+        calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5)
+
+
+def test_calibrate_singular_jacobian_falls_back_to_bisection(monkeypatch):
+    calls = []
+
+    def singular(residuals, u, tol):
+        calls.append(u)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(replica, "_damped_newton", singular)
+    lam, lam0, sol = calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5)
+    assert len(calls) == 1
+    assert sol.state.p == pytest.approx(0.5, abs=1e-8)
+    assert sol.eta == pytest.approx(0.5, abs=1e-8)
+    assert lam == pytest.approx(0.15593417, abs=1e-6)
+    assert lam0 == pytest.approx(0.11475326, abs=1e-6)
 
 
 def test_calibrate_high_papr_matches_full_plane():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lse_precoding.numerics import RandomStream
-from lse_precoding.penalty import PenaltySpec, Support
+from lse_precoding.penalty import PenaltySpec, Support, prox
 from lse_precoding.simulator import (PrecodeProblem, SingularSystemError,
                                      _greedy_backward_support,
                                      generate_problem, measure, monte_carlo,
@@ -127,6 +127,28 @@ def test_ccd_restarts_never_worse():
     single = precode_ccd(pr, restarts=1)
     multi = precode_ccd(pr, restarts=4)
     assert multi.objective <= single.objective + 1e-12
+
+
+@pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
+def test_ccd_fixed_point_of_certified_prox(peak):
+    # a converged descent leaves every coordinate where penalty.prox (the
+    # scalar rule the brute-force oracle certifies) would put it; the value
+    # bound is the float64 floor of descent stopped on the tracked objective,
+    # sqrt(eps * objective) ~ 5e-8 here (the disk instance stops at 2.3e-8)
+    pr = small_problem(seed=21, n=64, k=32, lam=0.1, lam0=0.05, peak=peak)
+    res = precode_ccd(pr, tol=1e-16)
+    assert res.converged
+    spec = pr.penalty
+    r = pr.s - pr.H @ res.x
+    g = np.einsum("ij,ij->j", pr.H.conj(), pr.H).real
+    fixed = np.array([prox(spec, res.x[j] + np.vdot(pr.H[:, j], r) / g[j], 1.0 / g[j])
+                      for j in range(pr.n)])
+    assert np.array_equal(fixed == 0, res.x == 0)
+    assert np.max(np.abs(fixed - res.x)) <= 1e-7
+    # the drop branch is exercised, and on the disk the rim branch as well
+    assert 0 < np.count_nonzero(res.x) < pr.n
+    if peak is not None:
+        assert np.any(np.isclose(np.abs(res.x), math.sqrt(peak), rtol=0, atol=1e-12))
 
 
 def test_ccd_skips_degenerate_column():
