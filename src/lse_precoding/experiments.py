@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .simulator import monte_carlo
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
 # sampler uses a far-away reserved index off the same master seed
 _DECOUPLED_STREAM_INDEX = 1 << 52
+# walk of the random-selection fraction before the bracketed root search
+_SELECTION_STEP = 0.05
 
 
 class ConfigError(ValueError):
@@ -169,6 +171,17 @@ def _convert(kind, raw: str):
     return kind(raw)
 
 
+def _assign(cfg: ExperimentConfig, section: str, key: str, raw: str) -> None:
+    spec = _KEY_MAP.get((section, key))
+    if spec is None:
+        raise ConfigError(f"unknown config key {section}.{key}")
+    name, kind = spec
+    try:
+        setattr(cfg, name, _convert(kind, raw))
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -180,14 +193,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if section == "versions":  # informational manifest block
             continue
         for key, raw in parser.items(section):
-            spec = _KEY_MAP.get((section, key))
-            if spec is None:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            name, kind = spec
-            try:
-                setattr(cfg, name, _convert(kind, raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+            _assign(cfg, section, key, raw)
     return cfg
 
 
@@ -203,17 +209,8 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         dotted, raw = item.split("=", 1)
-        if "." not in dotted:
-            raise ConfigError(f"override key must be section.key: {dotted!r}")
-        section, key = dotted.split(".", 1)
-        spec = _KEY_MAP.get((section.strip(), key.strip()))
-        if spec is None:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        name, kind = spec
-        try:
-            setattr(cfg, name, _convert(kind, raw.strip()))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {dotted}: {raw!r}") from exc
+        section, _, key = dotted.partition(".")
+        _assign(cfg, section.strip(), key.strip(), raw.strip())
     return cfg
 
 
@@ -224,6 +221,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not cfg.plot_inputs:
             raise ConfigError("plot mode needs [plot] inputs")
         return
+    if not cfg.alpha_inverse:
+        raise ConfigError("alpha_inverse grid is empty")
+    if not all(a > 0 for a in cfg.alpha_inverse) or not cfg.lambda_s > 0:
+        raise ConfigError("alpha_inverse and lambda_s must be positive")
+    if cfg.mode in ("simulate", "compare") and (cfg.n < 1 or cfg.trials < 2):
+        raise ConfigError("simulation needs n >= 1 and trials >= 2")
     if cfg.support not in ("full", "disk"):
         raise ConfigError("support must be 'full' or 'disk'")
     direct = cfg.lam is not None or cfg.lam0 is not None
@@ -259,14 +262,10 @@ def manifest_text(cfg: ExperimentConfig) -> str:
     rerun from the manifest is byte-identical wherever it lands."""
     lines = []
     sections: dict[str, list[str]] = {}
-    reverse = {name: (sec, key, kind) for (sec, key), (name, kind) in _KEY_MAP.items()}
-    for f in fields(cfg):
-        if f.name not in reverse:
-            continue
-        sec, key, kind = reverse[f.name]
+    for (sec, key), (name, _) in _KEY_MAP.items():
         if key in ("threads", "out"):
             continue
-        value = getattr(cfg, f.name)
+        value = getattr(cfg, name)
         if value is None or value == () or value == "":
             continue
         if isinstance(value, tuple):
@@ -535,8 +534,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def match_random_selection(alpha_inverse: float, lambda_s: float, p_target: float,
-                           d_target: float, solver_opts: dict | None = None,
-                           step: float = 0.05) -> float:
+                           d_target: float, solver_opts: dict | None = None) -> float:
     """Selection fraction at which the random-selection ridge baseline meets
     a target distortion; the baseline improves monotonically with more
     antennas.
@@ -558,10 +556,10 @@ def match_random_selection(alpha_inverse: float, lambda_s: float, p_target: floa
     if gap(1.0) > 0:
         raise NotAchievableError("baseline cannot reach the target distortion")
     hi = 1.0
-    lo = hi - step
-    while lo > step and gap(lo) < 0:
+    lo = hi - _SELECTION_STEP
+    while lo > _SELECTION_STEP and gap(lo) < 0:
         hi = lo
-        lo -= step
+        lo -= _SELECTION_STEP
     if gap(lo) < 0:
         raise NotAchievableError("no crossing above the feasibility floor")
 

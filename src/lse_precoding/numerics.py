@@ -26,6 +26,10 @@ class EmptySampleError(ValueError):
     """A statistic was requested on an empty sample."""
 
 
+class ShapeMismatchError(ValueError):
+    """A function evaluated on an array did not return one value per node."""
+
+
 # ---------------------------------------------------------------------------
 # deterministic random streams
 # ---------------------------------------------------------------------------
@@ -105,15 +109,17 @@ def q_function(x):
 # root finding
 # ---------------------------------------------------------------------------
 
+_ROOT_MAX_ITER = 200
+
+
 def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
-                 tol: float = 1e-12, xtol: float | None = None,
-                 max_iter: int = 200) -> float:
+                 tol: float = 1e-12, xtol: float | None = None) -> float:
     """Find a root of f on [lo, hi] by bisection with secant acceleration.
 
-    Stops when |f(x)| <= tol or the bracket width falls below xtol
-    (defaults to tol). Deterministic; raises NoSignChangeError when the
-    bracket does not straddle a root and NonFiniteError when f returns a
-    non-finite value.
+    Stops when |f(x)| <= tol, the bracket width falls below xtol (defaults
+    to tol) or after _ROOT_MAX_ITER steps. Deterministic; raises
+    NoSignChangeError when the bracket does not straddle a root and
+    NonFiniteError when f returns a non-finite value.
     """
     if xtol is None:
         xtol = tol
@@ -128,7 +134,7 @@ def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
     if flo * fhi > 0:
         raise NoSignChangeError(f"no sign change on [{lo}, {hi}]")
     best_x, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if abs(best_f) <= tol or (hi - lo) <= xtol:
             return best_x
         mid = 0.5 * (lo + hi)
@@ -213,41 +219,34 @@ def _gaussian_tail_moments(b: float, variance: float) -> tuple[float, float, flo
     return e0, e1, e2
 
 
-def _eval_vectorized(g, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(g(nodes), dtype=float)
-        if vals.shape == nodes.shape:
-            return vals
-        if vals.ndim == 0:
-            return np.full(nodes.shape, float(vals))
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(g(r)) for r in nodes])
+# panel quadrature: integration range in units of sqrt(variance) and
+# Gauss-Legendre nodes per panel
+_R_MAX_FACTOR = 10.0
+_NODES_PER_PANEL = 64
 
 
 def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
-                       tail: tuple[float, float, float] | None = None,
-                       r_max_factor: float = 10.0,
-                       nodes_per_panel: int = 64) -> float:
+                       tail: tuple[float, float, float] | None = None) -> float:
     """E[g(|s|)] for s complex Gaussian, zero mean, total variance `variance`,
     i.e. int_0^inf g(r) (2r/variance) exp(-r^2/variance) dr.
 
-    The default scheme integrates with composite Gauss-Legendre panels whose
-    edges are aligned with the supplied breakpoints (prox thresholds have
-    jump discontinuities there) up to r_max = r_max_factor * sqrt(variance),
-    then adds the tail analytically: `tail` = (c0, c1, c2) states that
-    g(r) = c0 + c1 r + c2 r^2 beyond r_max and beyond every breakpoint (the
-    tail integral starts at whichever is larger, so breakpoints past r_max
-    stay exact). With tail=None the tail is dropped; at the default r_max
-    its Gaussian weight is exp(-100).
+    g is called on arrays of nodes and must return one value per node
+    (ShapeMismatchError otherwise). The integral uses composite
+    Gauss-Legendre panels whose edges are aligned with the supplied
+    breakpoints (prox thresholds have jump discontinuities there) up to
+    r_max = 10 sqrt(variance), then adds the tail analytically: `tail` =
+    (c0, c1, c2) states that g(r) = c0 + c1 r + c2 r^2 beyond r_max and
+    beyond every breakpoint (the tail integral starts at whichever is
+    larger, so breakpoints past r_max stay exact). With tail=None the tail,
+    of Gaussian weight exp(-100), is dropped.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
     sigma = math.sqrt(variance)
-    r_max = r_max_factor * sigma
+    r_max = _R_MAX_FACTOR * sigma
     edges = sorted({0.0, r_max} | {float(b) for b in breakpoints if 0.0 < float(b) < r_max})
     total = 0.0
-    x_ref, w_ref = sc.roots_legendre(nodes_per_panel)
+    x_ref, w_ref = sc.roots_legendre(_NODES_PER_PANEL)
     for a, b in zip(edges[:-1], edges[1:]):
         # split long panels so Gauss-Legendre stays at spectral accuracy
         n_sub = max(1, int(math.ceil((b - a) / (2.5 * sigma))))
@@ -255,7 +254,10 @@ def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
         for lo, hi in zip(sub[:-1], sub[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             r = mid + half * x_ref
-            vals = _eval_vectorized(g, r)
+            vals = np.asarray(g(r), dtype=float)
+            if vals.shape != r.shape:
+                raise ShapeMismatchError(
+                    f"g returned shape {vals.shape} for nodes of shape {r.shape}")
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteError("g returned a non-finite value at a quadrature node")
             w = half * w_ref * (2.0 * r / variance) * np.exp(-r * r / variance)

@@ -206,7 +206,7 @@ _RETRY_INITS = ((0.1, 0.1), (0.1, 1.0), (0.1, 10.0), (1.0, 0.1),
 
 
 def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
-             tol: float, max_iter: int, method: str):
+             tol: float, max_iter: int):
     chi, p = init
     theta = damping
     last_sign = 0
@@ -214,7 +214,7 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
     residual = math.inf
     state = make_state(params, chi, p)
     for it in range(max_iter):
-        p_new, chi_new = fixed_point_update(params, state, method=method)
+        p_new, chi_new = fixed_point_update(params, state)
         residual = max(abs(p_new - p), abs(chi_new - chi))
         if residual <= tol:
             return state, residual, it
@@ -235,27 +235,24 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
 
 
 def solve_fixed_point(params: SystemParams, damping: float = 0.5,
-                      tol: float = 1e-12, max_iter: int = 100_000,
-                      init: tuple[float, float] | None = None,
-                      method: str = "closed") -> ReplicaSolution:
-    """Damped Picard iteration of the fixed-point map until
-    max(|dp|, |dchi|) <= tol.
+                      tol: float = 1e-12, max_iter: int = 100_000) -> ReplicaSolution:
+    """Damped Picard iteration of the closed-form fixed-point map from
+    (chi, p) = (1, lambda_s) until max(|dp|, |dchi|) <= tol.
 
-    On failure from the main initialization the solver retries from a fixed
-    log-grid of starting points; all distinct fixed points found are
-    reported (smallest distortion first, the rest attached as alternates)
-    since the ansatz can admit several solutions.
+    On failure from that start the solver retries from a fixed log-grid of
+    starting points; all distinct fixed points found are reported (smallest
+    distortion first, the rest attached as alternates) since the ansatz can
+    admit several solutions.
     """
-    if init is None:
-        init = (1.0, params.lambda_s)
-    state, residual, its = _iterate(params, init, damping, tol, max_iter, method)
+    init = (1.0, params.lambda_s)
+    state, residual, its = _iterate(params, init, damping, tol, max_iter)
     if state is not None:
         return _finalize(params, state, residual, its)
 
     found = []
     for start in _RETRY_INITS:
         try:
-            st, res, it2 = _iterate(params, start, damping, tol, max_iter, method)
+            st, res, it2 = _iterate(params, start, damping, tol, max_iter)
         except InvalidStateError:
             continue
         if st is not None:
@@ -374,13 +371,15 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     return sol, lam, lam0
 
 
+_CALIBRATION_TOL = 1e-8
+
+
 def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
-              papr_star: float | None = None, tol: float = 1e-8,
-              solver_opts: dict | None = None
+              papr_star: float | None = None, solver_opts: dict | None = None
               ) -> tuple[float, float, ReplicaSolution]:
     """Find penalty weights (lam, lam0) whose fixed point meets the targets
-    (p_star, eta_star), optionally under a peak-power cap P = papr_star *
-    p_star.
+    (p_star, eta_star) to within _CALIBRATION_TOL, optionally under a
+    peak-power cap P = papr_star * p_star.
 
     eta_star = 1 forces lam0 = 0 and reduces to a 1-d solve. Otherwise a
     damped Newton iteration runs on (log lam, log lam0) with a
@@ -416,26 +415,21 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
                                 **solver_opts)
         return lam, 0.0, sol
 
-    def solve_at(loglam, loglam0):
-        sol = solve_fixed_point(
-            _with_penalty(params_base, math.exp(loglam), math.exp(loglam0), support),
-            **solver_opts)
-        return sol
-
     def residuals(u):
-        sol = solve_at(u[0], u[1])
+        sol = solve_fixed_point(
+            _with_penalty(params_base, math.exp(u[0]), math.exp(u[1]), support),
+            **solver_opts)
         return np.array([sol.state.p - p_star, sol.eta - eta_star]), sol
 
-    sol = None
     try:
         u = _newton_init(params_base, support, p_star, eta_star, solver_opts)
-        u, sol = _damped_newton(residuals, u, tol)
+        u, sol = _damped_newton(residuals, u, _CALIBRATION_TOL)
     except (NoConvergenceError, InvalidStateError, NoSignChangeError,
             NotAchievableError, np.linalg.LinAlgError):
         sol = None
     if sol is None:
         u, sol = _nested_bisection(params_base, support, p_star, eta_star,
-                                   solver_opts, tol)
+                                   solver_opts, _CALIBRATION_TOL)
     return math.exp(u[0]), math.exp(u[1]), sol
 
 

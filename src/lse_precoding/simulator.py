@@ -29,6 +29,7 @@ from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 
 _RESTART_STREAM_OFFSET = 1 << 48
 _GREEDY_REFRESH = 64  # drops between from-scratch inverses in greedy selection
+_HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -249,8 +250,6 @@ def _init_vector(problem: PrecodeProblem, kind: str,
     elif kind == "rzf":
         x, _ = _ridge_solve(H, s, lam_eff)
     elif kind == "random":
-        if rng is None:
-            raise ValueError("random restarts need a stream")
         density = 0.25 + 0.5 * rng.random()
         mask = rng.random(problem.n) < density
         x, _ = _ridge_solve(H, s, lam_eff)
@@ -323,16 +322,15 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
 
 def precode_ccd(problem: PrecodeProblem, init: str = "auto",
                 max_sweeps: int = 500, tol: float = 1e-10,
-                restarts: int = 1,
-                stream: RandomStream | None = None) -> PrecodeResult:
+                restarts: int = 1) -> PrecodeResult:
     """Solve one precoding instance; returns the best tracked objective over
     the deterministic initializations.
 
     init "auto" selects the support by greedy backward elimination whenever
     the zero-norm weight is active and uses the ridge warm start otherwise.
     With restarts > 1 additional starts are appended (ridge, zero, then
-    random supports seeded from the problem stream) and the best final
-    objective wins.
+    random supports seeded from the problem stream, or from stream (0, 0)
+    when the problem has none) and the best final objective wins.
     """
     spec = problem.penalty
     if init == "auto":
@@ -348,7 +346,7 @@ def precode_ccd(problem: PrecodeProblem, init: str = "auto",
 
     rng = None
     if "random" in kinds:
-        base = stream or problem.stream or RandomStream(0, 0)
+        base = problem.stream or RandomStream(0, 0)
         rng = base.substream(base.stream_index + _RESTART_STREAM_OFFSET).generator()
 
     best = None
@@ -380,15 +378,12 @@ def measure(result: PrecodeResult, problem: PrecodeProblem,
 
 
 def _ci95(values: np.ndarray) -> float:
-    if values.size < 2:
-        return math.inf
     return float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
 
 
 def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                 trials: int, master_seed: int, solver_opts: dict | None = None,
-                zero_eps: float = 1e-9, threads: int = 1,
-                histogram_bins: int = 128) -> MonteCarloReport:
+                zero_eps: float = 1e-9, threads: int = 1) -> MonteCarloReport:
     """Run `trials` independent instances; trial t owns the substream with
     stream_index = t, so results are identical for any thread count and any
     execution order."""
@@ -412,7 +407,7 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
     mags = np.stack([mag for _, mag in outcomes])  # trials x n, trial order
     pooled = mags.ravel()
     top = float(pooled.max()) if pooled.size else 0.0
-    edges = np.linspace(0.0, top if top > 0 else 1.0, histogram_bins + 1)
+    edges = np.linspace(0.0, top if top > 0 else 1.0, _HISTOGRAM_BINS + 1)
     hist, _ = np.histogram(pooled, bins=edges)
     hist = hist / hist.sum()
     half = n // 2

@@ -1,14 +1,22 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lse_precoding
+from lse_precoding import cli
 from lse_precoding.experiments import (ConfigError,
                                        SchemaError, apply_overrides,
                                        calibrated_point, emit_plot,
-                                       manifest_text, match_random_selection,
-                                       parse_config, read_csv, run,
-                                       validate_config, write_csv)
+                                       load_config, manifest_text,
+                                       match_random_selection, parse_config,
+                                       read_csv, run, validate_config,
+                                       write_csv)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = """
 [run]
@@ -85,6 +93,21 @@ def test_validate_disk_direct_needs_peak():
 def test_validate_single_point_modes():
     cfg = cfg_from()
     cfg.alpha_inverse = (1.0, 2.0)
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("mode, override", [
+    ("sweep", "system.alpha_inverse=2.0:0.5:1.0"),  # empty grid
+    ("replica", "system.alpha_inverse=0"),
+    ("replica", "system.lambda_s=-1"),
+    ("compare", "simulation.n=0"),
+    ("compare", "simulation.trials=1"),
+], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
+        "one_trial"])
+def test_validate_rejects_out_of_range(mode, override):
+    cfg = apply_overrides(parse_config(BASE), [override])
+    cfg.mode = mode
     with pytest.raises(ConfigError):
         validate_config(cfg)
 
@@ -289,3 +312,47 @@ def test_validate_sweep_needs_eta_targets():
     cfg.eta_target = None
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# shipped experiment configs
+# ---------------------------------------------------------------------------
+
+def test_config_files_validate():
+    paths = sorted(CONFIGS.glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = load_config(str(path))
+        validate_config(cfg)
+        assert cfg.out.startswith("runs/"), path.name
+
+
+def test_fig1_configs_run_end_to_end(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--config", str(CONFIGS / "fig1.ini"),
+                     "--set", "system.alpha_inverse=1.5,2.0"]) == 0
+    assert cli.main(["plot", "--config", str(CONFIGS / "fig1_plot.ini")]) == 0
+    svg = (tmp_path / "runs" / "fig1" / "plot" / "plot.svg").read_text()
+    assert svg.count("<polyline") == 3
+    for name in ("sweep_eta1.csv", "sweep_eta0.5.csv", "sweep_eta0.3.csv"):
+        _, data = read_csv(str(tmp_path / "runs" / "fig1" / name))
+        assert [row[-1] for row in data] == ["ok", "ok"]
+
+
+def test_compare_outputs_independent_of_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(lse_precoding.__file__))
+    outputs = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"blas{blas}"
+        subprocess.run([sys.executable, "-m", "lse_precoding.cli", "compare",
+                        "--config", str(CONFIGS / "compare.ini"),
+                        "--set", "simulation.n=64", "--set", "simulation.trials=6",
+                        "--threads", "2", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outputs["1"]) == ["compare.csv", "compare_summary.txt",
+                                    "manifest.cfg"]
+    assert outputs["1"] == outputs["2"]

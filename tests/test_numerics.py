@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 
 from lse_precoding.numerics import (EmptySampleError, NonFiniteError,
                                     NoSignChangeError, RandomStream,
-                                    find_root_1d, ks_distance, q_function,
+                                    ShapeMismatchError, find_root_1d,
+                                    ks_distance, q_function,
                                     radial_expectation)
 
 
@@ -171,6 +172,15 @@ def test_radial_expectation_interval_indicator(a_frac, gap, variance):
 def test_radial_expectation_non_finite():
     with pytest.raises(NonFiniteError):
         radial_expectation(lambda r: np.where(r > 1, np.inf, 1.0), 1.0)
+
+
+def test_radial_expectation_needs_one_value_per_node():
+    # g is called on the node array itself; a scalar-only function or a
+    # scalar result is an error, not a cue to loop or broadcast
+    with pytest.raises(TypeError):
+        radial_expectation(lambda r: math.exp(-r), 1.0)
+    with pytest.raises(ShapeMismatchError):
+        radial_expectation(lambda r: 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
