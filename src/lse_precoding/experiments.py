@@ -25,7 +25,7 @@ from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
                       random_tas_baseline, solve_constant_envelope,
                       solve_fixed_point)
-from .simulator import monte_carlo
+from .simulator import INIT_KINDS, monte_carlo
 
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
 # sampler uses a far-away reserved index off the same master seed
@@ -225,8 +225,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alpha_inverse grid is empty")
     if not all(a > 0 for a in cfg.alpha_inverse) or not cfg.lambda_s > 0:
         raise ConfigError("alpha_inverse and lambda_s must be positive")
-    if cfg.mode in ("simulate", "compare") and (cfg.n < 1 or cfg.trials < 2):
-        raise ConfigError("simulation needs n >= 1 and trials >= 2")
     if cfg.support not in ("full", "disk"):
         raise ConfigError("support must be 'full' or 'disk'")
     direct = cfg.lam is not None or cfg.lam0 is not None
@@ -250,6 +248,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{cfg.mode} mode needs a single alpha_inverse")
         if targets and cfg.eta_target is None:
             raise ConfigError(f"{cfg.mode} mode needs eta_target")
+    if cfg.mode in ("simulate", "compare"):
+        if cfg.n < 1 or cfg.trials < 2:
+            raise ConfigError("simulation needs n >= 1 and trials >= 2")
+        if _user_count(cfg) < 1:
+            raise ConfigError(f"n = {cfg.n} at alpha_inverse = "
+                              f"{_fmt(cfg.alpha_inverse[0])} leaves no user")
+        if cfg.init not in INIT_KINDS:
+            raise ConfigError(f"init must be one of {INIT_KINDS}, got {cfg.init!r}")
+
+
+def _user_count(cfg: ExperimentConfig) -> int:
+    """Users k = round(n / alpha_inverse) of a single-load simulation."""
+    return int(round(cfg.n / cfg.alpha_inverse[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +476,7 @@ def _simulated_point(cfg: ExperimentConfig):
     if math.isnan(lam) or math.isnan(lam0):
         raise ConfigError("the clamped boundary point has no representable "
                           "penalty weights; simulate with direct weights")
-    k = int(round(cfg.n / cfg.alpha_inverse[0]))
-    report = monte_carlo(cfg.n, k, cfg.lambda_s, params.penalty,
+    report = monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, params.penalty,
                          trials=cfg.trials, master_seed=cfg.seed,
                          solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps,
                          threads=cfg.threads)

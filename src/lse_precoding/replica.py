@@ -230,7 +230,14 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
         last_sign = sign
         p = (1.0 - theta) * p + theta * p_new
         chi = (1.0 - theta) * chi + theta * chi_new
-        state = make_state(params, chi, p)
+        try:
+            state = make_state(params, chi, p)
+        except OverflowError as exc:
+            # chi runs off to infinity when no fixed point exists (e.g. no
+            # penalty with more antennas than users)
+            raise NoConvergenceError(
+                f"fixed-point iterate overflowed at chi = {chi:.3e}",
+                state=state, residual=residual) from exc
     return None, residual, max_iter
 
 
@@ -242,7 +249,8 @@ def solve_fixed_point(params: SystemParams, damping: float = 0.5,
     On failure from that start the solver retries from a fixed log-grid of
     starting points; all distinct fixed points found are reported (smallest
     distortion first, the rest attached as alternates) since the ansatz can
-    admit several solutions.
+    admit several solutions. Raises NoConvergenceError when no start
+    converges, or when an iterate overflows (the OverflowError is its cause).
     """
     init = (1.0, params.lambda_s)
     state, residual, its = _iterate(params, init, damping, tol, max_iter)

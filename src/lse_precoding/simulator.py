@@ -11,10 +11,10 @@ the support first by greedy backward elimination with exact re-optimized
 objective deltas, then polishes with coordinate descent; the tracked
 objective decides, so the result never falls behind a plain descent run.
 Each greedy drop is a rank-one update: the inverse ridge matrix is kept as
-the last from-scratch inverse plus the stored rank-one terms, and the
-removal scores (leverages d and correlations u) are updated in place; every
-64 drops the inverse is recomputed from the active columns, which discards
-the stored terms and resets u.
+a base matrix plus the stored rank-one terms, and the removal scores
+(leverages d and correlations u) are updated in place. Every 64 drops the
+stored terms are folded into the base with one matrix product; nothing is
+recomputed from scratch, so a trial inverts one matrix, at the start.
 """
 from __future__ import annotations
 
@@ -27,8 +27,9 @@ import numpy as np
 from .numerics import RandomStream, complex_normal
 from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 
+INIT_KINDS = ("auto", "greedy", "rzf", "zero", "random")  # precode_ccd inits
 _RESTART_STREAM_OFFSET = 1 << 48
-_GREEDY_REFRESH = 64  # drops between from-scratch inverses in greedy selection
+_GREEDY_FOLD = 64  # rank-one terms stored before greedy selection folds them
 _HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
 
@@ -173,47 +174,43 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
     lowest index). Removing column j adds v v^H / (1 - d_j), v = M^{-1} h_j,
     to M^{-1}; that term is kept unexpanded, M^{-1} = M0 + sum v_i v_i^H /
     (1 - d_i), and d and u are updated by the same rank-one term, so a
-    drop costs O(k^2 + k n). Every _GREEDY_REFRESH drops M0 is recomputed
-    from the active columns, the stored terms are discarded and u is
-    recomputed from M0; d is only ever updated.
+    drop costs O(k^2 + k n + k m) with m stored terms. Once _GREEDY_FOLD
+    terms are stored they are folded into M0 with one product and the store
+    is emptied; nothing is recomputed from scratch, so M0 starts as the one
+    inverse of the call and d and u are only ever updated.
     """
     k, n = H.shape
     HH = H.conj().T
-    eye = np.eye(k)
-    M0 = np.linalg.inv(lam * eye + H @ HH)
+    M0 = np.linalg.inv(lam * np.eye(k) + H @ HH)
     u = HH @ (M0 @ s)
     d = np.einsum("ij,ij->j", H.conj(), M0 @ H).real
-    V = np.empty((k, _GREEDY_REFRESH), dtype=complex)   # v_i
-    Vd = np.empty_like(V)                               # v_i / (1 - d_i)
+    cols = np.ascontiguousarray(H.T)  # cols[j] is column j of H
+    V = np.empty((_GREEDY_FOLD, k), dtype=complex)  # rows v_i
+    W = np.empty_like(V)                            # rows conj(v_i) / (1 - d_i)
     m = 0
     active = np.ones(n, dtype=bool)
-    drops = 0
-    while drops < n - 1:
+    for _ in range(n - 1):
         denom = np.maximum(1.0 - d, 1e-12)
         delta = lam * np.abs(u) ** 2 / denom - lam0
         delta[~active] = np.inf
         j = int(np.argmin(delta))
         if delta[j] >= 0.0:
             break
-        hj = H[:, j]
+        hj = cols[j]
         v = M0 @ hj
         if m:
-            v += V[:, :m] @ (Vd[:, :m].conj().T @ hj)
+            v += (W[:m] @ hj) @ V[:m]
         dj = max(1.0 - d[j], 1e-12)
         active[j] = False
-        drops += 1
         t = HH @ v
         d += np.abs(t) ** 2 / dj
-        if drops % _GREEDY_REFRESH == 0:
-            Ha = H[:, active]
-            M0 = np.linalg.inv(lam * eye + Ha @ Ha.conj().T)
+        u += t * (np.vdot(v, s) / dj)
+        V[m] = v
+        np.divide(v.conj(), dj, out=W[m])
+        m += 1
+        if m == _GREEDY_FOLD:
+            M0 += V.T @ W
             m = 0
-            u = HH @ (M0 @ s)
-        else:
-            V[:, m] = v
-            Vd[:, m] = v / dj
-            m += 1
-            u += t * (np.vdot(v, s) / dj)
     return active
 
 
@@ -267,29 +264,34 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     rows = np.ascontiguousarray(H.T)  # rows[j] is column j of H
     g = np.einsum("ij,ij->j", H.conj(), H).real
     degenerate = tuple(int(j) for j in np.where(g <= 0.0)[0])
-    # per usable column j: h_j, g_j = ||h_j||^2, and the prox thresholds and
-    # shrink factor at the coordinate weight c_j = 1/g_j
+    # per usable column j: h_j, g_j = ||h_j||^2, the coordinate weight
+    # c_j = 1/g_j, and the prox thresholds and shrink factor at c_j
     columns = []
     for j, gj in enumerate(g.tolist()):
         if gj > 0.0:
             cj = 1.0 / gj
-            columns.append((j, rows[j], gj, thresholds(spec, cj),
+            columns.append((j, rows[j], gj, cj, thresholds(spec, cj),
                             1.0 / (1.0 + cj * spec.lam)))
     radius = spec.support.radius
     lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
     r = s - H @ x
+    dr = np.empty_like(r)
     obj = _objective(problem, x)
     max_inc = 0.0
     max_drift = 0.0
     converged = False
     sweeps = 0
+    # a sweep works on Python complex scalars, which cost less per
+    # coordinate than numpy scalars; multiplying by c_j rounds as numpy's
+    # division of a complex by a real does (Python's `/` does not)
+    xs = x.tolist()
     for sweep in range(max_sweeps):
         prev = obj
-        for j, hj, gj, t, shrink in columns:
-            xj = x[j]
-            zj = xj + np.vdot(hj, r) / gj
+        for j, hj, gj, cj, t, shrink in columns:
+            xj = xs[j]
+            zj = xj + complex(np.vdot(hj, r)) * cj
             xn = _prox_scalar(zj, abs(zj), t, radius, shrink)
             if xn != xj:
                 d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
@@ -299,8 +301,10 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
                 obj += step
                 if step > max_inc:
                     max_inc = step
-                r += hj * (xj - xn)
-                x[j] = xn
+                np.multiply(hj, xj - xn, out=dr)
+                r += dr
+                xs[j] = xn
+        x = np.array(xs, dtype=complex)
         sweeps = sweep + 1
         r_true = s - H @ x
         drift = float(np.linalg.norm(r - r_true))

@@ -103,8 +103,10 @@ def test_validate_single_point_modes():
     ("replica", "system.lambda_s=-1"),
     ("compare", "simulation.n=0"),
     ("compare", "simulation.trials=1"),
+    ("simulate", "simulation.n=1"),  # k = round(1 / 2) = 0 users
+    ("simulate", "simulation.init=bogus"),
 ], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
-        "one_trial"])
+        "one_trial", "no_users", "unknown_init"])
 def test_validate_rejects_out_of_range(mode, override):
     cfg = apply_overrides(parse_config(BASE), [override])
     cfg.mode = mode

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from lse_precoding.numerics import (EmptySampleError, NonFiniteError,
@@ -128,6 +128,30 @@ def test_ks_matches_scipy(a, b):
     ref = scipy.stats.ks_2samp(a, b, method="asymp").statistic
     assert 0.0 <= ours <= 1.0
     assert ours == pytest.approx(float(ref), abs=1e-12)
+
+
+# Reference: both EDFs evaluated at the union of the sample points.
+def _reference_ks_distance(sample_a, sample_b) -> float:
+    a = np.sort(np.asarray(sample_a, dtype=float))
+    b = np.sort(np.asarray(sample_b, dtype=float))
+    pts = np.concatenate([a, b])
+    fa = np.searchsorted(a, pts, side="right") / a.size
+    fb = np.searchsorted(b, pts, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=40),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=40),
+       st.sampled_from([0.0, -20.0, 20.0]))
+@settings(max_examples=200, deadline=None)
+def test_ks_matches_union_point_reference(a, b, shift):
+    # rounded samples tie within and across samples; the shift puts all of
+    # b below or above a
+    assume(len(a) != len(b))
+    a = [0.25 * v for v in a]
+    b = [0.25 * v + shift for v in b]
+    assert ks_distance(a, b) == _reference_ks_distance(a, b)
+    assert ks_distance(b, a) == _reference_ks_distance(b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,15 @@ def test_constant_envelope_raises_when_response_cycles():
         solve_constant_envelope(params, 0.5, 0.5)
 
 
+def test_fixed_point_overflow_is_named():
+    # no penalty and more antennas than users: no fixed point exists and chi
+    # runs off until the Marchenko-Pastur derivative overflows
+    with pytest.raises(NoConvergenceError) as info:
+        solve_fixed_point(mp_params(0.5))
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert info.value.state is not None
+
+
 def test_calibrate_monotone_distortion_in_eta():
     # more antenna freedom never hurts at fixed power and load
     ds = []
