@@ -1,11 +1,13 @@
 """Command-line entry point.
 
     lse <mode> [--config FILE] [--set section.key=value ...]
-               [--out DIR] [--seed N] [--threads K]
+               [--out DIR] [--seed N]
 
 Modes: replica, sweep, simulate, compare, calibrate, saving, plot.
 Flags override file values; every run writes a manifest next to its
-outputs that reproduces the run byte for byte.
+outputs that reproduces the run byte for byte. Exit status 2 means the
+configuration was rejected, 1 that a solver gave up on it (no fixed point
+found, or the targets are not achievable).
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import sys
 
 from .experiments import (_RUNNERS, ConfigError, ExperimentConfig,
                           apply_overrides, load_config, run)
+from .replica import NoConvergenceError, NotAchievableError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config value (repeatable)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--threads", type=int, help="trial-level parallelism")
     return parser
 
 
@@ -42,12 +44,13 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         written = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (NoConvergenceError, NotAchievableError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
     for name, path in sorted(written.items()):
         print(f"{name}: {path}")
     return 0

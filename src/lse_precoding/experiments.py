@@ -67,7 +67,6 @@ class ExperimentConfig:
     mode: str = "replica"
     out: str = "out"
     seed: int = 1
-    threads: int = 1
 
     alpha_inverse: tuple = (2.0,)
     lambda_s: float = 1.0
@@ -114,7 +113,6 @@ _KEY_MAP = {
     ("run", "mode"): ("mode", str),
     ("run", "out"): ("out", str),
     ("run", "seed"): ("seed", int),
-    ("run", "threads"): ("threads", int),
     ("system", "alpha_inverse"): ("alpha_inverse", "grid"),
     ("system", "lambda_s"): ("lambda_s", float),
     ("penalty", "support"): ("support", str),
@@ -268,13 +266,15 @@ def _user_count(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def manifest_text(cfg: ExperimentConfig) -> str:
-    """Fully resolved config as INI text. The thread count and output path
-    are execution knobs, not part of the experiment, and are left out so a
-    rerun from the manifest is byte-identical wherever it lands."""
+    """Fully resolved config as INI text. The output path is an execution
+    knob, not part of the experiment, and is left out so a rerun from the
+    manifest is byte-identical wherever it lands. [versions] names the
+    package, numpy, scipy and the BLAS numpy was built against, but no
+    thread count: the outputs do not depend on it."""
     lines = []
     sections: dict[str, list[str]] = {}
     for (sec, key), (name, _) in _KEY_MAP.items():
-        if key in ("threads", "out"):
+        if key == "out":
             continue
         value = getattr(cfg, name)
         if value is None or value == () or value == "":
@@ -294,6 +294,8 @@ def manifest_text(cfg: ExperimentConfig) -> str:
     lines.append(f"numpy = {np.__version__}")
     import scipy
     lines.append(f"scipy = {scipy.__version__}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines.append(f"blas = {blas['name']} {blas['version']}")
     lines.append("")
     return "\n".join(lines)
 
@@ -478,8 +480,7 @@ def _simulated_point(cfg: ExperimentConfig):
                           "penalty weights; simulate with direct weights")
     report = monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, params.penalty,
                          trials=cfg.trials, master_seed=cfg.seed,
-                         solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps,
-                         threads=cfg.threads)
+                         solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps)
     return sol, params, report, _header_lines(status, lam, lam0)
 
 

@@ -15,11 +15,16 @@ a base matrix plus the stored rank-one terms, and the removal scores
 (leverages d and correlations u) are updated in place. Every 64 drops the
 stored terms are folded into the base with one matrix product; nothing is
 recomputed from scratch, so a trial inverts one matrix, at the start.
+
+A Monte Carlo run spreads its trials over forked worker processes when the
+cores outnumber the BLAS threads of one process (for instance under
+OPENBLAS_NUM_THREADS=1); trial t draws from its own substream (seed, t), so
+the report does not depend on how many workers ran it.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -385,27 +390,66 @@ def _ci95(values: np.ndarray) -> float:
     return float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _trial_workers(trials: int) -> int:
+    """Worker processes for `trials` Monte Carlo trials: the usable cores
+    divided by the BLAS threads each process runs (OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, else OpenBLAS's default of one per core), at most
+    one per trial, and one (no pool) where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(trials, cores // blas))
+
+
+def _run_trial(t: int, args: tuple):
+    """Trial t of a Monte Carlo run: its metrics and |x|."""
+    n, k, lambda_s, penalty, master_seed, solver_opts, zero_eps = args
+    problem = generate_problem(n, k, lambda_s, penalty,
+                               RandomStream(master_seed, t))
+    result = precode_ccd(problem, **solver_opts)
+    return measure(result, problem, zero_eps), np.abs(result.x)
+
+
 def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                 trials: int, master_seed: int, solver_opts: dict | None = None,
-                zero_eps: float = 1e-9, threads: int = 1) -> MonteCarloReport:
+                zero_eps: float = 1e-9, workers: int | None = None
+                ) -> MonteCarloReport:
     """Run `trials` independent instances; trial t owns the substream with
-    stream_index = t, so results are identical for any thread count and any
-    execution order."""
+    stream_index = t, so results are identical for any worker count and any
+    execution order.
+
+    With more than one worker the trials run in forked processes, handed
+    out one at a time and collected in trial order; a trial's exception
+    reaches the caller with its own type. `workers=None` derives the count
+    from the cores and the BLAS thread count (`_trial_workers`); one worker
+    runs the trials in this process.
+    """
     if trials < 2:
         raise ValueError("at least two trials are needed for intervals")
-    solver_opts = dict(solver_opts or {})
-
-    def run_trial(t: int):
-        stream = RandomStream(master_seed, t)
-        problem = generate_problem(n, k, lambda_s, penalty, stream)
-        result = precode_ccd(problem, **solver_opts)
-        return measure(result, problem, zero_eps), np.abs(result.x)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(trials)))
+    if workers is None:
+        workers = _trial_workers(trials)
+    args = (n, k, lambda_s, penalty, master_seed, dict(solver_opts or {}),
+            zero_eps)
+    if workers > 1:
+        # fork: workers start with the package imported instead of importing
+        # numpy again each (OpenBLAS stops its own threads around fork())
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            outcomes = list(pool.map(_run_trial, range(trials),
+                                     [args] * trials, chunksize=1))
     else:
-        outcomes = [run_trial(t) for t in range(trials)]
+        outcomes = [_run_trial(t, args) for t in range(trials)]
 
     metrics = [m for m, _ in outcomes]
     mags = np.stack([mag for _, mag in outcomes])  # trials x n, trial order

@@ -17,6 +17,7 @@ from lse_precoding.penalty import PenaltySpec, Support, prox, prox_oracle
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
                                    solve_fixed_point)
+from lse_precoding import simulator
 from lse_precoding.simulator import generate_problem, monte_carlo
 from lse_precoding.spectral import (asymptotic_distortion, lambda_rs,
                                     marcenko_pastur)
@@ -209,7 +210,8 @@ def test_criterion_09_peak_cap_regressions():
           + ", ".join(f"{k[0]:g}dB@{k[1]}: {v:.3f}" for k, v in savings.items()))
 
 
-def test_criterion_10_thread_count_determinism(tmp_path):
+def test_criterion_10_thread_count_determinism(tmp_path, monkeypatch):
+    # the run is repeated serially and in three worker processes
     base = """
 [run]
 mode = compare
@@ -230,15 +232,15 @@ trials = 6
 """
     cfg = parse_config(base)
     cfg.out = str(tmp_path / "one")
-    cfg.threads = 1
+    monkeypatch.setattr(simulator, "_trial_workers", lambda trials: 1)
     files_one = run(cfg)
     with open(files_one["manifest"]) as fh:
         manifest = fh.read()
     cfg2 = parse_config(manifest)
     cfg2.out = str(tmp_path / "two")
-    cfg2.threads = 3
+    monkeypatch.setattr(simulator, "_trial_workers", lambda trials: 3)
     files_two = run(cfg2)
     for name in files_one:
         with open(files_one[name], "rb") as f1, open(files_two[name], "rb") as f2:
-            assert f1.read() == f2.read(), f"{name} differs across thread counts"
-    print("PASS criterion 10: compare outputs byte-identical across thread counts")
+            assert f1.read() == f2.read(), f"{name} differs across worker counts"
+    print("PASS criterion 10: compare outputs byte-identical across worker counts")

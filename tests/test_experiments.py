@@ -149,6 +149,8 @@ def test_manifest_skips_execution_knobs():
     text = manifest_text(cfg_from())
     assert "threads" not in text and "out =" not in text
     assert "[versions]" in text
+    blas = [line for line in text.splitlines() if line.startswith("blas = ")]
+    assert len(blas) == 1 and len(blas[0].split()) == 4  # blas = <name> <version>
 
 
 def test_replica_rerun_from_manifest_is_byte_identical(tmp_path):
@@ -341,7 +343,28 @@ def test_fig1_configs_run_end_to_end(tmp_path, monkeypatch):
         assert [row[-1] for row in data] == ["ok", "ok"]
 
 
+def test_solver_error_exits_1_with_message(tmp_path, capsys, monkeypatch):
+    # no penalty at all on a system with twice as many antennas as users:
+    # the fixed-point iterate runs off
+    ini = tmp_path / "unpenalized.ini"
+    ini.write_text(BASE.replace("p_target = 0.5\neta_target = 0.5",
+                                "lambda = 0\nlambda0 = 0"))
+    assert cli.main(["replica", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and len(err.splitlines()) == 1
+
+    def broken(cfg):
+        raise RuntimeError("not a solver error")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(RuntimeError, match="not a solver error"):
+        cli.main(["replica", "--config", str(ini)])
+
+
 def test_compare_outputs_independent_of_blas_threads(tmp_path):
+    # one OpenBLAS thread runs the trials in worker processes, two (on two
+    # cores) run them serially: the files must not tell the two apart
     src = os.path.dirname(os.path.dirname(lse_precoding.__file__))
     outputs = {}
     for blas in ("1", "2"):
@@ -352,7 +375,7 @@ def test_compare_outputs_independent_of_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-m", "lse_precoding.cli", "compare",
                         "--config", str(CONFIGS / "compare.ini"),
                         "--set", "simulation.n=64", "--set", "simulation.trials=6",
-                        "--threads", "2", "--out", str(out)],
+                        "--out", str(out)],
                        env=env, check=True, capture_output=True)
         outputs[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(outputs["1"]) == ["compare.csv", "compare_summary.txt",

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from lse_precoding.numerics import RandomStream
@@ -141,12 +141,16 @@ def test_prox_objective_certificate():
 
 @given(st.floats(0, 2 * math.pi), st.floats(0.01, 4.0), st.floats(0.0, 2.0),
        st.floats(0.0, 2.0), st.floats(0.05, 5.0))
+@example(theta=0.8238731597168758, mag=0.8238731597168758, lam=0.0,
+         lam0=0.8238731597168758, c=0.8238731597168758)  # |z| at the threshold
 @settings(max_examples=120, deadline=None)
 def test_prox_phase_equivariance(theta, mag, lam, lam0, c):
     spec = PenaltySpec(lam=lam, lam0=lam0, support=Support.disk(1.5))
-    z = mag + 0.0j
-    rot = cmath.exp(1j * theta)
-    assert prox(spec, rot * z, c) == pytest.approx(rot * prox(spec, z, c), abs=1e-12)
+    # compare against the prox of |w| itself: rot * z may round to a
+    # magnitude an ulp off mag, which at |z| = threshold flips the branch
+    w = cmath.exp(1j * theta) * (mag + 0.0j)
+    expected = (w / abs(w)) * prox(spec, abs(w) + 0.0j, c)
+    assert prox(spec, w, c) == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.floats(0.0, 6.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0),

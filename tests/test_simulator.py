@@ -9,7 +9,8 @@ from lse_precoding.penalty import (PenaltySpec, Support, _prox_scalar, prox,
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ccd_from,
                                      _greedy_backward_support, _init_vector,
-                                     _objective, generate_problem, measure,
+                                     _objective, _trial_workers,
+                                     generate_problem, measure,
                                      monte_carlo, precode_ccd, precode_rzf,
                                      random_tas_rzf)
 
@@ -412,15 +413,73 @@ def _report_fingerprint(rep):
             tuple(rep.magnitude_histogram), tuple(rep.histogram_edges))
 
 
-def test_monte_carlo_deterministic_across_thread_counts():
+def test_monte_carlo_deterministic_across_worker_counts():
     spec = PenaltySpec(lam=0.1)
     kwargs = dict(n=32, k=16, lambda_s=1.0, penalty=spec, trials=4,
                   master_seed=99)
-    a = monte_carlo(**kwargs, threads=1)
-    b = monte_carlo(**kwargs, threads=3)
-    c = monte_carlo(**kwargs, threads=1)
+    a = monte_carlo(**kwargs, workers=1)
+    b = monte_carlo(**kwargs, workers=3)
+    c = monte_carlo(**kwargs, workers=1)
     assert _report_fingerprint(a) == _report_fingerprint(b) == _report_fingerprint(c)
     assert np.array_equal(a.magnitudes, b.magnitudes)
+
+
+def _report_bytes(rep):
+    return (rep.per_trial, rep.magnitudes.tobytes(),
+            rep.histogram_edges.tobytes(), rep.magnitude_histogram.tobytes(),
+            {name: h.tobytes() for name, h in rep.per_index_marginals.items()})
+
+
+@pytest.mark.parametrize("spec", [
+    PenaltySpec(lam=0.1, lam0=0.05),                        # greedy, full plane
+    PenaltySpec(lam=0.05, support=Support.disk(1.0)),       # eta = 1, disk
+], ids=["greedy_full", "eta1_disk"])
+def test_monte_carlo_bit_identical_for_one_two_three_workers(spec):
+    kwargs = dict(n=64, k=32, lambda_s=1.0, penalty=spec, trials=5,
+                  master_seed=2024)
+    reports = [monte_carlo(**kwargs, workers=w) for w in (1, 2, 3)]
+    assert len(reports[0].per_trial) == 5
+    assert _report_bytes(reports[0]) == _report_bytes(reports[1]) \
+        == _report_bytes(reports[2])
+
+
+def test_monte_carlo_worker_error_keeps_its_type(monkeypatch):
+    import lse_precoding.simulator as simulator
+
+    def failing(problem, **opts):
+        if problem.stream.stream_index == 1:
+            raise SingularSystemError("trial 1 is singular")
+        return precode_ccd(problem, **opts)
+
+    monkeypatch.setattr(simulator, "precode_ccd", failing)  # forked workers see it
+    with pytest.raises(SingularSystemError, match="trial 1 is singular"):
+        monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
+                    trials=4, master_seed=5, workers=2)
+
+
+def test_trial_workers_follow_cores_over_blas_threads(monkeypatch):
+    import lse_precoding.simulator as simulator
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(8)))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert _trial_workers(100) == 1            # OpenBLAS default: one thread per core
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert _trial_workers(100) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # takes precedence over OMP
+    assert _trial_workers(100) == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert _trial_workers(100) == 8
+    assert _trial_workers(3) == 3              # never more workers than trials
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "16")
+    assert _trial_workers(100) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a thread count: OMP decides
+    assert _trial_workers(100) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delattr(simulator.os, "sched_getaffinity")
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    assert _trial_workers(100) == 3
+    monkeypatch.delattr(simulator.os, "fork")
+    assert _trial_workers(100) == 1
 
 
 def test_monte_carlo_eta_one_without_l0():
