@@ -269,8 +269,9 @@ def manifest_text(cfg: ExperimentConfig) -> str:
     """Fully resolved config as INI text. The output path is an execution
     knob, not part of the experiment, and is left out so a rerun from the
     manifest is byte-identical wherever it lands. [versions] names the
-    package, numpy, scipy and the BLAS numpy was built against, but no
-    thread count: the outputs do not depend on it."""
+    package, numpy and the BLAS numpy was built against, which is all the
+    code the outputs depend on; it holds no thread count, since the outputs
+    do not depend on it."""
     lines = []
     sections: dict[str, list[str]] = {}
     for (sec, key), (name, _) in _KEY_MAP.items():
@@ -292,8 +293,6 @@ def manifest_text(cfg: ExperimentConfig) -> str:
     lines.append("[versions]")
     lines.append(f"lse_precoding = {__version__}")
     lines.append(f"numpy = {np.__version__}")
-    import scipy
-    lines.append(f"scipy = {scipy.__version__}")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     lines.append(f"blas = {blas['name']} {blas['version']}")
     lines.append("")

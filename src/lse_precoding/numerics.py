@@ -2,16 +2,18 @@
 finding, deterministic random streams and distribution-distance statistics.
 
 Everything here is a pure function of its arguments; repeated calls agree
-bit for bit.
+bit for bit. Only numpy and the standard library are used: Q comes from
+`math.erfc` and the panel rule from `numpy.polynomial.legendre.leggauss`,
+built once per process on first use.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special as sc
 
 
 class NoSignChangeError(ValueError):
@@ -95,14 +97,17 @@ _SQRT2 = math.sqrt(2.0)
 def q_function(x):
     """Standard normal upper-tail probability Q(x) = erfc(x / sqrt(2)) / 2.
 
-    Relies on the C-library complementary error function (relative error at
-    the 1e-16 level), validated in the test suite against a series oracle.
-    Accepts scalars or arrays.
+    Uses the C-library complementary error function `math.erfc` (relative
+    error at the 1e-14 level out to x = 8), validated in the test suite
+    against an mpmath oracle. Accepts scalars, which every caller in the
+    package passes, or arrays, which go through an elementwise loop.
     """
-    out = 0.5 * sc.erfc(np.asarray(x, dtype=float) / _SQRT2)
     if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+        return 0.5 * math.erfc(float(x) / _SQRT2)
+    xs = np.asarray(x, dtype=float)
+    out = np.fromiter((math.erfc(v / _SQRT2) for v in xs.ravel().tolist()),
+                      dtype=float, count=xs.size)
+    return 0.5 * out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +232,17 @@ _R_MAX_FACTOR = 10.0
 _NODES_PER_PANEL = 64
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] for one panel, built on
+    first use and shared read-only by every later call."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(_NODES_PER_PANEL)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
                        tail: tuple[float, float, float] | None = None) -> float:
     """E[g(|s|)] for s complex Gaussian, zero mean, total variance `variance`,
@@ -248,7 +264,7 @@ def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
     r_max = _R_MAX_FACTOR * sigma
     edges = sorted({0.0, r_max} | {float(b) for b in breakpoints if 0.0 < float(b) < r_max})
     total = 0.0
-    x_ref, w_ref = sc.roots_legendre(_NODES_PER_PANEL)
+    x_ref, w_ref = _legendre_rule()
     for a, b in zip(edges[:-1], edges[1:]):
         # split long panels so Gauss-Legendre stays at spectral accuracy
         n_sub = max(1, int(math.ceil((b - a) / (2.5 * sigma))))

@@ -149,6 +149,9 @@ def test_manifest_skips_execution_knobs():
     text = manifest_text(cfg_from())
     assert "threads" not in text and "out =" not in text
     assert "[versions]" in text
+    versions = text.split("[versions]\n", 1)[1].splitlines()
+    assert [line.split(" = ")[0] for line in versions if line] == \
+        ["lse_precoding", "numpy", "blas"]
     blas = [line for line in text.splitlines() if line.startswith("blas = ")]
     assert len(blas) == 1 and len(blas[0].split()) == 4  # blas = <name> <version>
 
@@ -362,15 +365,19 @@ def test_solver_error_exits_1_with_message(tmp_path, capsys, monkeypatch):
         cli.main(["replica", "--config", str(ini)])
 
 
+def _package_env(**extra):
+    """Environment for a fresh interpreter that imports this lse_precoding."""
+    src = os.path.dirname(os.path.dirname(lse_precoding.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_compare_outputs_independent_of_blas_threads(tmp_path):
     # one OpenBLAS thread runs the trials in worker processes, two (on two
     # cores) run them serially: the files must not tell the two apart
-    src = os.path.dirname(os.path.dirname(lse_precoding.__file__))
     outputs = {}
     for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _package_env(OPENBLAS_NUM_THREADS=blas)
         out = tmp_path / f"blas{blas}"
         subprocess.run([sys.executable, "-m", "lse_precoding.cli", "compare",
                         "--config", str(CONFIGS / "compare.ini"),
@@ -381,3 +388,57 @@ def test_compare_outputs_independent_of_blas_threads(tmp_path):
     assert sorted(outputs["1"]) == ["compare.csv", "compare_summary.txt",
                                     "manifest.cfg"]
     assert outputs["1"] == outputs["2"]
+
+
+# Runs the modes in an interpreter where scipy cannot be imported: a finder
+# at the front of sys.meta_path refuses scipy and every scipy submodule.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not importable here")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+
+from lse_precoding import cli
+from lse_precoding.penalty import PenaltySpec, Support
+from lse_precoding.replica import SystemParams, fixed_point_update, make_state
+
+configs, out = sys.argv[1:]
+rc = cli.main(["compare", "--config", configs + "/compare.ini",
+               "--set", "simulation.n=64", "--set", "simulation.trials=6",
+               "--out", out + "/compare"])
+rc = rc or cli.main(["sweep", "--config", configs + "/fig2.ini",
+                     "--set", "system.alpha_inverse=1.5,2.0",
+                     "--set", "penalty.papr_db_targets=3",
+                     "--out", out + "/sweep"])
+params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(
+    lam=0.3, lam0=0.2, support=Support.disk(2.0)))
+state = make_state(params, 0.8, 0.5)
+closed = fixed_point_update(params, state, method="closed")
+quad = fixed_point_update(params, state, method="quadrature")
+gap = max(abs(c - q) for c, q in zip(closed, quad))
+rc = rc or (0 if gap <= 1e-7 else 3)
+sys.exit(rc)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    env = _package_env()
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(CONFIGS),
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "compare" / "compare.csv").is_file()
+    _, data = read_csv(str(tmp_path / "sweep" / "sweep_eta1_papr3db.csv"))
+    assert len(data) == 2
+    # nothing may import scipy quietly, e.g. behind a caught ImportError
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, lse_precoding.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from lse_precoding import numerics
 from lse_precoding.numerics import (EmptySampleError, NonFiniteError,
                                     NoSignChangeError, RandomStream,
                                     ShapeMismatchError, find_root_1d,
@@ -43,6 +44,18 @@ def test_q_against_series_oracle():
     for x in xs:
         expected = 0.5 * erfc_series_oracle(x / math.sqrt(2.0))
         assert abs(q_function(float(x)) - expected) <= 1e-12
+
+
+def test_q_relative_error_in_the_tail():
+    # relative, not absolute: Q(8) is 6e-16, so the bound above says nothing
+    # past x = 7. The reference is Q at the exact double x; rounding
+    # x / sqrt(2) alone costs up to x^2 ulp(1)/2 ~ 7e-15 at x = 8.
+    import mpmath
+    mpmath.mp.dps = 40
+    sqrt2 = mpmath.sqrt(2)
+    for x in np.linspace(0.0, 8.0, 1601).tolist():
+        exact = mpmath.erfc(mpmath.mpf(x) / sqrt2) / 2
+        assert abs((mpmath.mpf(q_function(x)) - exact) / exact) <= 1e-14, x
 
 
 def test_q_monotone_decreasing():
@@ -191,6 +204,36 @@ def test_radial_expectation_interval_indicator(a_frac, gap, variance):
                              variance, breakpoints=(a, b))
     exact = math.exp(-a * a / variance) - math.exp(-b * b / variance)
     assert abs(val - exact) <= 1e-8 * max(1.0, abs(exact))
+
+
+def test_legendre_rule_integrates_even_monomials():
+    # a 64-point rule is exact for degree <= 127: int_{-1}^{1} x^2m = 2/(2m+1)
+    nodes, weights = numerics._legendre_rule()
+    assert nodes.shape == weights.shape == (64,)
+    for m in range(64):
+        exact = 2.0 / (2 * m + 1)
+        assert abs(float(np.dot(weights, nodes ** (2 * m))) - exact) <= 1e-12 * exact, m
+
+
+def test_legendre_rule_built_once(monkeypatch):
+    import numpy.polynomial.legendre as legendre
+    leggauss, calls = legendre.leggauss, []
+
+    def counting_leggauss(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(legendre, "leggauss", counting_leggauss)
+    numerics._legendre_rule.cache_clear()
+    try:
+        values = [radial_expectation(lambda r: r ** 2, v, tail=(0.0, 0.0, 1.0))
+                  for v in (0.5, 1.0, 2.0)]
+        assert calls == [64]
+        assert values == pytest.approx([0.5, 1.0, 2.0], rel=1e-12)
+        nodes, weights = numerics._legendre_rule()
+        assert not nodes.flags.writeable and not weights.flags.writeable
+    finally:
+        numerics._legendre_rule.cache_clear()
 
 
 def test_radial_expectation_non_finite():
