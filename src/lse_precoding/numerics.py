@@ -4,11 +4,10 @@ finding, deterministic random streams and distribution-distance statistics.
 Everything here is a pure function of its arguments; repeated calls agree
 bit for bit. Only numpy and the standard library are used: Q comes from
 `math.erfc` and the panel rule from `numpy.polynomial.legendre.leggauss`,
-built once per process on first use.
+imported on first use so that importing the package does not load it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -232,17 +231,6 @@ _R_MAX_FACTOR = 10.0
 _NODES_PER_PANEL = 64
 
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] for one panel, built on
-    first use and shared read-only by every later call."""
-    from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(_NODES_PER_PANEL)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
                        tail: tuple[float, float, float] | None = None) -> float:
     """E[g(|s|)] for s complex Gaussian, zero mean, total variance `variance`,
@@ -264,7 +252,8 @@ def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
     r_max = _R_MAX_FACTOR * sigma
     edges = sorted({0.0, r_max} | {float(b) for b in breakpoints if 0.0 < float(b) < r_max})
     total = 0.0
-    x_ref, w_ref = _legendre_rule()
+    from numpy.polynomial.legendre import leggauss
+    x_ref, w_ref = leggauss(_NODES_PER_PANEL)
     for a, b in zip(edges[:-1], edges[1:]):
         # split long panels so Gauss-Legendre stays at spectral accuracy
         n_sub = max(1, int(math.ceil((b - a) / (2.5 * sigma))))
