@@ -11,6 +11,14 @@ Two interchangeable update paths are provided: closed forms for the shipped
 penalty family and a quadrature path that evaluates the decoupled-symbol
 expectations directly; they agree to quadrature accuracy, which is one of
 the package's cross-checks.
+
+Calibration inverts the state equations at the targets instead of searching
+over the weights. At a given lambda_rs the decoupled law depends on the
+weights only through b = 1 + kappa lam and L0 = kappa lam0, so the active
+fraction and power targets fix L0 and b by two nested monotone 1-d solves
+on the closed forms; chi then solves chi R(-chi) = E Re{x* s}/lambda_rs
+(iterated with lambda_rs off Marchenko-Pastur), and one fixed-point solve
+at the resulting weights certifies them.
 """
 from __future__ import annotations
 
@@ -171,10 +179,9 @@ def fixed_point_update(params: SystemParams, state: ReplicaState,
     return p_new, state.kappa * m
 
 
-def eta_of_state(spec: PenaltySpec, state: ReplicaState) -> float:
-    """Asymptotic active-antenna fraction P{x != 0} from the branch masses."""
-    t = state.thresholds
-    lrs = state.lambda_rs
+def _active_fraction(spec: PenaltySpec, t: ThresholdSet, lrs: float) -> float:
+    """Asymptotic active-antenna fraction P{x != 0} from the branch masses
+    at thresholds t and decoupled variance lrs."""
     if not spec.is_disk:
         return math.exp(-t.tau ** 2 / lrs)
     eta = math.exp(-t.tau_hat ** 2 / lrs)
@@ -195,7 +202,8 @@ def _finalize(params: SystemParams, state: ReplicaState, residual: float,
     d = asymptotic_distortion(params.rtransform, state.chi, state.p,
                               params.lambda_s, params.alpha)
     return ReplicaSolution(state=state, distortion=d,
-                           eta=eta_of_state(params.penalty, state),
+                           eta=_active_fraction(params.penalty, state.thresholds,
+                                                state.lambda_rs),
                            papr=papr_of_state(params.penalty, state),
                            residual=residual, iterations=iterations,
                            alternates=tuple(alternates))
@@ -290,34 +298,43 @@ def decoupled_sample(state: ReplicaState, penalty: PenaltySpec,
 # calibration to target constraints
 # ---------------------------------------------------------------------------
 
-def _with_penalty(params: SystemParams, lam: float, lam0: float,
-                  support: Support) -> SystemParams:
-    return replace(params, penalty=PenaltySpec(lam=lam, lam0=lam0, support=support))
+def _response(params: SystemParams, p: float, decoupled):
+    """Self-consistent response at power p: chi solves chi R(-chi) = m,
+    where (m, extra) = decoupled(lambda_rs) and m = E Re{x* s}/lambda_rs of
+    the decoupled symbol at unit prox weight.
 
-
-def _solve_lambda_for_power(params: SystemParams, lam0: float, support: Support,
-                            p_star: float, solver_opts: dict) -> float:
-    """1-d search on log lambda driving the solved power to p_star.
-
-    Power decreases in lambda; the bracket is grown geometrically from
-    lambda = 1.
+    lambda_rs depends only on p for Marchenko-Pastur, so one pass settles;
+    for generic ensembles it depends on chi as well, and the two are
+    iterated until lambda_rs settles. Returns (chi, lambda_rs, extra) of the
+    last pass. Raises NotAchievableError when no chi solves the equation
+    and NoConvergenceError when lambda_rs has not settled after 200 passes.
     """
-    def g(loglam):
-        sol = solve_fixed_point(_with_penalty(params, math.exp(loglam), lam0, support),
-                                **solver_opts)
-        return sol.state.p - p_star
+    rt = params.rtransform
+    lrs = lambda_rs(rt, 1.0, p, params.lambda_s)
+    for _ in range(200):
+        m, extra = decoupled(lrs)
 
-    f0 = g(0.0)
-    if f0 == 0.0:
-        return 1.0
-    # power decreases in lam: walk the log axis toward the sign change
-    step = 1.0 if f0 > 0 else -1.0
-    try:
-        lo, hi = expand_bracket(g, 0.0, step, max_expand=60)
-    except NoSignChangeError as exc:
-        raise NotAchievableError(
-            "power target unreachable by the quadratic weight") from exc
-    return math.exp(find_root_1d(g, lo, hi, tol=1e-10, xtol=1e-13))
+        def h(x):
+            return x * rt.evaluate(x) - m
+
+        # bracket on log chi: chi R(-chi) rises in chi, and near its
+        # supremum the response runs to hundreds and beyond
+        try:
+            lo, hi = expand_bracket(lambda y: h(math.exp(y)), 0.0,
+                                    1.0 if h(1.0) < 0 else -1.0)
+        except NoSignChangeError:
+            raise NotAchievableError(
+                f"no response chi solves chi R(-chi) = {m:.6g} at power {p}")
+        chi = find_root_1d(h, math.exp(lo), math.exp(hi), tol=0.0,
+                           xtol=1e-15 * math.exp(hi))
+        lrs_new = lambda_rs(rt, chi, p, params.lambda_s)
+        step = abs(lrs_new - lrs)
+        if step <= 1e-13 * lrs:
+            return chi, lrs, extra
+        lrs = lrs_new
+    raise NoConvergenceError(
+        f"decoupled response did not settle (last lambda_rs step {step:.3e})",
+        residual=step)
 
 
 def solve_constant_envelope(params: SystemParams, p_star: float,
@@ -328,41 +345,18 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     Feasibility of a disk penalty requires p <= eta * P; on that boundary
     the shrink branch is empty, the peak is P = p_star / eta_star, and the
     active fraction pins the rim threshold directly: eta = exp(-tau_hat^2 /
-    lambda_rs). The remaining self-consistency in chi is solved in closed
-    form for Marchenko-Pastur and by root finding otherwise; raises
-    NoConvergenceError when that iteration has not settled after 200 passes.
+    lambda_rs). The remaining self-consistency in chi is `_response`.
     """
     if not (0 < eta_star <= 1):
         raise NotAchievableError("eta target must lie in (0, 1]")
     peak = p_star / eta_star
-    lrs = None
-    # lambda_rs depends only on p for Marchenko-Pastur; iterate for generic
-    # ensembles where it depends on chi as well
-    rt = params.rtransform
-    chi = 1.0
-    for _ in range(200):
-        lrs = lambda_rs(rt, chi, p_star, params.lambda_s)
+
+    def rim(lrs):
         tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
-        m = math.sqrt(peak) * _upper_moment1(tau_hat, lrs) / lrs
+        return math.sqrt(peak) * _upper_moment1(tau_hat, lrs) / lrs, tau_hat
 
-        def h(x):
-            return x * rt.evaluate(x) - m
-
-        try:
-            lo, hi = expand_bracket(h, 0.0, 1.0, max_expand=200)
-            chi_new = find_root_1d(h, lo, hi, tol=1e-14, xtol=1e-14)
-        except NoSignChangeError:
-            raise NotAchievableError(
-                "no self-consistent response for the constant-envelope boundary")
-        step = abs(chi_new - chi)
-        settled = step <= 1e-13 * max(1.0, abs(chi))
-        chi = chi_new
-        if settled:
-            break
-    else:
-        raise NoConvergenceError(
-            f"constant-envelope response did not settle (last step {step:.3e})",
-            residual=step)
+    rt = params.rtransform
+    chi, lrs, tau_hat = _response(params, p_star, rim)
     kappa = 1.0 / rt.evaluate(chi)
     # back out a representable weight pair when the branch geometry allows it
     if tau_hat >= math.sqrt(peak):
@@ -379,22 +373,73 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     return sol, lam, lam0
 
 
+def _root_of_decreasing(f) -> float:
+    """Root of a decreasing f with f(0) >= 0: unit steps up from 0 to the
+    sign change, then bisection down to rounding."""
+    lo, hi = expand_bracket(f, 0.0, 1.0)
+    return find_root_1d(f, lo, hi, tol=1e-15, xtol=1e-15 * max(1.0, hi))
+
+
+def _invert_targets(params: SystemParams, support: Support, p_star: float,
+                    eta_star: float) -> tuple[float, float]:
+    """Penalty weights (lam, lam0) whose replica state has power p_star and
+    active fraction eta_star.
+
+    At a given lambda_rs the decoupled law depends on the weights only
+    through b = 1 + kappa lam and L0 = kappa lam0, which are the weights
+    of the same prox at unit weight. eta_star fixes L0 for each b (eta
+    falls as L0 grows), then p_star fixes b (power falls as b grows), and
+    `_response` gives chi and kappa = 1/R(-chi). Raises NotAchievableError
+    when the power target needs b < 1 (a negative quadratic weight) or no
+    chi is self-consistent.
+    """
+    def unit(b, l0):
+        spec = PenaltySpec(lam=b - 1.0, lam0=l0, support=support)
+        return spec, thresholds(spec, 1.0)
+
+    def decoupled(lrs):
+        def l0_for(b):
+            if eta_star == 1.0:
+                return 0.0
+            # on the scale L0 / lambda_rs
+            return lrs * _root_of_decreasing(
+                lambda u: _active_fraction(*unit(b, lrs * u), lrs) - eta_star)
+
+        def power_gap(logb):
+            b = math.exp(logb)
+            return _closed_moments(*unit(b, l0_for(b)), 1.0, lrs)[0] - p_star
+
+        if power_gap(0.0) < 0:
+            raise NotAchievableError(
+                f"power {p_star} exceeds the unpenalized decoupled power at "
+                f"active fraction {eta_star}")
+        b = math.exp(_root_of_decreasing(power_gap))
+        l0 = l0_for(b)
+        return _closed_moments(*unit(b, l0), 1.0, lrs)[1], (b, l0)
+
+    chi, _, (b, l0) = _response(params, p_star, decoupled)
+    r = params.rtransform.evaluate(chi)
+    return (b - 1.0) * r, l0 * r
+
+
 _CALIBRATION_TOL = 1e-8
 
 
 def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
               papr_star: float | None = None, solver_opts: dict | None = None
               ) -> tuple[float, float, ReplicaSolution]:
-    """Find penalty weights (lam, lam0) whose fixed point meets the targets
-    (p_star, eta_star) to within _CALIBRATION_TOL, optionally under a
-    peak-power cap P = papr_star * p_star.
+    """Penalty weights (lam, lam0) whose fixed point meets the targets
+    (p_star, eta_star), optionally under a peak-power cap
+    P = papr_star * p_star.
 
-    eta_star = 1 forces lam0 = 0 and reduces to a 1-d solve. Otherwise a
-    damped Newton iteration runs on (log lam, log lam0) with a
-    finite-difference Jacobian, falling back to nested bisection. Raises
-    NotAchievableError when the peak cap makes the targets infeasible
-    (p <= eta * P is a hard bound); the exact boundary papr_star = 1/eta_star
-    is dispatched to the constant-envelope solve.
+    The weights come from inverting the state equations at the targets
+    (`_invert_targets`); one `solve_fixed_point` at them then certifies
+    that Picard iteration from the standard start reaches that state.
+    Raises NotAchievableError when the targets are infeasible (a power
+    target that needs a negative quadratic weight or admits no
+    self-consistent response, or a peak cap with p > eta * P) or when the
+    certifying solve misses a target by more than _CALIBRATION_TOL. The exact boundary papr_star = 1/eta_star is
+    dispatched to the constant-envelope solve.
     """
     solver_opts = dict(solver_opts or {})
     if not (0 < eta_star <= 1):
@@ -417,98 +462,17 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
             return lam, lam0, sol
         support = Support.disk(peak)
 
-    if eta_star == 1.0:
-        lam = _solve_lambda_for_power(params_base, 0.0, support, p_star, solver_opts)
-        sol = solve_fixed_point(_with_penalty(params_base, lam, 0.0, support),
-                                **solver_opts)
-        return lam, 0.0, sol
-
-    def residuals(u):
-        sol = solve_fixed_point(
-            _with_penalty(params_base, math.exp(u[0]), math.exp(u[1]), support),
-            **solver_opts)
-        return np.array([sol.state.p - p_star, sol.eta - eta_star]), sol
-
-    try:
-        u = _newton_init(params_base, support, p_star, eta_star, solver_opts)
-        u, sol = _damped_newton(residuals, u, _CALIBRATION_TOL)
-    except (NoConvergenceError, InvalidStateError, NoSignChangeError,
-            NotAchievableError, np.linalg.LinAlgError):
-        sol = None
-    if sol is None:
-        u, sol = _nested_bisection(params_base, support, p_star, eta_star,
-                                   solver_opts, _CALIBRATION_TOL)
-    return math.exp(u[0]), math.exp(u[1]), sol
-
-
-def _newton_init(params, support, p_star, eta_star, solver_opts):
-    """Starting point: the lam of the power-only solve, and a lam0 matched
-    to the drop threshold the target active fraction implies there."""
-    lam = _solve_lambda_for_power(params, 0.0, support, p_star, solver_opts)
-    sol = solve_fixed_point(_with_penalty(params, lam, 0.0, support), **solver_opts)
-    st = sol.state
-    tau2 = st.lambda_rs * math.log(1.0 / eta_star)
-    lam0 = tau2 / (st.kappa * (1.0 + st.kappa * lam))
-    return np.array([math.log(lam), math.log(max(lam0, 1e-12))])
-
-
-def _damped_newton(residuals, u, tol, max_steps=60, fd_step=1e-4):
-    f, sol = residuals(u)
-    for _ in range(max_steps):
-        if np.max(np.abs(f)) <= tol:
-            return u, sol
-        jac = np.empty((2, 2))
-        for j in range(2):
-            du = np.zeros(2)
-            du[j] = fd_step
-            fj, _ = residuals(u + du)
-            jac[:, j] = (fj - f) / fd_step
-        step = np.linalg.solve(jac, -f)
-        # backtrack until the residual norm decreases
-        scale = 1.0
-        base = np.linalg.norm(f)
-        for _ in range(12):
-            try:
-                f_new, sol_new = residuals(u + scale * step)
-            except (NoConvergenceError, InvalidStateError):
-                scale *= 0.5
-                continue
-            if np.linalg.norm(f_new) < base:
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergenceError("newton stalled", state=None, residual=base)
-        u = u + scale * step
-        f, sol = f_new, sol_new
-    if np.max(np.abs(f)) <= tol:
-        return u, sol
-    raise NoConvergenceError("newton did not reach tolerance",
-                             state=None, residual=float(np.max(np.abs(f))))
-
-
-def _nested_bisection(params, support, p_star, eta_star, solver_opts, tol):
-    """Outer 1-d solve on log lam0 driving eta, inner power solve on lam."""
-    def eta_err(loglam0):
-        lam0 = math.exp(loglam0)
-        try:
-            lam = _solve_lambda_for_power(params, lam0, support, p_star, solver_opts)
-        except (NotAchievableError, NoSignChangeError):
-            return -eta_star  # lam0 so large the power target is unreachable
-        sol = solve_fixed_point(_with_penalty(params, lam, lam0, support),
-                                **solver_opts)
-        return sol.eta - eta_star
-
-    e0 = eta_err(0.0)
-    # active fraction decreases in lam0
-    step = 1.0 if e0 > 0 else -1.0
-    lo, hi = expand_bracket(eta_err, 0.0, step, max_expand=60)
-    x0 = find_root_1d(eta_err, lo, hi, tol=tol * 0.1, xtol=1e-13)
-    lam0 = math.exp(x0)
-    lam = _solve_lambda_for_power(params, lam0, support, p_star, solver_opts)
-    sol = solve_fixed_point(_with_penalty(params, lam, lam0, support), **solver_opts)
-    if max(abs(sol.state.p - p_star), abs(sol.eta - eta_star)) > tol:
-        raise NotAchievableError("nested bisection missed the calibration tolerance")
-    return np.array([math.log(lam), math.log(lam0)]), sol
+    lam, lam0 = _invert_targets(params_base, support, p_star, eta_star)
+    sol = solve_fixed_point(
+        replace(params_base, penalty=PenaltySpec(lam=lam, lam0=lam0, support=support)),
+        **solver_opts)
+    miss = max(abs(sol.state.p - p_star), abs(sol.eta - eta_star))
+    if miss > _CALIBRATION_TOL:
+        raise NotAchievableError(
+            f"the fixed point at lambda = {lam:.6g}, lambda0 = {lam0:.6g} has "
+            f"p = {sol.state.p:.10g}, eta = {sol.eta:.10g}: it misses the "
+            f"targets by {miss:.3e}")
+    return lam, lam0, sol
 
 
 def random_tas_baseline(params: SystemParams, eta_r: float, p_star: float,
@@ -525,15 +489,9 @@ def random_tas_baseline(params: SystemParams, eta_r: float, p_star: float,
     """
     if not (0 < eta_r <= 1):
         raise NotAchievableError("selection fraction must lie in (0, 1]")
-    solver_opts = dict(solver_opts or {})
     sub = SystemParams(alpha=params.alpha / eta_r,
                        lambda_s=params.lambda_s / eta_r,
                        penalty=PenaltySpec(support=Support.full_plane()))
-    p_active = p_star / eta_r
-    lam = _solve_lambda_for_power(sub, 0.0, Support.full_plane(), p_active,
-                                  solver_opts)
-    sol = solve_fixed_point(_with_penalty(sub, lam, 0.0, Support.full_plane()),
-                            **solver_opts)
-    d_full = eta_r * sol.distortion
-    return replace(sol, distortion=d_full, eta=eta_r * sol.eta,
+    _, _, sol = calibrate(sub, p_star / eta_r, 1.0, solver_opts=solver_opts)
+    return replace(sol, distortion=eta_r * sol.distortion, eta=eta_r * sol.eta,
                    papr=math.inf)

@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 from lse_precoding import numerics
 from lse_precoding.numerics import (EmptySampleError, NonFiniteError,
                                     NoSignChangeError, RandomStream,
-                                    ShapeMismatchError, find_root_1d,
-                                    ks_distance, q_function,
+                                    ShapeMismatchError, expand_bracket,
+                                    find_root_1d, ks_distance, q_function,
                                     radial_expectation)
 
 
@@ -57,17 +57,10 @@ def test_q_monotone_decreasing():
     # below x ~ -7.5 adjacent grid values differ by ~5e-19, under the ulp of
     # 1.0, so binary64 cannot resolve a strict decrease there
     xs = np.arange(-8.0, 8.0 + 1e-3, 1e-3)
-    vals = q_function(xs)
+    vals = np.array([q_function(x) for x in xs.tolist()])
     assert np.all(np.diff(vals) <= 0)
     strict = xs[:-1] >= -7.4
     assert np.all(np.diff(vals)[strict] < 0)
-
-
-def test_q_vectorized_matches_scalar():
-    xs = np.array([-3.0, 0.0, 1.5])
-    out = q_function(xs)
-    assert out.shape == xs.shape
-    assert out[1] == q_function(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +90,31 @@ def test_root_no_sign_change():
 def test_root_non_finite():
     with pytest.raises(NonFiniteError):
         find_root_1d(lambda x: math.inf if x > 0.5 else -1.0, 0.0, 1.0, tol=1e-10)
+
+
+def test_bracket_negative_step_is_ordered():
+    # walking down from 0 the sign changes between -3 and -2
+    assert expand_bracket(lambda x: x + 2.5, 0.0, -1.0) == (-3.0, -2.0)
+    assert expand_bracket(lambda x: x - 2.5, 0.0, 1.0) == (2.0, 3.0)
+
+
+def test_bracket_steps_run_out():
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return 1.0
+
+    with pytest.raises(NoSignChangeError):
+        expand_bracket(f, 0.0, 1.0)
+    assert len(xs) == 1 + numerics._BRACKET_MAX_STEPS
+
+
+def test_bracket_non_finite():
+    with pytest.raises(NonFiniteError):
+        expand_bracket(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(NonFiniteError):
+        expand_bracket(lambda x: 1.0 if x < 3.0 else math.inf, 0.0, 1.0)
 
 
 @given(st.floats(-3, 3), st.floats(0.1, 3))

@@ -11,7 +11,7 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    fixed_point_update, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
-from lse_precoding.spectral import RTransform, marcenko_pastur
+from lse_precoding.spectral import RTransform, lambda_rs, marcenko_pastur
 
 FULL = Support.full_plane()
 
@@ -195,30 +195,110 @@ def test_calibrate_both_targets():
     assert sol.distortion == pytest.approx(0.092811948, abs=1e-7)
 
 
-def test_calibrate_propagates_programming_errors(monkeypatch):
-    # only named solver failures may divert calibration to bisection
-    def broken(residuals, u, tol):
-        raise ValueError("bug")
-
-    monkeypatch.setattr(replica, "_damped_newton", broken)
-    with pytest.raises(ValueError, match="bug"):
-        calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5)
-
-
-def test_calibrate_singular_jacobian_falls_back_to_bisection(monkeypatch):
+def counting_solves(monkeypatch):
+    """Route replica.solve_fixed_point through a counter; returns the list
+    that collects one entry per call."""
     calls = []
+    solve = replica.solve_fixed_point
 
-    def singular(residuals, u, tol):
-        calls.append(u)
-        raise np.linalg.LinAlgError("Singular matrix")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(replica, "_damped_newton", singular)
-    lam, lam0, sol = calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5)
+    monkeypatch.setattr(replica, "solve_fixed_point", counted)
+    return calls
+
+
+# (eta target, peak cap in dB or None). A 3 dB cap with eta = 0.5 is left
+# out: p <= eta * P rules it out (test_calibrate_infeasible_peak_cap).
+CALIBRATION_GRID = [(1.0, None), (0.5, None), (0.3, None),
+                    (1.0, 3.0), (1.0, 8.0), (0.5, 8.0)]
+
+
+@pytest.mark.parametrize("alpha_inverse", [1.2, 2.0])
+@pytest.mark.parametrize("eta, papr_db", CALIBRATION_GRID)
+def test_calibrate_one_solve_meets_targets(monkeypatch, alpha_inverse, eta,
+                                           papr_db):
+    # the weights come from inverting the state equations; one forward
+    # solve certifies them
+    calls = counting_solves(monkeypatch)
+    papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
+    lam, lam0, sol = calibrate(mp_params(1.0 / alpha_inverse), p_star=0.5,
+                               eta_star=eta, papr_star=papr)
     assert len(calls) == 1
-    assert sol.state.p == pytest.approx(0.5, abs=1e-8)
-    assert sol.eta == pytest.approx(0.5, abs=1e-8)
-    assert lam == pytest.approx(0.15593417, abs=1e-6)
-    assert lam0 == pytest.approx(0.11475326, abs=1e-6)
+    assert calls[0][0].penalty.lam == lam
+    assert calls[0][0].penalty.lam0 == lam0
+    assert abs(sol.state.p - 0.5) <= 1e-10
+    assert abs(sol.eta - eta) <= 1e-10
+
+
+def bernoulli_rtransform(alpha):
+    """R-transform of Bernoulli(alpha) eigenvalues (rows of a Haar unitary),
+    R(w) = (w - 1 + sqrt((w - 1)^2 + 4 alpha w)) / (2 w), at w = -chi in
+    the cancellation-free form 2 alpha / (chi + 1 + sqrt(D))."""
+    def evaluate(chi):
+        return 2.0 * alpha / (chi + 1.0 + math.sqrt((chi + 1.0) ** 2 - 4.0 * alpha * chi))
+
+    def derivative(chi):
+        root = math.sqrt((chi + 1.0) ** 2 - 4.0 * alpha * chi)
+        return (-2.0 * alpha * (1.0 + (chi + 1.0 - 2.0 * alpha) / root)
+                / (chi + 1.0 + root) ** 2)
+
+    return RTransform(evaluate=evaluate, derivative=derivative, load=alpha,
+                      label=f"bernoulli(alpha={alpha:g})")
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_calibrate_chi_dependent_rtransform(monkeypatch, eta):
+    # lambda_rs depends on chi off Marchenko-Pastur, so the inversion
+    # iterates it together with the response
+    rt = bernoulli_rtransform(0.8)
+    fd = (rt.evaluate(1.0 + 1e-6) - rt.evaluate(1.0 - 1e-6)) / 2e-6
+    assert rt.derivative(1.0) == pytest.approx(fd, rel=1e-7)
+    assert abs(lambda_rs(rt, 0.5, 0.5, 1.0) - lambda_rs(rt, 2.0, 0.5, 1.0)) > 0.1
+    params = SystemParams(alpha=0.8, lambda_s=1.0, penalty=PenaltySpec(),
+                          rtransform=rt)
+    calls = counting_solves(monkeypatch)
+    _, _, sol = calibrate(params, p_star=0.5, eta_star=eta)
+    assert len(calls) == 1
+    assert abs(sol.state.p - 0.5) <= 1e-10
+    assert abs(sol.eta - eta) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, p_star, reason", [
+    # the power target needs b = 1 + kappa lam below 1/alpha, where no
+    # response chi is self-consistent
+    (0.3, 0.5, "no response chi"),
+    # lambda_rs = 1.5 below the power target: lam would be negative
+    (2.0, 2.0, "unpenalized decoupled power"),
+])
+def test_calibrate_infeasible_power_target_is_named(monkeypatch, alpha, p_star,
+                                                    reason):
+    # named at once, before any fixed-point solve
+    calls = counting_solves(monkeypatch)
+    with pytest.raises(NotAchievableError, match=reason):
+        calibrate(mp_params(alpha), p_star=p_star, eta_star=1.0)
+    assert calls == []
+
+
+def test_calibrate_near_the_load_limit():
+    # just inside the first limit above the response runs far out (chi ~ 300)
+    _, _, sol = calibrate(mp_params(0.3), p_star=0.4245, eta_star=1.0)
+    assert sol.state.chi > 200
+    assert abs(sol.state.p - 0.4245) <= 1e-10
+
+
+def test_calibrate_names_a_missed_target(monkeypatch):
+    # the certifying solve rejects weights whose fixed point misses a target
+    invert = replica._invert_targets
+
+    def off(*args):
+        lam, lam0 = invert(*args)
+        return 1.01 * lam, lam0
+
+    monkeypatch.setattr(replica, "_invert_targets", off)
+    with pytest.raises(NotAchievableError, match="misses the targets"):
+        calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5)
 
 
 def test_calibrate_high_papr_matches_full_plane():

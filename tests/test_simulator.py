@@ -540,7 +540,7 @@ def test_random_selection_pairing_at_finite_n():
     # random selection at the matched fraction reaches the same empirical
     # distortion as the penalized precoder at half the antennas
     from lse_precoding.replica import (SystemParams, calibrate,
-                                       _solve_lambda_for_power)
+                                       _invert_targets)
     from lse_precoding.penalty import Support as Sup
 
     n, k, trials, eta_r = 200, 100, 40, 0.8466
@@ -554,8 +554,7 @@ def test_random_selection_pairing_at_finite_n():
     # rescaled standard model
     sub = SystemParams(alpha=0.5 / eta_r, lambda_s=1.0 / eta_r,
                        penalty=PenaltySpec())
-    lam_sub = _solve_lambda_for_power(sub, 0.0, Sup.full_plane(),
-                                      0.5 / eta_r, {})
+    lam_sub, _ = _invert_targets(sub, Sup.full_plane(), 0.5 / eta_r, 1.0)
     lam_phys = eta_r * lam_sub
     ds = []
     for t in range(trials):
