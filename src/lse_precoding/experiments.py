@@ -19,19 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .numerics import RandomStream, find_root_1d, ks_distance
+from .numerics import RandomStream, ks_distance
 from .penalty import PenaltySpec, Support
 from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
-                      random_tas_baseline, solve_constant_envelope,
+                      match_random_selection, solve_constant_envelope,
                       solve_fixed_point)
 from .simulator import INIT_KINDS, monte_carlo
 
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
 # sampler uses a far-away reserved index off the same master seed
 _DECOUPLED_STREAM_INDEX = 1 << 52
-# walk of the random-selection fraction before the bracketed root search
-_SELECTION_STEP = 0.05
 
 
 class ConfigError(ValueError):
@@ -543,43 +541,6 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     return {"compare": csv_path, "summary": summary}
 
 
-def match_random_selection(alpha_inverse: float, lambda_s: float, p_target: float,
-                           d_target: float, solver_opts: dict | None = None) -> float:
-    """Selection fraction at which the random-selection ridge baseline meets
-    a target distortion; the baseline improves monotonically with more
-    antennas.
-
-    Starting from full selection the fraction is walked down until the
-    baseline falls behind the target; small fractions can make the power
-    target infeasible for the overloaded subsystem, which counts as behind.
-    """
-    params = SystemParams(alpha=1.0 / alpha_inverse, lambda_s=lambda_s,
-                          penalty=PenaltySpec())
-
-    def gap(eta_r):
-        try:
-            sol = random_tas_baseline(params, eta_r, p_target, solver_opts)
-        except (NotAchievableError, NoConvergenceError):
-            return math.inf
-        return sol.distortion - d_target
-
-    if gap(1.0) > 0:
-        raise NotAchievableError("baseline cannot reach the target distortion")
-    hi = 1.0
-    lo = hi - _SELECTION_STEP
-    while lo > _SELECTION_STEP and gap(lo) < 0:
-        hi = lo
-        lo -= _SELECTION_STEP
-    if gap(lo) < 0:
-        raise NotAchievableError("no crossing above the feasibility floor")
-
-    def bounded_gap(eta_r):
-        g = gap(eta_r)
-        return g if math.isfinite(g) else 1e6
-
-    return find_root_1d(bounded_gap, lo, hi, tol=1e-9, xtol=1e-10)
-
-
 def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
     """For each (eta, papr, load): solve the penalized precoder, then find
     the random-selection fraction with equal distortion; saving is the
@@ -593,8 +554,7 @@ def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
                     pt = _calibrated_point(cfg, ainv, eta_t, papr_db)
                     eta_r = match_random_selection(ainv, cfg.lambda_s,
                                                    cfg.p_target,
-                                                   pt.solution.distortion,
-                                                   cfg.solver_opts())
+                                                   pt.solution.distortion)
                     row = (ainv, math.nan if papr_db is None else papr_db, eta_t,
                            db10(pt.solution.distortion), eta_r, eta_r - eta_t)
                     rows.append((row, pt.status))

@@ -438,8 +438,9 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
     Raises NotAchievableError when the targets are infeasible (a power
     target that needs a negative quadratic weight or admits no
     self-consistent response, or a peak cap with p > eta * P) or when the
-    certifying solve misses a target by more than _CALIBRATION_TOL. The exact boundary papr_star = 1/eta_star is
-    dispatched to the constant-envelope solve.
+    certifying solve misses a target by more than _CALIBRATION_TOL. The
+    exact boundary papr_star = 1/eta_star is dispatched to the
+    constant-envelope solve.
     """
     solver_opts = dict(solver_opts or {})
     if not (0 < eta_star <= 1):
@@ -475,8 +476,8 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
     return lam, lam0, sol
 
 
-def random_tas_baseline(params: SystemParams, eta_r: float, p_star: float,
-                        solver_opts: dict | None = None) -> ReplicaSolution:
+def random_tas_baseline(params: SystemParams, eta_r: float,
+                        p_star: float) -> ReplicaSolution:
     """Random antenna selection followed by quadratic-penalty precoding.
 
     A random fraction eta_r of the columns is an i.i.d. channel again, so
@@ -485,13 +486,37 @@ def random_tas_baseline(params: SystemParams, eta_r: float, p_star: float,
     calibrated so each selected antenna carries p_star/eta_r, keeping the
     total transmit power at p_star per original antenna. The returned
     distortion, power and active fraction are expressed at full-system
-    level.
+    level. It is the calibrated reference that the closed form of
+    `match_random_selection` is tested against.
     """
     if not (0 < eta_r <= 1):
         raise NotAchievableError("selection fraction must lie in (0, 1]")
     sub = SystemParams(alpha=params.alpha / eta_r,
                        lambda_s=params.lambda_s / eta_r,
                        penalty=PenaltySpec(support=Support.full_plane()))
-    _, _, sol = calibrate(sub, p_star / eta_r, 1.0, solver_opts=solver_opts)
+    _, _, sol = calibrate(sub, p_star / eta_r, 1.0)
     return replace(sol, distortion=eta_r * sol.distortion, eta=eta_r * sol.eta,
                    papr=math.inf)
+
+
+def match_random_selection(alpha_inverse: float, lambda_s: float,
+                           p_target: float, d_target: float) -> float:
+    """Selection fraction e at which the random-selection ridge baseline
+    (`random_tas_baseline` under Marchenko-Pastur) has distortion d_target.
+
+    The baseline has the closed form D(e) = (lambda_s + p) (1 - sqrt(e p /
+    (alpha (lambda_s + p))))^2, falling in e, so e = alpha (lambda_s + p) / p
+    * (1 - sqrt(d / (lambda_s + p)))^2. Raises NotAchievableError when
+    e > 1 (even full selection is behind the target) or e < alpha p /
+    (lambda_s + p), where the power would need a negative ridge weight
+    (d_target above the worst feasible distortion lambda_s^2 /
+    (lambda_s + p)).
+    """
+    total = lambda_s + p_target
+    shrink = 1.0 - math.sqrt(d_target / total)
+    if shrink < p_target / total:
+        raise NotAchievableError("no crossing above the feasibility floor")
+    eta_r = total * shrink * shrink / (alpha_inverse * p_target)
+    if eta_r > 1.0:
+        raise NotAchievableError("baseline cannot reach the target distortion")
+    return eta_r

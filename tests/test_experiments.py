@@ -15,6 +15,9 @@ from lse_precoding.experiments import (ConfigError,
                                        match_random_selection, parse_config,
                                        read_csv, run, validate_config,
                                        write_csv)
+from lse_precoding.penalty import PenaltySpec
+from lse_precoding.replica import (NotAchievableError, SystemParams,
+                                   random_tas_baseline)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -203,6 +206,70 @@ def test_match_random_selection_frozen_anchor():
     pt = calibrated_point(2.0, 1.0, 0.5, 0.5, papr_db=None)
     eta_r = match_random_selection(2.0, 1.0, 0.5, pt.solution.distortion)
     assert eta_r == pytest.approx(0.84657359, abs=1e-4)
+
+
+def test_match_random_selection_paper_identity():
+    # without a peak cap the matched fraction is eta (1 - ln eta) at every
+    # load, so the saving at eta = 0.5 is ln 2 / 2
+    for ainv in (1.0, 1.2, 2.0, 2.8, 3.2, 3.5):
+        for eta_t in (0.5, 0.3):
+            pt = calibrated_point(ainv, 1.0, 0.5, eta_t, papr_db=None)
+            eta_r = match_random_selection(ainv, 1.0, 0.5, pt.solution.distortion)
+            assert abs(eta_r - eta_t * (1.0 - math.log(eta_t))) <= 1e-11, (ainv, eta_t)
+
+
+def test_match_random_selection_meets_calibrated_baseline():
+    cfg = load_config(str(CONFIGS / "saving_peak_capped.ini"))
+    rows = 0
+    for papr_db in cfg.papr_db_targets:
+        for eta_t in cfg.eta_targets:
+            for ainv in cfg.alpha_inverse:
+                pt = calibrated_point(ainv, cfg.lambda_s, cfg.p_target, eta_t,
+                                      papr_db, cfg.support, cfg.peak_power)
+                d = pt.solution.distortion
+                eta_r = match_random_selection(ainv, cfg.lambda_s, cfg.p_target, d)
+                params = SystemParams(alpha=1.0 / ainv, lambda_s=cfg.lambda_s,
+                                      penalty=PenaltySpec())
+                base = random_tas_baseline(params, eta_r, cfg.p_target)
+                assert base.distortion == pytest.approx(d, rel=1e-10, abs=0.0)
+                rows += 1
+    assert rows == 6
+
+
+def test_match_random_selection_bounds():
+    # above the worst feasible baseline distortion 1/1.5 the power would
+    # need a negative ridge weight; the floor alpha p / (lambda_s + p) = 1/6
+    # is no crossing
+    with pytest.raises(NotAchievableError, match="feasibility floor"):
+        match_random_selection(2.0, 1.0, 0.5, 0.7)
+    full = random_tas_baseline(SystemParams(alpha=0.5, lambda_s=1.0,
+                                            penalty=PenaltySpec()), 1.0, 0.5)
+    with pytest.raises(NotAchievableError, match="cannot reach"):
+        match_random_selection(2.0, 1.0, 0.5, 0.5 * full.distortion)
+
+
+def test_saving_row_below_the_feasibility_floor(tmp_path):
+    out = tmp_path / "sv"
+    assert cli.main(["saving", "--config", str(CONFIGS / "saving_peak_capped.ini"),
+                     "--set", "system.alpha_inverse=1.1",
+                     "--set", "penalty.papr_db_targets=0",
+                     "--set", "penalty.eta_targets=0.1", "--out", str(out)]) == 0
+    _, data = read_csv(str(out / "antenna_saving.csv"))
+    assert [row[-1] for row in data] == \
+        ["error: no crossing above the feasibility floor"]
+
+
+def test_saving_rows_where_full_selection_is_infeasible(tmp_path):
+    # at inverse load 3.2 the ridge baseline cannot carry p = 0.5 on every
+    # antenna, yet the crossing exists
+    out = tmp_path / "sv"
+    assert cli.main(["saving", "--config", str(CONFIGS / "saving_unconstrained.ini"),
+                     "--set", "system.alpha_inverse=2.0,3.2",
+                     "--out", str(out)]) == 0
+    header, data = read_csv(str(out / "antenna_saving.csv"))
+    assert [row[-1] for row in data] == ["ok"] * 4
+    eta_random = [float(dict(zip(header, row))["eta_random"]) for row in data]
+    assert eta_random[1] == pytest.approx(0.84657359028, abs=1e-11)
 
 
 def test_saving_mode_csv(tmp_path):
