@@ -14,8 +14,6 @@ from .replica import (ReplicaSolution, ReplicaState, SystemParams, calibrate,
 from .simulator import (MonteCarloReport, PrecodeProblem, PrecodeResult,
                         generate_problem, measure, monte_carlo, precode_ccd,
                         precode_rzf, random_tas_rzf)
-from .spectral import (RTransform, asymptotic_distortion, lambda_rs,
-                       marcenko_pastur)
 
 __all__ = [
     "RandomStream", "find_root_1d", "ks_distance", "q_function",
@@ -27,5 +25,4 @@ __all__ = [
     "random_tas_baseline", "solve_constant_envelope", "solve_fixed_point",
     "MonteCarloReport", "PrecodeProblem", "PrecodeResult", "generate_problem",
     "measure", "monte_carlo", "precode_ccd", "precode_rzf", "random_tas_rzf",
-    "RTransform", "asymptotic_distortion", "lambda_rs", "marcenko_pastur",
 ]

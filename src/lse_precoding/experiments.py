@@ -221,6 +221,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alpha_inverse grid is empty")
     if not all(a > 0 for a in cfg.alpha_inverse) or not cfg.lambda_s > 0:
         raise ConfigError("alpha_inverse and lambda_s must be positive")
+    if not (0 < cfg.damping <= 1 and cfg.solver_tol >= 0) or cfg.max_iter < 1:
+        raise ConfigError("solver needs 0 < damping <= 1, tol >= 0 and max_iter >= 1")
     if cfg.support not in ("full", "disk"):
         raise ConfigError("support must be 'full' or 'disk'")
     direct = cfg.lam is not None or cfg.lam0 is not None
@@ -252,6 +254,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                               f"{_fmt(cfg.alpha_inverse[0])} leaves no user")
         if cfg.init not in INIT_KINDS:
             raise ConfigError(f"init must be one of {INIT_KINDS}, got {cfg.init!r}")
+        if not (cfg.sim_tol >= 0 and cfg.zero_eps >= 0
+                and cfg.max_sweeps >= 1 and cfg.restarts >= 1):
+            raise ConfigError("simulation needs tol >= 0, zero_eps >= 0, "
+                              "max_sweeps >= 1 and restarts >= 1")
 
 
 def _user_count(cfg: ExperimentConfig) -> int:

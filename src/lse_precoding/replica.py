@@ -1,11 +1,12 @@
 """Replica-symmetric fixed point of the penalized least-square precoder in
-the large-system limit.
+the large-system limit of an i.i.d. Gaussian channel, whose Gramian follows
+the Marchenko-Pastur law with R-transform R(w) = alpha / (1 - w).
 
 State variables are the pair (chi, p): p is the average transmit power per
 antenna and chi the rescaled self-overlap response. From them follow the
-decoupled input variance lambda_rs, the prox weight kappa = 1/R(-chi), the
-thresholds of the scalar prox, and the observables (distortion, active
-fraction, peak-to-average ratio).
+decoupled input variance lambda_rs = (lambda_s + p)/alpha, the prox weight
+kappa = 1/R(-chi), the thresholds of the scalar prox, and the observables
+(distortion (lambda_s + p)/(1 + chi)^2, active fraction, peak ratio).
 
 Two interchangeable update paths are provided: closed forms for the shipped
 penalty family and a quadrature path that evaluates the decoupled-symbol
@@ -16,9 +17,9 @@ Calibration inverts the state equations at the targets instead of searching
 over the weights. At a given lambda_rs the decoupled law depends on the
 weights only through b = 1 + kappa lam and L0 = kappa lam0, so the active
 fraction and power targets fix L0 and b by two nested monotone 1-d solves
-on the closed forms; chi then solves chi R(-chi) = E Re{x* s}/lambda_rs
-(iterated with lambda_rs off Marchenko-Pastur), and one fixed-point solve
-at the resulting weights certifies them.
+on the closed forms; chi R(-chi) = E Re{x* s}/lambda_rs then gives chi in
+closed form, and one fixed-point solve at the resulting weights certifies
+them.
 """
 from __future__ import annotations
 
@@ -28,11 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import (RandomStream, complex_normal, expand_bracket,
-                       find_root_1d, q_function, radial_expectation,
-                       NoSignChangeError)
+                       find_root_1d, q_function, radial_expectation)
 from .penalty import PenaltySpec, Support, ThresholdSet, prox_array, thresholds
-from .spectral import (InvalidStateError, RTransform, asymptotic_distortion,
-                       lambda_rs, marcenko_pastur)
 
 
 class NoConvergenceError(RuntimeError):
@@ -50,21 +48,16 @@ class NotAchievableError(ValueError):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Large-system description: load alpha = k/n, data variance lambda_s,
-    per-antenna penalty, and the channel Gramian's R-transform."""
+    """Large-system description: load alpha = k/n of the i.i.d. Gaussian
+    channel, data variance lambda_s and the per-antenna penalty."""
 
     alpha: float
     lambda_s: float
     penalty: PenaltySpec
-    rtransform: RTransform = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.lambda_s <= 0:
             raise ValueError("alpha and lambda_s must be positive")
-        if self.rtransform is None:
-            object.__setattr__(self, "rtransform", marcenko_pastur(self.alpha))
-        elif abs(self.rtransform.load - self.alpha) > 1e-12:
-            raise ValueError("rtransform.load must equal alpha")
 
 
 @dataclass(frozen=True)
@@ -87,13 +80,15 @@ class ReplicaSolution:
     alternates: tuple = ()
 
 
+def _mp_r(params: SystemParams, chi: float) -> float:
+    """R(-chi) of the Marchenko-Pastur law, R(w) = alpha / (1 - w)."""
+    return params.alpha / (1.0 + chi)
+
+
 def make_state(params: SystemParams, chi: float, p: float) -> ReplicaState:
     """Derive the dependent state variables from (chi, p)."""
-    lrs = lambda_rs(params.rtransform, chi, p, params.lambda_s)
-    r = params.rtransform.evaluate(chi)
-    if r <= 0:
-        raise InvalidStateError(f"R(-chi) = {r} not positive at chi={chi}")
-    kappa = 1.0 / r
+    kappa = 1.0 / _mp_r(params, chi)
+    lrs = (params.lambda_s + p) / params.alpha
     return ReplicaState(chi=chi, p=p, lambda_rs=lrs, kappa=kappa,
                         thresholds=thresholds(params.penalty, kappa))
 
@@ -199,8 +194,7 @@ def papr_of_state(spec: PenaltySpec, state: ReplicaState) -> float:
 
 def _finalize(params: SystemParams, state: ReplicaState, residual: float,
               iterations: int, alternates=()) -> ReplicaSolution:
-    d = asymptotic_distortion(params.rtransform, state.chi, state.p,
-                              params.lambda_s, params.alpha)
+    d = (params.lambda_s + state.p) / (1.0 + state.chi) ** 2
     return ReplicaSolution(state=state, distortion=d,
                            eta=_active_fraction(params.penalty, state.thresholds,
                                                 state.lambda_rs),
@@ -223,6 +217,12 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
     state = make_state(params, chi, p)
     for it in range(max_iter):
         p_new, chi_new = fixed_point_update(params, state)
+        if not (math.isfinite(p_new) and math.isfinite(chi_new)):
+            # chi runs off to infinity when no fixed point exists (e.g. no
+            # penalty with more antennas than users)
+            raise NoConvergenceError(
+                f"fixed-point iterate is not finite after {it} iterations "
+                f"(p = {p_new:.3e}, chi = {chi_new:.3e})", state=state, residual=residual)
         residual = max(abs(p_new - p), abs(chi_new - chi))
         if residual <= tol:
             return state, residual, it
@@ -238,14 +238,7 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
         last_sign = sign
         p = (1.0 - theta) * p + theta * p_new
         chi = (1.0 - theta) * chi + theta * chi_new
-        try:
-            state = make_state(params, chi, p)
-        except OverflowError as exc:
-            # chi runs off to infinity when no fixed point exists (e.g. no
-            # penalty with more antennas than users)
-            raise NoConvergenceError(
-                f"fixed-point iterate overflowed at chi = {chi:.3e}",
-                state=state, residual=residual) from exc
+        state = make_state(params, chi, p)
     return None, residual, max_iter
 
 
@@ -258,7 +251,7 @@ def solve_fixed_point(params: SystemParams, damping: float = 0.5,
     starting points; all distinct fixed points found are reported (smallest
     distortion first, the rest attached as alternates) since the ansatz can
     admit several solutions. Raises NoConvergenceError when no start
-    converges, or when an iterate overflows (the OverflowError is its cause).
+    converges, or as soon as an iterate is not finite.
     """
     init = (1.0, params.lambda_s)
     state, residual, its = _iterate(params, init, damping, tol, max_iter)
@@ -267,10 +260,7 @@ def solve_fixed_point(params: SystemParams, damping: float = 0.5,
 
     found = []
     for start in _RETRY_INITS:
-        try:
-            st, res, it2 = _iterate(params, start, damping, tol, max_iter)
-        except InvalidStateError:
-            continue
+        st, res, it2 = _iterate(params, start, damping, tol, max_iter)
         if st is not None:
             if all(max(abs(st.chi - o[0].chi), abs(st.p - o[0].p)) > 1e-6
                    for o in found):
@@ -303,38 +293,17 @@ def _response(params: SystemParams, p: float, decoupled):
     where (m, extra) = decoupled(lambda_rs) and m = E Re{x* s}/lambda_rs of
     the decoupled symbol at unit prox weight.
 
-    lambda_rs depends only on p for Marchenko-Pastur, so one pass settles;
-    for generic ensembles it depends on chi as well, and the two are
-    iterated until lambda_rs settles. Returns (chi, lambda_rs, extra) of the
-    last pass. Raises NotAchievableError when no chi solves the equation
-    and NoConvergenceError when lambda_rs has not settled after 200 passes.
+    Under Marchenko-Pastur lambda_rs = (lambda_s + p)/alpha depends on p
+    only and chi R(-chi) = alpha chi/(1 + chi), so chi = m/(alpha - m).
+    Returns (chi, lambda_rs, extra). Raises NotAchievableError when
+    m >= alpha, the supremum of chi R(-chi).
     """
-    rt = params.rtransform
-    lrs = lambda_rs(rt, 1.0, p, params.lambda_s)
-    for _ in range(200):
-        m, extra = decoupled(lrs)
-
-        def h(x):
-            return x * rt.evaluate(x) - m
-
-        # bracket on log chi: chi R(-chi) rises in chi, and near its
-        # supremum the response runs to hundreds and beyond
-        try:
-            lo, hi = expand_bracket(lambda y: h(math.exp(y)), 0.0,
-                                    1.0 if h(1.0) < 0 else -1.0)
-        except NoSignChangeError:
-            raise NotAchievableError(
-                f"no response chi solves chi R(-chi) = {m:.6g} at power {p}")
-        chi = find_root_1d(h, math.exp(lo), math.exp(hi), tol=0.0,
-                           xtol=1e-15 * math.exp(hi))
-        lrs_new = lambda_rs(rt, chi, p, params.lambda_s)
-        step = abs(lrs_new - lrs)
-        if step <= 1e-13 * lrs:
-            return chi, lrs, extra
-        lrs = lrs_new
-    raise NoConvergenceError(
-        f"decoupled response did not settle (last lambda_rs step {step:.3e})",
-        residual=step)
+    lrs = (params.lambda_s + p) / params.alpha
+    m, extra = decoupled(lrs)
+    if m >= params.alpha:
+        raise NotAchievableError(
+            f"no response chi solves chi R(-chi) = {m:.6g} at power {p}")
+    return m / (params.alpha - m), lrs, extra
 
 
 def solve_constant_envelope(params: SystemParams, p_star: float,
@@ -355,9 +324,8 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
         tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
         return math.sqrt(peak) * _upper_moment1(tau_hat, lrs) / lrs, tau_hat
 
-    rt = params.rtransform
     chi, lrs, tau_hat = _response(params, p_star, rim)
-    kappa = 1.0 / rt.evaluate(chi)
+    kappa = 1.0 / _mp_r(params, chi)
     # back out a representable weight pair when the branch geometry allows it
     if tau_hat >= math.sqrt(peak):
         lam = 0.0
@@ -367,7 +335,7 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
         lam0 = math.nan
     t = ThresholdSet(tau=tau_hat, tau_tilde=tau_hat, tau_hat=tau_hat)
     state = ReplicaState(chi=chi, p=p_star, lambda_rs=lrs, kappa=kappa, thresholds=t)
-    d = asymptotic_distortion(rt, chi, p_star, params.lambda_s, params.alpha)
+    d = (params.lambda_s + p_star) / (1.0 + chi) ** 2
     sol = ReplicaSolution(state=state, distortion=d, eta=eta_star,
                           papr=peak / p_star, residual=0.0, iterations=0)
     return sol, lam, lam0
@@ -418,7 +386,7 @@ def _invert_targets(params: SystemParams, support: Support, p_star: float,
         return _closed_moments(*unit(b, l0), 1.0, lrs)[1], (b, l0)
 
     chi, _, (b, l0) = _response(params, p_star, decoupled)
-    r = params.rtransform.evaluate(chi)
+    r = _mp_r(params, chi)
     return (b - 1.0) * r, l0 * r
 
 

@@ -14,13 +14,11 @@ from lse_precoding.experiments import (calibrated_point,
                                        run)
 from lse_precoding.numerics import RandomStream, ks_distance
 from lse_precoding.penalty import PenaltySpec, Support, prox, prox_oracle
+from lse_precoding import replica, simulator
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
                                    solve_fixed_point)
-from lse_precoding import simulator
 from lse_precoding.simulator import generate_problem, monte_carlo
-from lse_precoding.spectral import (asymptotic_distortion, lambda_rs,
-                                    marcenko_pastur)
 
 IV_A = dict(alpha_inverse=2.0, lambda_s=1.0, p_target=0.5, eta_target=0.5)
 
@@ -65,16 +63,29 @@ def test_criterion_01_prox_global_optimality():
           f"in {elapsed:.1f}s")
 
 
+def product_rule(alpha, chi, p, lam_s):
+    """Oracle: the unitarily invariant forms of lambda_rs and D,
+        lambda_rs = R^-2 d/dchi[(lambda_s chi - p) R(-chi)]
+        D = lambda_s + alpha^-1 d/dchi[(p - lambda_s chi) chi R(-chi)],
+    expanded by the product rule and evaluated on the Marchenko-Pastur
+    R(w) = alpha/(1 - w)."""
+    r = alpha / (1.0 + chi)
+    dr = -alpha / (1.0 + chi) ** 2
+    lrs = (lam_s * r + (lam_s * chi - p) * dr) / (r * r)
+    d = lam_s + ((p - 2.0 * lam_s * chi) * r + (p - lam_s * chi) * chi * dr) / alpha
+    return lrs, d
+
+
 def test_criterion_02_analytic_reductions():
     worst_l, worst_d = 0.0, 0.0
     for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.4, 0.3), (0.8, 0.6, 1.7)):
-        rt = marcenko_pastur(alpha)
+        params = SystemParams(alpha=alpha, lambda_s=lam_s, penalty=PenaltySpec())
         for chi in np.linspace(0.0, 50.0, 501):
-            lr = lambda_rs(rt, float(chi), p, lam_s)
-            worst_l = max(worst_l, abs(lr - (lam_s + p) / alpha) / ((lam_s + p) / alpha))
-            d = asymptotic_distortion(rt, float(chi), p, lam_s, alpha)
-            ref = (lam_s + p) / (1.0 + chi) ** 2
-            worst_d = max(worst_d, abs(d - ref) / ref)
+            st = make_state(params, float(chi), p)
+            lr, ref_d = product_rule(alpha, float(chi), p, lam_s)
+            worst_l = max(worst_l, abs(st.lambda_rs - lr) / lr)
+            d = replica._finalize(params, st, 0.0, 0).distortion
+            worst_d = max(worst_d, abs(d - ref_d) / ref_d)
     assert worst_l <= 1e-12 and worst_d <= 1e-12
     print(f"PASS criterion 2: closed-form reductions, worst rel err "
           f"{max(worst_l, worst_d):.2e}")

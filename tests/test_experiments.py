@@ -108,8 +108,20 @@ def test_validate_single_point_modes():
     ("compare", "simulation.trials=1"),
     ("simulate", "simulation.n=1"),  # k = round(1 / 2) = 0 users
     ("simulate", "simulation.init=bogus"),
+    ("replica", "solver.damping=-0.5"),
+    ("replica", "solver.damping=0"),
+    ("replica", "solver.damping=1.5"),
+    ("replica", "solver.tol=-1e-12"),
+    ("calibrate", "solver.max_iter=0"),
+    ("compare", "simulation.tol=-1e-10"),
+    ("compare", "simulation.max_sweeps=0"),
+    ("simulate", "simulation.restarts=0"),
+    ("simulate", "simulation.zero_eps=-1"),
 ], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
-        "one_trial", "no_users", "unknown_init"])
+        "one_trial", "no_users", "unknown_init", "negative_damping",
+        "zero_damping", "damping_above_one", "negative_solver_tol",
+        "zero_max_iter", "negative_sim_tol", "zero_max_sweeps",
+        "zero_restarts", "negative_zero_eps"])
 def test_validate_rejects_out_of_range(mode, override):
     cfg = apply_overrides(parse_config(BASE), [override])
     cfg.mode = mode
@@ -298,7 +310,7 @@ def _tiny_csv(tmp_path, name="c.csv", rows=((1.0, -10.0), (2.0, -12.0))):
 def test_emit_plot_single_polyline(tmp_path):
     path = _tiny_csv(tmp_path)
     svg = emit_plot([path], str(tmp_path / "p.svg"))
-    text = open(svg).read()
+    text = Path(svg).read_text()
     assert text.count("<polyline") == 1
     pts = text.split('points="')[1].split('"')[0].split()
     assert len(pts) == 2
@@ -321,7 +333,7 @@ def test_emit_plot_byte_identical(tmp_path):
     path = _tiny_csv(tmp_path)
     a = emit_plot([path], str(tmp_path / "a.svg"))
     b = emit_plot([path], str(tmp_path / "b.svg"))
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +356,7 @@ def test_compare_mode_small_run(tmp_path):
     empirical_d = float(rows["distortion"][2])
     assert replica_d == pytest.approx(0.5, abs=1e-10)
     assert empirical_d == pytest.approx(0.5, abs=0.1)
-    summary = open(files["summary"]).read()
+    summary = Path(files["summary"]).read_text()
     assert "ks_decoupled" in summary and "ks_index_halves" in summary
 
 

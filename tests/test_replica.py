@@ -11,7 +11,6 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    fixed_point_update, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
-from lse_precoding.spectral import RTransform, lambda_rs, marcenko_pastur
 
 FULL = Support.full_plane()
 
@@ -33,15 +32,49 @@ def test_state_derived_quantities():
     assert st.kappa == pytest.approx((1.0 + 1.4) / 0.5, rel=1e-14)
     assert st.thresholds.tau == pytest.approx(
         math.sqrt(st.kappa * 0.1 * (1.0 + st.kappa * 0.2)), rel=1e-14)
+    # kappa = 1/R(-chi) with R(w) = alpha/(1 - w); R(0) = alpha is the mean
+    # eigenvalue, and lambda_rs = (lambda_s + p)/alpha at any chi
+    for alpha, lam_s, chi, p, lrs, kappa in ((0.5, 1.0, 0.0, 0.5, 3.0, 2.0),
+                                             (1.0, 1.0, 2.3, 0.0, 1.0, 3.3),
+                                             (2.0, 2.0, 3.0, 1.0, 1.5, 2.0)):
+        st = make_state(mp_params(alpha, lam_s=lam_s), chi, p)
+        assert st.lambda_rs == pytest.approx(lrs, rel=1e-14)
+        assert st.kappa == pytest.approx(kappa, rel=1e-14)
+
+
+def central_diff(f, x, h=1e-5):
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def test_closed_forms_match_their_definitions():
+    # lambda_rs = R(-chi)^-2 d/dchi[(lambda_s chi - p) R(-chi)] and
+    # D = lambda_s + alpha^-1 d/dchi[(p - lambda_s chi) chi R(-chi)],
+    # differentiated numerically
+    for alpha, lam_s, p, chi in ((0.8, 1.2, 0.4, 0.9), (1.4, 0.9, 1.1, 0.6)):
+        params = mp_params(alpha, lam_s=lam_s)
+
+        def r(x):
+            return alpha / (1.0 + x)
+
+        st = make_state(params, chi, p)
+        lrs = central_diff(lambda x: (lam_s * x - p) * r(x), chi) / r(chi) ** 2
+        d = lam_s + central_diff(lambda x: (p - lam_s * x) * x * r(x), chi) / alpha
+        assert st.lambda_rs == pytest.approx(lrs, rel=1e-9)
+        assert replica._finalize(params, st, 0.0, 0).distortion == \
+            pytest.approx(d, rel=1e-9)
+    # examples; at chi = 0 the distortion is lambda_s + p
+    for alpha, lam_s, chi, p, d in ((0.5, 1.0, 1.0, 0.5, 0.375),
+                                    (0.5, 1.0, 0.0, 0.7, 1.7),
+                                    (2.0, 1.0, 1.0, 1.0, 0.5)):
+        params = mp_params(alpha, lam_s=lam_s)
+        sol = replica._finalize(params, make_state(params, chi, p), 0.0, 0)
+        assert sol.distortion == pytest.approx(d, rel=1e-14)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SystemParams(alpha=0.0, lambda_s=1.0, penalty=PenaltySpec())
-    from lse_precoding.spectral import marcenko_pastur
-    with pytest.raises(ValueError):
-        SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(),
-                     rtransform=marcenko_pastur(0.7))
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            SystemParams(alpha=alpha, lambda_s=1.0, penalty=PenaltySpec())
 
 
 # ---------------------------------------------------------------------------
@@ -232,39 +265,6 @@ def test_calibrate_one_solve_meets_targets(monkeypatch, alpha_inverse, eta,
     assert abs(sol.eta - eta) <= 1e-10
 
 
-def bernoulli_rtransform(alpha):
-    """R-transform of Bernoulli(alpha) eigenvalues (rows of a Haar unitary),
-    R(w) = (w - 1 + sqrt((w - 1)^2 + 4 alpha w)) / (2 w), at w = -chi in
-    the cancellation-free form 2 alpha / (chi + 1 + sqrt(D))."""
-    def evaluate(chi):
-        return 2.0 * alpha / (chi + 1.0 + math.sqrt((chi + 1.0) ** 2 - 4.0 * alpha * chi))
-
-    def derivative(chi):
-        root = math.sqrt((chi + 1.0) ** 2 - 4.0 * alpha * chi)
-        return (-2.0 * alpha * (1.0 + (chi + 1.0 - 2.0 * alpha) / root)
-                / (chi + 1.0 + root) ** 2)
-
-    return RTransform(evaluate=evaluate, derivative=derivative, load=alpha,
-                      label=f"bernoulli(alpha={alpha:g})")
-
-
-@pytest.mark.parametrize("eta", [1.0, 0.5])
-def test_calibrate_chi_dependent_rtransform(monkeypatch, eta):
-    # lambda_rs depends on chi off Marchenko-Pastur, so the inversion
-    # iterates it together with the response
-    rt = bernoulli_rtransform(0.8)
-    fd = (rt.evaluate(1.0 + 1e-6) - rt.evaluate(1.0 - 1e-6)) / 2e-6
-    assert rt.derivative(1.0) == pytest.approx(fd, rel=1e-7)
-    assert abs(lambda_rs(rt, 0.5, 0.5, 1.0) - lambda_rs(rt, 2.0, 0.5, 1.0)) > 0.1
-    params = SystemParams(alpha=0.8, lambda_s=1.0, penalty=PenaltySpec(),
-                          rtransform=rt)
-    calls = counting_solves(monkeypatch)
-    _, _, sol = calibrate(params, p_star=0.5, eta_star=eta)
-    assert len(calls) == 1
-    assert abs(sol.state.p - 0.5) <= 1e-10
-    assert abs(sol.eta - eta) <= 1e-10
-
-
 @pytest.mark.parametrize("alpha, p_star, reason", [
     # the power target needs b = 1 + kappa lam below 1/alpha, where no
     # response chi is self-consistent
@@ -344,32 +344,13 @@ def test_constant_envelope_consistency_with_update():
     assert chi_new == pytest.approx(sol.state.chi, abs=1e-10)
 
 
-def test_constant_envelope_raises_when_response_cycles():
-    # stub ensemble whose decoupled variance jumps across chi = 2: the
-    # Marchenko-Pastur value 3 below, 8 above (lambda_s = 1, p = 0.5), so
-    # the response alternates between about 2.64 and 0.80 and never settles
-    mp = marcenko_pastur(0.5)
-
-    def derivative(chi):
-        if chi < 2.0:
-            return mp.derivative(chi)
-        r = mp.evaluate(chi)
-        return (8.0 * r * r - r) / (chi - 0.5)
-
-    rt = RTransform(evaluate=mp.evaluate, derivative=derivative, load=0.5)
-    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(),
-                          rtransform=rt)
-    with pytest.raises(NoConvergenceError):
-        solve_constant_envelope(params, 0.5, 0.5)
-
-
 def test_fixed_point_overflow_is_named():
     # no penalty and more antennas than users: no fixed point exists and chi
-    # runs off until the Marchenko-Pastur derivative overflows
-    with pytest.raises(NoConvergenceError) as info:
+    # runs off until an iterate is no longer finite
+    with pytest.raises(NoConvergenceError, match="iterate is not finite") as info:
         solve_fixed_point(mp_params(0.5))
-    assert isinstance(info.value.__cause__, OverflowError)
     assert info.value.state is not None
+    assert info.value.state.chi > 1e300
 
 
 def test_calibrate_monotone_distortion_in_eta():
