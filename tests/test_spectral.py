@@ -1,36 +1,52 @@
+"""Marchenko-Pastur closed forms of the replica state: R(w) = alpha/(1 - w),
+the decoupled input variance lambda_rs and the asymptotic distortion."""
 import numpy as np
 import pytest
 
-from lse_precoding.spectral import (InvalidStateError, NonPositiveAlphaError,
-                                    RTransform, asymptotic_distortion,
-                                    lambda_rs, marcenko_pastur)
+from lse_precoding import replica
+from lse_precoding.penalty import PenaltySpec
+from lse_precoding.replica import SystemParams, make_state
 
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2 * h)
 
 
+def mp_params(alpha, lam_s=1.0):
+    return SystemParams(alpha=alpha, lambda_s=lam_s, penalty=PenaltySpec())
+
+
+def mp_r(alpha, chi):
+    """R(-chi) as the package evaluates it."""
+    return replica._mp_r(mp_params(alpha), chi)
+
+
+def lambda_rs(alpha, chi, p, lam_s):
+    return make_state(mp_params(alpha, lam_s), chi, p).lambda_rs
+
+
+def distortion(alpha, chi, p, lam_s):
+    params = mp_params(alpha, lam_s)
+    return replica._finalize(params, make_state(params, chi, p), 0.0, 0).distortion
+
+
 def test_mp_at_zero_equals_mean_eigenvalue():
-    assert marcenko_pastur(0.5).evaluate(0.0) == pytest.approx(0.5, rel=1e-15)
+    assert mp_r(0.5, 0.0) == pytest.approx(0.5, rel=1e-15)
+    # kappa = 1/R(-chi) is the inverse mean eigenvalue at chi = 0
+    assert make_state(mp_params(0.5), 0.0, 0.5).kappa == pytest.approx(2.0, rel=1e-15)
 
 
 def test_mp_direct_substitution():
-    assert marcenko_pastur(1.0).evaluate(1.0) == pytest.approx(0.5, rel=1e-15)
-    assert marcenko_pastur(2.0).evaluate(3.0) == pytest.approx(0.5, rel=1e-15)
+    assert mp_r(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert mp_r(2.0, 3.0) == pytest.approx(0.5, rel=1e-15)
+    assert make_state(mp_params(2.0), 3.0, 0.5).kappa == pytest.approx(2.0, rel=1e-15)
 
 
 def test_mp_rejects_nonpositive_load():
-    with pytest.raises(NonPositiveAlphaError):
-        marcenko_pastur(0.0)
-    with pytest.raises(NonPositiveAlphaError):
-        marcenko_pastur(-1.0)
-
-
-def test_mp_derivative_matches_finite_difference():
-    rt = marcenko_pastur(0.7)
-    for chi in np.logspace(-3, 1, 25):
-        fd = central_diff(rt.evaluate, float(chi))
-        assert rt.derivative(float(chi)) == pytest.approx(fd, rel=1e-6)
+    with pytest.raises(ValueError):
+        mp_params(0.0)
+    with pytest.raises(ValueError):
+        mp_params(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -38,47 +54,30 @@ def test_mp_derivative_matches_finite_difference():
 # ---------------------------------------------------------------------------
 
 def test_lambda_rs_examples():
-    assert lambda_rs(marcenko_pastur(0.5), 0.7, 0.5, 1.0) == pytest.approx(3.0, rel=1e-14)
-    assert lambda_rs(marcenko_pastur(1.0), 2.3, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert lambda_rs(marcenko_pastur(2.0), 5.0, 1.0, 2.0) == pytest.approx(1.5, rel=1e-14)
+    assert lambda_rs(0.5, 0.7, 0.5, 1.0) == pytest.approx(3.0, rel=1e-14)
+    assert lambda_rs(1.0, 2.3, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert lambda_rs(2.0, 5.0, 1.0, 2.0) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_lambda_rs_mp_collapse():
-    # the general derivative expression must reduce to (lambda_s + p)/alpha
-    # for every chi, to machine precision
+    # (lambda_s + p)/alpha for every chi, to machine precision
     for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.3, 0.2), (1.0, 0.7, 2.0)):
-        rt = marcenko_pastur(alpha)
         expected = (lam_s + p) / alpha
         for chi in np.linspace(0.0, 50.0, 201):
-            got = lambda_rs(rt, float(chi), p, lam_s)
+            got = lambda_rs(alpha, float(chi), p, lam_s)
             assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_lambda_rs_matches_product_rule_oracle():
     # finite difference of chi -> (lambda_s chi - p) R(-chi), independent of
-    # the analytic expansion
-    rt = marcenko_pastur(0.8)
-    lam_s, p, chi = 1.2, 0.4, 0.9
+    # the closed form
+    alpha, lam_s, p, chi = 0.8, 1.2, 0.4, 0.9
 
     def product(x):
-        return (lam_s * x - p) * rt.evaluate(x)
+        return (lam_s * x - p) * mp_r(alpha, x)
 
-    expected = central_diff(product, chi) / rt.evaluate(chi) ** 2
-    assert lambda_rs(rt, chi, p, lam_s) == pytest.approx(expected, rel=1e-9)
-
-
-def test_lambda_rs_invalid_state():
-    bad = RTransform(evaluate=lambda chi: 1.0, derivative=lambda chi: -10.0,
-                     load=1.0, label="bad")
-    with pytest.raises(InvalidStateError):
-        lambda_rs(bad, 10.0, 0.0, 0.1)  # derivative term dominates, negative
-
-
-def test_lambda_rs_nonpositive_r():
-    bad = RTransform(evaluate=lambda chi: -1.0, derivative=lambda chi: 0.0,
-                     load=1.0, label="bad")
-    with pytest.raises(InvalidStateError):
-        lambda_rs(bad, 1.0, 0.5, 1.0)
+    expected = central_diff(product, chi) / mp_r(alpha, chi) ** 2
+    assert lambda_rs(alpha, chi, p, lam_s) == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -86,47 +85,24 @@ def test_lambda_rs_nonpositive_r():
 # ---------------------------------------------------------------------------
 
 def test_distortion_examples():
-    assert asymptotic_distortion(marcenko_pastur(0.5), 1.0, 0.5, 1.0, 0.5) == \
-        pytest.approx(0.375, rel=1e-14)
+    assert distortion(0.5, 1.0, 0.5, 1.0) == pytest.approx(0.375, rel=1e-14)
     # chi = 0 plug-in gives lambda_s + p
-    assert asymptotic_distortion(marcenko_pastur(0.5), 0.0, 0.7, 1.0, 0.5) == \
-        pytest.approx(1.7, rel=1e-14)
-    assert asymptotic_distortion(marcenko_pastur(2.0), 1.0, 1.0, 1.0, 2.0) == \
-        pytest.approx(0.5, rel=1e-14)
+    assert distortion(0.5, 0.0, 0.7, 1.0) == pytest.approx(1.7, rel=1e-14)
+    assert distortion(2.0, 1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_distortion_mp_collapse():
     for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.3, 0.2), (1.0, 0.7, 2.0)):
-        rt = marcenko_pastur(alpha)
         for chi in np.linspace(0.0, 50.0, 201):
-            got = asymptotic_distortion(rt, float(chi), p, lam_s, alpha)
+            got = distortion(alpha, float(chi), p, lam_s)
             assert got == pytest.approx((lam_s + p) / (1.0 + chi) ** 2, rel=1e-12)
 
 
 def test_distortion_matches_product_rule_oracle():
-    rt = marcenko_pastur(1.4)
-    lam_s, p, chi, alpha = 0.9, 1.1, 0.6, 1.4
+    alpha, lam_s, p, chi = 1.4, 0.9, 1.1, 0.6
 
     def product(x):
-        return (p - lam_s * x) * x * rt.evaluate(x)
+        return (p - lam_s * x) * x * mp_r(alpha, x)
 
     expected = lam_s + central_diff(product, chi) / alpha
-    assert asymptotic_distortion(rt, chi, p, lam_s, alpha) == \
-        pytest.approx(expected, rel=1e-9)
-
-
-def test_distortion_clamps_tiny_negative():
-    # an ensemble engineered to land at -5e-10, inside the round-off clamp:
-    # value = 1 + (0 - 2)*1 + (0 - 1)*1*derivative = -1 - derivative
-    rt = RTransform(evaluate=lambda chi: 1.0,
-                    derivative=lambda chi: (-1.0 + 5e-10), load=1.0, label="t")
-    val = asymptotic_distortion(rt, 1.0, 0.0, 1.0, 1.0)
-    assert val == 0.0
-
-
-def test_distortion_invalid_when_clearly_negative():
-    # same construction at derivative 0 gives value -1
-    rt = RTransform(evaluate=lambda chi: 1.0, derivative=lambda chi: 0.0,
-                    load=1.0, label="t")
-    with pytest.raises(InvalidStateError):
-        asymptotic_distortion(rt, 1.0, 0.0, 1.0, 1.0)
+    assert distortion(alpha, chi, p, lam_s) == pytest.approx(expected, rel=1e-9)
