@@ -125,16 +125,22 @@ def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
 
 
 def prox_array(spec: PenaltySpec, z: np.ndarray, c: float) -> np.ndarray:
-    """Vectorized prox over an array of complex inputs."""
+    """Vectorized prox over an array of complex inputs.
+
+    Each branch is one masked ufunc pass over the whole array (no gather
+    or scatter); the rim pass runs last, so at a = tau_tilde = tau_hat the
+    rim wins as in the scalar rule."""
     t = thresholds(spec, c)
     z = np.asarray(z, dtype=complex)
     a = np.abs(z)
     out = np.zeros_like(z)
-    shrink = (a >= t.tau) & (a <= t.tau_tilde)
-    out[shrink] = z[shrink] * (1.0 / (1.0 + c * spec.lam))
+    np.multiply(z, 1.0 / (1.0 + c * spec.lam), out=out,
+                where=(a >= t.tau) & (a <= t.tau_tilde))
     if spec.is_disk:
         rim = a >= t.tau_hat  # tau_hat > 0, so no division by zero
-        out[rim] = z[rim] * (spec.support.radius / a[rim])
+        # a is not read again: it takes radius / a where the rim holds
+        np.divide(spec.support.radius, a, out=a, where=rim)
+        np.multiply(z, a, out=out, where=rim)
     return out
 
 

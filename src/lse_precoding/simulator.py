@@ -16,6 +16,13 @@ a base matrix plus the stored rank-one terms, and the removal scores
 stored terms are folded into the base with one matrix product; nothing is
 recomputed from scratch, so a trial inverts one matrix, at the start.
 
+The descent sweeps the columns in blocks of 16 in the covariance-update
+form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
+33(1), 2010): one product gives h_j^H r for a whole block, each change of
+a coordinate corrects the block's later inner products through the
+block's Gram matrix, and the residual moves once per block. The cyclic
+order and the prox steps are those of the column-by-column loop.
+
 A Monte Carlo run spreads its trials over forked worker processes when the
 cores outnumber the BLAS threads of one process (for instance under
 OPENBLAS_NUM_THREADS=1); trial t draws from its own substream (seed, t), so
@@ -35,6 +42,7 @@ from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 INIT_KINDS = ("auto", "greedy", "rzf", "zero", "random")  # precode_ccd inits
 _RESTART_STREAM_OFFSET = 1 << 48
 _GREEDY_FOLD = 64  # rank-one terms stored before greedy selection folds them
+_CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
 _HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
 
@@ -264,25 +272,51 @@ def _init_vector(problem: PrecodeProblem, kind: str,
 def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
               tol: float) -> PrecodeResult:
     """Exact-prox cyclic descent from x0, tracking the objective
-    incrementally with a from-scratch refresh every 50 sweeps."""
+    incrementally with a from-scratch refresh every 50 sweeps.
+
+    The usable columns (g_j > 0, in index order) are swept in blocks of
+    _CCD_BLOCK. A block starts from q = (h_j^H r) of all its columns, one
+    product; a change delta of x_j adds G[p][i] delta = h_i^H h_p delta to
+    q of the block's later columns, and the block moves r once at its end.
+    In exact arithmetic these are the iterates of the column-by-column
+    loop; only the rounding of h_j^H r differs. A block trades the three
+    numpy calls per coordinate of that loop (h_j^H r and the residual
+    update) for at most 15 scalar products on a change; larger blocks make
+    those products the cost. At n = 400, k = 200 blocks of 8 and 16 ran
+    alike, and 32 and 64 ran 1.2 and 1.7 times as long (one OpenBLAS
+    thread, 2-vCPU Xeon VM).
+    """
     H, s, spec = problem.H, problem.s, problem.penalty
-    rows = np.ascontiguousarray(H.T)  # rows[j] is column j of H
     g = np.einsum("ij,ij->j", H.conj(), H).real
-    degenerate = tuple(int(j) for j in np.where(g <= 0.0)[0])
-    # per usable column j: h_j, g_j = ||h_j||^2, the coordinate weight
-    # c_j = 1/g_j, and the prox thresholds and shrink factor at c_j
+    usable = np.flatnonzero(g > 0.0)
+    degenerate = tuple(int(j) for j in np.flatnonzero(g <= 0.0))
+    # per usable column j: g_j = ||h_j||^2, the coordinate weight c_j = 1/g_j,
+    # and the prox thresholds and shrink factor at c_j
     columns = []
-    for j, gj in enumerate(g.tolist()):
-        if gj > 0.0:
-            cj = 1.0 / gj
-            columns.append((j, rows[j], gj, cj, thresholds(spec, cj),
-                            1.0 / (1.0 + cj * spec.lam)))
+    for j, gj in zip(usable.tolist(), g[usable].tolist()):
+        cj = 1.0 / gj
+        columns.append((j, gj, cj, thresholds(spec, cj),
+                        1.0 / (1.0 + cj * spec.lam)))
+    # R[p] is usable column p of H; the whole blocks' Gram matrices come
+    # from one batched product, a last short block's from its own
+    m = usable.size
+    R = H.T[usable]
+    Rc = R.conj()
+    full = m - m % _CCD_BLOCK
+    R3 = R[:full].reshape(-1, _CCD_BLOCK, problem.k)
+    gram = np.matmul(R3, Rc[:full].reshape(R3.shape).transpose(0, 2, 1)).tolist()
+    if full < m:
+        gram.append((R[full:] @ Rc[full:].T).tolist())
+    # per block: its columns, R_b, conj(R_b) and the Gram rows
+    # G[p][i] = h_i^H h_p
+    blocks = [(columns[lo:lo + _CCD_BLOCK], R[lo:lo + _CCD_BLOCK],
+               Rc[lo:lo + _CCD_BLOCK], Gb)
+              for lo, Gb in zip(range(0, m, _CCD_BLOCK), gram)]
     radius = spec.support.radius
     lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
     r = s - H @ x
-    dr = np.empty_like(r)
     obj = _objective(problem, x)
     max_inc = 0.0
     max_drift = 0.0
@@ -294,21 +328,31 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     xs = x.tolist()
     for sweep in range(max_sweeps):
         prev = obj
-        for j, hj, gj, cj, t, shrink in columns:
-            xj = xs[j]
-            zj = xj + complex(np.vdot(hj, r)) * cj
-            xn = _prox_scalar(zj, abs(zj), t, radius, shrink)
-            if xn != xj:
-                d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
-                         + lam0 * (float(xn != 0.0) - float(xj != 0.0)))
-                d_ls = gj * (abs(xn - zj) ** 2 - abs(xj - zj) ** 2)
-                step = d_ls + d_pen
-                obj += step
-                if step > max_inc:
-                    max_inc = step
-                np.multiply(hj, xj - xn, out=dr)
-                r += dr
-                xs[j] = xn
+        for columns, Rb, Rcb, Gb in blocks:
+            q = (Rcb @ r).tolist()
+            deltas = None
+            for p, (j, gj, cj, t, shrink) in enumerate(columns):
+                xj = xs[j]
+                zj = xj + q[p] * cj
+                xn = _prox_scalar(zj, abs(zj), t, radius, shrink)
+                if xn != xj:
+                    d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
+                             + lam0 * (float(xn != 0.0) - float(xj != 0.0)))
+                    d_ls = gj * (abs(xn - zj) ** 2 - abs(xj - zj) ** 2)
+                    step = d_ls + d_pen
+                    obj += step
+                    if step > max_inc:
+                        max_inc = step
+                    delta = xj - xn
+                    Gp = Gb[p]
+                    for i in range(p + 1, len(columns)):
+                        q[i] += Gp[i] * delta
+                    if deltas is None:
+                        deltas = [0j] * len(columns)
+                    deltas[p] = delta
+                    xs[j] = xn
+            if deltas is not None:
+                r += np.array(deltas) @ Rb
         x = np.array(xs, dtype=complex)
         sweeps = sweep + 1
         r_true = s - H @ x

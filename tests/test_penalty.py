@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -173,6 +174,50 @@ def test_prox_array_matches_scalar():
         s = prox(spec, complex(z[i]), 0.7)
         assert (vec[i] == 0) == (s == 0)
         assert abs(vec[i] - s) <= 1e-13 * max(1.0, abs(z[i]))
+
+
+# Reference: prox_array as it was before its branches became masked ufunc
+# passes; it gathers each branch's inputs and scatters the results. The
+# package must write exactly the same bytes.
+def _masked_index_prox_array(spec, z, c):
+    t = thresholds(spec, c)
+    z = np.asarray(z, dtype=complex)
+    a = np.abs(z)
+    out = np.zeros_like(z)
+    shrink = (a >= t.tau) & (a <= t.tau_tilde)
+    out[shrink] = z[shrink] * (1.0 / (1.0 + c * spec.lam))
+    if spec.is_disk:
+        rim = a >= t.tau_hat
+        out[rim] = z[rim] * (spec.support.radius / a[rim])
+    return out
+
+
+def _weight():
+    return st.just(0.0) | st.floats(0.0, 3.0)
+
+
+@given(_weight(), _weight(), st.none() | st.floats(0.2, 4.0),
+       st.floats(0.05, 5.0),
+       st.lists(st.complex_numbers(max_magnitude=8.0, allow_nan=False,
+                                   allow_infinity=False), max_size=40))
+@example(lam=0.0, lam0=1.0, peak=1.0, c=1.0, extra=[])  # tau = tau_tilde = tau_hat
+@example(lam=0.5, lam0=0.0, peak=2.0, c=0.7, extra=[])  # tau_tilde = tau_hat
+@settings(max_examples=150, deadline=None)
+def test_prox_array_bytes_match_masked_index_version(lam, lam0, peak, c, extra):
+    support = FULL if peak is None else Support.disk(peak)
+    spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
+    t = thresholds(spec, c)
+    # magnitudes exactly at 0 and at each finite threshold, and an ulp
+    # either side of each, on both axes and in both directions
+    edges = [0.0]
+    for m in (t.tau, t.tau_tilde, t.tau_hat):
+        if math.isfinite(m):
+            edges += [math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)]
+    z = np.array([m * u for m in edges for u in (1, -1, 1j, -1j)] + extra,
+                 dtype=complex)
+    assert np.array_equal(np.abs(z[:4 * len(edges)]), np.repeat(edges, 4))
+    assert prox_array(spec, z, c).tobytes() == \
+        _masked_index_prox_array(spec, z, c).tobytes()
 
 
 # ---------------------------------------------------------------------------
