@@ -147,7 +147,9 @@ def _parse_grid(text: str) -> tuple:
         if step <= 0:
             raise ConfigError("grid step must be positive")
         count = int(round((stop - start) / step)) + 1
-        values = tuple(start + i * step for i in range(count))
+        # each point is the decimal it prints as (1.7, not 1.7000000000000002),
+        # so the manifest's grid parses back to the same floats
+        values = tuple(float(_fmt(start + i * step)) for i in range(count))
     elif "," in text:
         values = tuple(float(tok) for tok in text.split(","))
     else:
@@ -269,10 +271,19 @@ def _user_count(cfg: ExperimentConfig) -> int:
 # manifest
 # ---------------------------------------------------------------------------
 
+def _manifest_value(value) -> str:
+    """`_fmt`, or repr where 12 digits do not give the float back."""
+    text = _fmt(value)
+    if isinstance(value, float) and float(text) != value:
+        return repr(value)
+    return text
+
+
 def manifest_text(cfg: ExperimentConfig) -> str:
-    """Fully resolved config as INI text. The output path is an execution
-    knob, not part of the experiment, and is left out so a rerun from the
-    manifest is byte-identical wherever it lands. [versions] names the
+    """Fully resolved config as INI text. Every float is written so that it
+    parses back to itself. The output path is an execution knob, not part
+    of the experiment, and is left out so a rerun from the manifest is
+    byte-identical wherever it lands. [versions] names the
     package, numpy and the BLAS numpy was built against, which is all the
     code the outputs depend on; it holds no thread count, since the outputs
     do not depend on it."""
@@ -285,9 +296,9 @@ def manifest_text(cfg: ExperimentConfig) -> str:
         if value is None or value == () or value == "":
             continue
         if isinstance(value, tuple):
-            text = ",".join(_fmt(v) for v in value)
+            text = ",".join(_manifest_value(v) for v in value)
         else:
-            text = _fmt(value)
+            text = _manifest_value(value)
         sections.setdefault(sec, []).append(f"{key} = {text}")
     for sec in ("run", "system", "penalty", "simulation", "solver", "plot"):
         if sec in sections:

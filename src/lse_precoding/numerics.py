@@ -1,10 +1,9 @@
-"""Shared numerical primitives: special functions, panel quadrature, root
-finding, deterministic random streams and distribution-distance statistics.
+"""Shared numerical primitives: the Gaussian tail function, root finding,
+deterministic random streams and distribution-distance statistics.
 
 Everything here is a pure function of its arguments; repeated calls agree
 bit for bit. Only numpy and the standard library are used: Q comes from
-`math.erfc` and the panel rule from `numpy.polynomial.legendre.leggauss`,
-imported on first use so that importing the package does not load it.
+`math.erfc`.
 """
 from __future__ import annotations
 
@@ -25,10 +24,6 @@ class NonFiniteError(ArithmeticError):
 
 class EmptySampleError(ValueError):
     """A statistic was requested on an empty sample."""
-
-
-class ShapeMismatchError(ValueError):
-    """A function evaluated on an array did not return one value per node."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,67 +204,3 @@ def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     below = np.searchsorted(b, a, side="left") / m - np.searchsorted(a, a, side="left") / n
     return float(max(above.max(), below.max()))
 
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def _gaussian_tail_moments(b: float, variance: float) -> tuple[float, float, float]:
-    """(E0, E1, E2) = int_b^inf r^m (2r/v) exp(-r^2/v) dr for m = 0, 1, 2."""
-    e = math.exp(-b * b / variance)
-    e0 = e
-    e1 = b * e + math.sqrt(math.pi * variance) * q_function(b * math.sqrt(2.0 / variance))
-    e2 = (variance + b * b) * e
-    return e0, e1, e2
-
-
-# panel quadrature: integration range in units of sqrt(variance) and
-# Gauss-Legendre nodes per panel
-_R_MAX_FACTOR = 10.0
-_NODES_PER_PANEL = 64
-
-
-def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
-                       tail: tuple[float, float, float] | None = None) -> float:
-    """E[g(|s|)] for s complex Gaussian, zero mean, total variance `variance`,
-    i.e. int_0^inf g(r) (2r/variance) exp(-r^2/variance) dr.
-
-    g is called on arrays of nodes and must return one value per node
-    (ShapeMismatchError otherwise). The integral uses composite
-    Gauss-Legendre panels whose edges are aligned with the supplied
-    breakpoints (prox thresholds have jump discontinuities there) up to
-    r_max = 10 sqrt(variance), then adds the tail analytically: `tail` =
-    (c0, c1, c2) states that g(r) = c0 + c1 r + c2 r^2 beyond r_max and
-    beyond every breakpoint (the tail integral starts at whichever is
-    larger, so breakpoints past r_max stay exact). With tail=None the tail,
-    of Gaussian weight exp(-100), is dropped.
-    """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    sigma = math.sqrt(variance)
-    r_max = _R_MAX_FACTOR * sigma
-    edges = sorted({0.0, r_max} | {float(b) for b in breakpoints if 0.0 < float(b) < r_max})
-    total = 0.0
-    from numpy.polynomial.legendre import leggauss
-    x_ref, w_ref = leggauss(_NODES_PER_PANEL)
-    for a, b in zip(edges[:-1], edges[1:]):
-        # split long panels so Gauss-Legendre stays at spectral accuracy
-        n_sub = max(1, int(math.ceil((b - a) / (2.5 * sigma))))
-        sub = np.linspace(a, b, n_sub + 1)
-        for lo, hi in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            r = mid + half * x_ref
-            vals = np.asarray(g(r), dtype=float)
-            if vals.shape != r.shape:
-                raise ShapeMismatchError(
-                    f"g returned shape {vals.shape} for nodes of shape {r.shape}")
-            if not np.all(np.isfinite(vals)):
-                raise NonFiniteError("g returned a non-finite value at a quadrature node")
-            w = half * w_ref * (2.0 * r / variance) * np.exp(-r * r / variance)
-            total += float(np.dot(w, vals))
-    if tail is not None:
-        c0, c1, c2 = tail
-        tail_start = max([r_max] + [float(b) for b in breakpoints])
-        e0, e1, e2 = _gaussian_tail_moments(tail_start, variance)
-        total += c0 * e0 + c1 * e1 + c2 * e2
-    return total

@@ -3,8 +3,9 @@ proximal maps.
 
 The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over either the
 whole complex plane or a disk of radius sqrt(P). The prox of this family
-has a closed four-branch form (shrink, drop, or clip to the rim); the
-brute-force polar-grid oracle below certifies global optimality in tests.
+has a closed four-branch form (shrink, drop, or clip to the rim), applied
+one input at a time (`prox`) or to a whole array (`prox_array`); the test
+suite certifies its global optimality against a brute-force grid search.
 """
 from __future__ import annotations
 
@@ -152,32 +153,3 @@ def penalty_value(spec: PenaltySpec, v: complex) -> float:
         raise OutOfSupportError(f"|v| = {a} exceeds the disk radius")
     return spec.lam * a * a + (spec.lam0 if v != 0 else 0.0)
 
-
-def prox_oracle(spec: PenaltySpec, z: complex, c: float, grid_n: int = 201) -> complex:
-    """Brute-force minimizer of |v - z|^2 + c u(v) over a polar grid of the
-    support plus the exact candidate points {0, z/(1+c lam), rim point}.
-
-    Test oracle only; grid_n >= 101.
-    """
-    if grid_n < 101:
-        raise ValueError("grid_n must be at least 101")
-    t = thresholds(spec, c)
-    span = max((x for x in (t.tau, t.tau_tilde, t.tau_hat) if math.isfinite(x)),
-               default=0.0)
-    r_hi = max(abs(z), spec.support.radius if spec.is_disk else 0.0) + 3.0 * span + 1.0
-    if spec.is_disk:
-        r_hi = min(r_hi, spec.support.radius)
-    radii = np.linspace(0.0, r_hi, grid_n)
-    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False))
-    grid = np.outer(radii, phases).ravel()
-
-    candidates = [0.0 + 0.0j, z / (1.0 + c * spec.lam)]
-    if spec.is_disk and z != 0:
-        candidates.append(z / abs(z) * spec.support.radius)
-    candidates = [v for v in candidates
-                  if not spec.is_disk or abs(v) <= spec.support.radius + 1e-15]
-    pts = np.concatenate([grid, np.array(candidates)])
-
-    cost = np.abs(pts - z) ** 2 + c * (spec.lam * np.abs(pts) ** 2
-                                       + spec.lam0 * (pts != 0))
-    return complex(pts[int(np.argmin(cost))])

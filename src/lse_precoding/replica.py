@@ -8,10 +8,9 @@ decoupled input variance lambda_rs = (lambda_s + p)/alpha, the prox weight
 kappa = 1/R(-chi), the thresholds of the scalar prox, and the observables
 (distortion (lambda_s + p)/(1 + chi)^2, active fraction, peak ratio).
 
-Two interchangeable update paths are provided: closed forms for the shipped
-penalty family and a quadrature path that evaluates the decoupled-symbol
-expectations directly; they agree to quadrature accuracy, which is one of
-the package's cross-checks.
+The fixed-point update takes the decoupled-symbol expectations in closed
+form from the branch geometry of the shipped penalty family; the test
+suite checks them against radial quadrature of the prox.
 
 Calibration inverts the state equations at the targets instead of searching
 over the weights. At a given lambda_rs the decoupled law depends on the
@@ -29,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import (RandomStream, complex_normal, expand_bracket,
-                       find_root_1d, q_function, radial_expectation)
+                       find_root_1d, q_function)
 from .penalty import PenaltySpec, Support, ThresholdSet, prox_array, thresholds
 
 
@@ -129,48 +128,16 @@ def _closed_moments(spec: PenaltySpec, t: ThresholdSet, c: float,
     return p, num / lrs
 
 
-def _quadrature_moments(spec: PenaltySpec, t: ThresholdSet, c: float,
-                        lrs: float) -> tuple[float, float]:
-    """Same expectations via threshold-aligned radial quadrature.
-
-    Phase equivariance of the prox makes both integrands radial, so the
-    complex Gaussian expectation reduces to one radial integral per moment.
-    """
-    b = 1.0 + c * spec.lam
-    breaks = [x for x in (t.tau, t.tau_tilde, t.tau_hat) if math.isfinite(x)]
-
-    def mag(r):
-        return np.abs(prox_array(spec, np.asarray(r, dtype=complex), c))
-
-    if spec.is_disk:
-        tail_p = (spec.support.peak_power, 0.0, 0.0)
-        tail_m = (0.0, math.sqrt(spec.support.peak_power), 0.0)
-    else:
-        tail_p = (0.0, 0.0, 1.0 / (b * b))
-        tail_m = (0.0, 0.0, 1.0 / b)
-    p = radial_expectation(lambda r: mag(r) ** 2, lrs,
-                           breakpoints=breaks, tail=tail_p)
-    num = radial_expectation(lambda r: mag(r) * np.asarray(r, dtype=float), lrs,
-                             breakpoints=breaks, tail=tail_m)
-    return p, num / lrs
-
-
-def fixed_point_update(params: SystemParams, state: ReplicaState,
-                       method: str = "closed") -> tuple[float, float]:
+def fixed_point_update(params: SystemParams, state: ReplicaState
+                       ) -> tuple[float, float]:
     """One update (p_new, chi_new) of the fixed-point map at `state`.
 
     p_new is the decoupled second moment; chi_new = kappa * E Re{x* s}/lrs
-    with kappa and lrs frozen at the current state. method "closed" uses the
-    exact branch moments of the shipped penalty family, "quadrature"
-    integrates the prox directly; the two agree to quadrature accuracy.
+    with kappa and lrs frozen at the current state, both from the exact
+    branch moments of the shipped penalty family.
     """
-    spec = params.penalty
-    if method == "closed":
-        p_new, m = _closed_moments(spec, state.thresholds, state.kappa, state.lambda_rs)
-    elif method == "quadrature":
-        p_new, m = _quadrature_moments(spec, state.thresholds, state.kappa, state.lambda_rs)
-    else:
-        raise ValueError(f"unknown update method {method!r}")
+    p_new, m = _closed_moments(params.penalty, state.thresholds, state.kappa,
+                               state.lambda_rs)
     return p_new, state.kappa * m
 
 

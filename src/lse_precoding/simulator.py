@@ -8,8 +8,9 @@ from a ridge warm start systematically keeps too many antennas active: the
 single-coordinate exchange rate 1/||h_j||^2 understates how well the other
 antennas compensate for a removal. The default pipeline therefore selects
 the support first by greedy backward elimination with exact re-optimized
-objective deltas, then polishes with coordinate descent; the tracked
-objective decides, so the result never falls behind a plain descent run.
+objective deltas, then polishes with coordinate descent. Further starts
+(ridge, zero, random supports) run only when restarts > 1 asks for them;
+the lowest objective, recomputed at the end of each start, then wins.
 Each greedy drop is a rank-one update: the inverse ridge matrix is kept as
 a base matrix plus the stored rank-one terms, and the removal scores
 (leverages d and correlations u) are updated in place. Every 64 drops the
@@ -47,7 +48,7 @@ _HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """The ridge system could not be solved to the required residual."""
+    """The ridge system is singular or misses a required residual."""
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,16 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
 
 
 # ---------------------------------------------------------------------------
-# closed-form ridge precoder
+# ridge warm start
 # ---------------------------------------------------------------------------
 
 def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Best-effort ridge solve with one refinement step; returns x = H^H y
-    with y = A^{-1} s, A = H H^H + lam I, and the normal-equation residual
-    s - A y. No residual contract (used for warm starts; precode_rzf checks
-    the residual)."""
+    """Ridge solve with one refinement step, the warm start of the descent;
+    returns x = H^H y with y = A^{-1} s, A = H H^H + lam I, and the
+    normal-equation residual s - A y. No residual contract: the warm starts
+    use x as it is, and the residual is there for a caller that checks it.
+    Raises SingularSystemError when A cannot be factored."""
     k = H.shape[0]
     A = H @ H.conj().T + lam * np.eye(k)
     try:
@@ -139,36 +141,6 @@ def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
         raise SingularSystemError(str(exc)) from exc
     y = y + np.linalg.solve(A, s - A @ y)
     return H.conj().T @ y, s - A @ y
-
-
-def precode_rzf(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
-    """Regularized zero-forcing x = H^H (H H^H + lam I)^{-1} s.
-
-    One step of iterative refinement keeps the normal-equation residual
-    below 1e-10 ||s||; raises SingularSystemError when that cannot be met
-    (singular or numerically near-singular system).
-    """
-    x, residual = _ridge_solve(H, s, lam)
-    if np.linalg.norm(residual) > 1e-10 * np.linalg.norm(s):
-        raise SingularSystemError("ridge system residual above tolerance")
-    return x
-
-
-def random_tas_rzf(problem: PrecodeProblem, eta_r: float, lam: float,
-                   stream: RandomStream) -> PrecodeResult:
-    """Ridge precoding on a uniformly random subset of round(eta_r n)
-    antennas, embedded as an n-vector with exact zeros elsewhere."""
-    n = problem.n
-    m = int(round(eta_r * n))
-    if not (1 <= m <= n):
-        raise ValueError("selection fraction leaves no usable antennas")
-    rng = stream.generator()
-    chosen = np.sort(rng.choice(n, size=m, replace=False))
-    x = np.zeros(n, dtype=complex)
-    x[chosen] = precode_rzf(problem.H[:, chosen], problem.s, lam)
-    r = problem.s - problem.H @ x
-    obj = float(np.vdot(r, r).real + lam * np.vdot(x, x).real)
-    return PrecodeResult(x=x, objective=obj, sweeps=0, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +205,9 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
 
 def _objective(problem: PrecodeProblem, x: np.ndarray) -> float:
     r = problem.s - problem.H @ x
-    pen = sum(penalty_value(problem.penalty, v) for v in x)
+    # Python complex scalars cost less per element than numpy scalars and
+    # give the same sum bit for bit
+    pen = sum(penalty_value(problem.penalty, v) for v in x.tolist())
     return float(np.vdot(r, r).real + pen)
 
 
@@ -376,8 +350,10 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
 def precode_ccd(problem: PrecodeProblem, init: str = "auto",
                 max_sweeps: int = 500, tol: float = 1e-10,
                 restarts: int = 1) -> PrecodeResult:
-    """Solve one precoding instance; returns the best tracked objective over
-    the deterministic initializations.
+    """Solve one precoding instance; returns the result of the start with
+    the lowest objective (`PrecodeResult.objective`, recomputed from
+    scratch when the start's descent ends) over the deterministic
+    initializations.
 
     init "auto" selects the support by greedy backward elimination whenever
     the zero-norm weight is active and uses the ridge warm start otherwise.

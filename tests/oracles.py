@@ -1,0 +1,192 @@
+"""Reference implementations the tests check the package against.
+
+Each oracle computes a quantity the package computes in closed form (or by
+its one runtime path) by an independent route:
+
+- `radial_expectation`: E[g(|s|)] of a complex Gaussian by threshold-aligned
+  Gauss-Legendre panels, with `quadrature_update` built on it as the
+  quadrature twin of `replica.fixed_point_update`;
+- `prox_oracle`: the scalar prox by brute force over a polar grid;
+- `precode_rzf` and `random_tas_rzf`: the ridge precoder with a residual
+  contract, on all antennas or on a random subset.
+
+Only numpy is needed; the panel rule comes from
+`numpy.polynomial.legendre.leggauss`.
+"""
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from lse_precoding.numerics import NonFiniteError, RandomStream, q_function
+from lse_precoding.penalty import PenaltySpec, prox_array, thresholds
+from lse_precoding.replica import ReplicaState, SystemParams
+from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
+                                     SingularSystemError, _ridge_solve)
+
+
+class ShapeMismatchError(ValueError):
+    """A function evaluated on an array did not return one value per node."""
+
+
+# ---------------------------------------------------------------------------
+# radial quadrature
+# ---------------------------------------------------------------------------
+
+def _gaussian_tail_moments(b: float, variance: float) -> tuple[float, float, float]:
+    """(E0, E1, E2) = int_b^inf r^m (2r/v) exp(-r^2/v) dr for m = 0, 1, 2."""
+    e = math.exp(-b * b / variance)
+    e0 = e
+    e1 = b * e + math.sqrt(math.pi * variance) * q_function(b * math.sqrt(2.0 / variance))
+    e2 = (variance + b * b) * e
+    return e0, e1, e2
+
+
+# panel quadrature: integration range in units of sqrt(variance) and
+# Gauss-Legendre nodes per panel
+_R_MAX_FACTOR = 10.0
+_NODES_PER_PANEL = 64
+
+
+def radial_expectation(g, variance: float, breakpoints: Sequence[float] = (),
+                       tail: tuple[float, float, float] | None = None) -> float:
+    """E[g(|s|)] for s complex Gaussian, zero mean, total variance `variance`,
+    i.e. int_0^inf g(r) (2r/variance) exp(-r^2/variance) dr.
+
+    g is called on arrays of nodes and must return one value per node
+    (ShapeMismatchError otherwise). The integral uses composite
+    Gauss-Legendre panels whose edges are aligned with the supplied
+    breakpoints (prox thresholds have jump discontinuities there) up to
+    r_max = 10 sqrt(variance), then adds the tail analytically: `tail` =
+    (c0, c1, c2) states that g(r) = c0 + c1 r + c2 r^2 beyond r_max and
+    beyond every breakpoint (the tail integral starts at whichever is
+    larger, so breakpoints past r_max stay exact). With tail=None the tail,
+    of Gaussian weight exp(-100), is dropped.
+    """
+    if variance <= 0:
+        raise ValueError("variance must be positive")
+    sigma = math.sqrt(variance)
+    r_max = _R_MAX_FACTOR * sigma
+    edges = sorted({0.0, r_max} | {float(b) for b in breakpoints if 0.0 < float(b) < r_max})
+    total = 0.0
+    x_ref, w_ref = leggauss(_NODES_PER_PANEL)
+    for a, b in zip(edges[:-1], edges[1:]):
+        # split long panels so Gauss-Legendre stays at spectral accuracy
+        n_sub = max(1, int(math.ceil((b - a) / (2.5 * sigma))))
+        sub = np.linspace(a, b, n_sub + 1)
+        for lo, hi in zip(sub[:-1], sub[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            r = mid + half * x_ref
+            vals = np.asarray(g(r), dtype=float)
+            if vals.shape != r.shape:
+                raise ShapeMismatchError(
+                    f"g returned shape {vals.shape} for nodes of shape {r.shape}")
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteError("g returned a non-finite value at a quadrature node")
+            w = half * w_ref * (2.0 * r / variance) * np.exp(-r * r / variance)
+            total += float(np.dot(w, vals))
+    if tail is not None:
+        c0, c1, c2 = tail
+        tail_start = max([r_max] + [float(b) for b in breakpoints])
+        e0, e1, e2 = _gaussian_tail_moments(tail_start, variance)
+        total += c0 * e0 + c1 * e1 + c2 * e2
+    return total
+
+
+def quadrature_update(params: SystemParams, state: ReplicaState) -> tuple[float, float]:
+    """`replica.fixed_point_update` with the decoupled-symbol expectations
+    integrated by `radial_expectation` instead of taken in closed form.
+
+    Phase equivariance of the prox makes both integrands radial, so the
+    complex Gaussian expectation reduces to one radial integral per moment.
+    """
+    spec, c, lrs = params.penalty, state.kappa, state.lambda_rs
+    t = state.thresholds
+    b = 1.0 + c * spec.lam
+    breaks = [x for x in (t.tau, t.tau_tilde, t.tau_hat) if math.isfinite(x)]
+
+    def mag(r):
+        return np.abs(prox_array(spec, np.asarray(r, dtype=complex), c))
+
+    if spec.is_disk:
+        tail_p = (spec.support.peak_power, 0.0, 0.0)
+        tail_m = (0.0, math.sqrt(spec.support.peak_power), 0.0)
+    else:
+        tail_p = (0.0, 0.0, 1.0 / (b * b))
+        tail_m = (0.0, 0.0, 1.0 / b)
+    p = radial_expectation(lambda r: mag(r) ** 2, lrs,
+                           breakpoints=breaks, tail=tail_p)
+    num = radial_expectation(lambda r: mag(r) * np.asarray(r, dtype=float), lrs,
+                             breakpoints=breaks, tail=tail_m)
+    return p, c * (num / lrs)
+
+
+# ---------------------------------------------------------------------------
+# brute-force prox
+# ---------------------------------------------------------------------------
+
+def prox_oracle(spec: PenaltySpec, z: complex, c: float, grid_n: int = 201) -> complex:
+    """Brute-force minimizer of |v - z|^2 + c u(v) over a polar grid of the
+    support plus the exact candidate points {0, z/(1+c lam), rim point}.
+
+    grid_n >= 101.
+    """
+    if grid_n < 101:
+        raise ValueError("grid_n must be at least 101")
+    t = thresholds(spec, c)
+    span = max((x for x in (t.tau, t.tau_tilde, t.tau_hat) if math.isfinite(x)),
+               default=0.0)
+    r_hi = max(abs(z), spec.support.radius if spec.is_disk else 0.0) + 3.0 * span + 1.0
+    if spec.is_disk:
+        r_hi = min(r_hi, spec.support.radius)
+    radii = np.linspace(0.0, r_hi, grid_n)
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False))
+    grid = np.outer(radii, phases).ravel()
+
+    candidates = [0.0 + 0.0j, z / (1.0 + c * spec.lam)]
+    if spec.is_disk and z != 0:
+        candidates.append(z / abs(z) * spec.support.radius)
+    candidates = [v for v in candidates
+                  if not spec.is_disk or abs(v) <= spec.support.radius + 1e-15]
+    pts = np.concatenate([grid, np.array(candidates)])
+
+    cost = np.abs(pts - z) ** 2 + c * (spec.lam * np.abs(pts) ** 2
+                                       + spec.lam0 * (pts != 0))
+    return complex(pts[int(np.argmin(cost))])
+
+
+# ---------------------------------------------------------------------------
+# ridge precoders
+# ---------------------------------------------------------------------------
+
+def precode_rzf(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
+    """Regularized zero-forcing x = H^H (H H^H + lam I)^{-1} s.
+
+    One step of iterative refinement keeps the normal-equation residual
+    below 1e-10 ||s||; raises SingularSystemError when that cannot be met
+    (singular or numerically near-singular system).
+    """
+    x, residual = _ridge_solve(H, s, lam)
+    if np.linalg.norm(residual) > 1e-10 * np.linalg.norm(s):
+        raise SingularSystemError("ridge system residual above tolerance")
+    return x
+
+
+def random_tas_rzf(problem: PrecodeProblem, eta_r: float, lam: float,
+                   stream: RandomStream) -> PrecodeResult:
+    """Ridge precoding on a uniformly random subset of round(eta_r n)
+    antennas, embedded as an n-vector with exact zeros elsewhere."""
+    n = problem.n
+    m = int(round(eta_r * n))
+    if not (1 <= m <= n):
+        raise ValueError("selection fraction leaves no usable antennas")
+    rng = stream.generator()
+    chosen = np.sort(rng.choice(n, size=m, replace=False))
+    x = np.zeros(n, dtype=complex)
+    x[chosen] = precode_rzf(problem.H[:, chosen], problem.s, lam)
+    r = problem.s - problem.H @ x
+    obj = float(np.vdot(r, r).real + lam * np.vdot(x, x).real)
+    return PrecodeResult(x=x, objective=obj, sweeps=0, converged=True)

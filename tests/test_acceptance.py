@@ -13,12 +13,13 @@ from lse_precoding.experiments import (calibrated_point,
                                        match_random_selection, parse_config,
                                        run)
 from lse_precoding.numerics import RandomStream, ks_distance
-from lse_precoding.penalty import PenaltySpec, Support, prox, prox_oracle
+from lse_precoding.penalty import PenaltySpec, Support, prox
 from lse_precoding import replica, simulator
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
                                    solve_fixed_point)
 from lse_precoding.simulator import generate_problem, monte_carlo
+from oracles import precode_rzf, prox_oracle, quadrature_update
 
 IV_A = dict(alpha_inverse=2.0, lambda_s=1.0, p_target=0.5, eta_target=0.5)
 
@@ -104,8 +105,8 @@ def test_criterion_03_closed_vs_quadrature():
                                     lam0=rng.uniform(0.0, 2.0),
                                     support=support))
             st = make_state(params, rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0))
-            pc, cc = fixed_point_update(params, st, method="closed")
-            pq, cq = fixed_point_update(params, st, method="quadrature")
+            pc, cc = fixed_point_update(params, st)
+            pq, cq = quadrature_update(params, st)
             worst = max(worst, abs(pc - pq), abs(cc - cq))
             assert abs(pc - pq) <= 1e-7 and abs(cc - cq) <= 1e-7
     print(f"PASS criterion 3: closed vs quadrature updates, worst gap {worst:.2e}")
@@ -135,7 +136,7 @@ def test_criterion_04_exact_solvable_point():
 
 
 def test_criterion_05_convex_solver_equivalence():
-    from lse_precoding.simulator import precode_ccd, precode_rzf
+    from lse_precoding.simulator import precode_ccd
     t0 = time.time()
     worst = 0.0
     for t in range(20):

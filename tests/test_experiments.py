@@ -171,17 +171,40 @@ def test_manifest_skips_execution_knobs():
     assert len(blas) == 1 and len(blas[0].split()) == 4  # blas = <name> <version>
 
 
-def test_replica_rerun_from_manifest_is_byte_identical(tmp_path):
-    cfg = cfg_from(out=str(tmp_path / "a"))
-    files = run(cfg)
-    manifest = files["manifest"]
-    with open(manifest) as fh:
-        cfg2 = parse_config(fh.read())
-    cfg2.out = str(tmp_path / "b")
-    files2 = run(cfg2)
-    for name in files:
-        with open(files[name], "rb") as f1, open(files2[name], "rb") as f2:
-            assert f1.read() == f2.read(), name
+# mode, config text (None: a plot of a BASE sweep) and the flags of a first
+# run, which a rerun from its manifest.cfg must reproduce byte for byte. The
+# sweep grid holds points (1.7) that start + i * step misses by an ulp, and
+# the replica lambda has more digits than the outputs print.
+_DIRECT_WEIGHTS = BASE.replace("p_target = 0.5\neta_target = 0.5",
+                               "lambda = 0.1234567890123456\nlambda0 = 0.05")
+
+
+@pytest.mark.parametrize("mode, text, flags", [
+    ("replica", BASE, []),
+    ("replica", _DIRECT_WEIGHTS, []),
+    ("calibrate", BASE, []),
+    ("sweep", BASE, ["--set", "system.alpha_inverse=1.0:0.1:1.7",
+                     "--set", "penalty.eta_targets=1.0,0.5,0.3"]),
+    ("saving", BASE, []),
+    ("simulate", BASE, ["--set", "simulation.n=32", "--set", "simulation.trials=3"]),
+    ("plot", None, []),
+], ids=["replica_targets", "replica", "calibrate", "sweep", "saving",
+        "simulate", "plot"])
+def test_every_mode_reruns_from_manifest_byte_identical(tmp_path, mode, text, flags):
+    ini = tmp_path / "run.ini"
+    if text is None:
+        ini.write_text(BASE)
+        assert cli.main(["sweep", "--config", str(ini),
+                         "--out", str(tmp_path / "sweep")]) == 0
+        text = f"[plot]\ninputs = {tmp_path / 'sweep' / 'sweep_eta0.5.csv'}\n"
+    ini.write_text(text)
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert cli.main([mode, "--config", str(ini), "--out", str(first)] + flags) == 0
+    assert cli.main([mode, "--config", str(first / "manifest.cfg"),
+                     "--out", str(rerun)]) == 0
+    files = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert len(files) >= 2
+    assert {p.name: p.read_bytes() for p in rerun.iterdir()} == files
 
 
 def test_sweep_single_point_matches_replica_mode(tmp_path):
@@ -488,7 +511,10 @@ from lse_precoding import cli
 from lse_precoding.penalty import PenaltySpec, Support
 from lse_precoding.replica import SystemParams, fixed_point_update, make_state
 
-configs, out = sys.argv[1:]
+configs, out, tests = sys.argv[1:]
+sys.path.insert(0, tests)
+from oracles import quadrature_update
+
 rc = cli.main(["compare", "--config", configs + "/compare.ini",
                "--set", "simulation.n=64", "--set", "simulation.trials=6",
                "--out", out + "/compare"])
@@ -499,8 +525,8 @@ rc = rc or cli.main(["sweep", "--config", configs + "/fig2.ini",
 params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(
     lam=0.3, lam0=0.2, support=Support.disk(2.0)))
 state = make_state(params, 0.8, 0.5)
-closed = fixed_point_update(params, state, method="closed")
-quad = fixed_point_update(params, state, method="quadrature")
+closed = fixed_point_update(params, state)
+quad = quadrature_update(params, state)
 gap = max(abs(c - q) for c, q in zip(closed, quad))
 rc = rc or (0 if gap <= 1e-7 else 3)
 sys.exit(rc)
@@ -510,7 +536,8 @@ sys.exit(rc)
 def test_runs_without_scipy(tmp_path):
     env = _package_env()
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(CONFIGS),
-                           str(tmp_path)], env=env, capture_output=True, text=True)
+                           str(tmp_path), str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "compare" / "compare.csv").is_file()
     _, data = read_csv(str(tmp_path / "sweep" / "sweep_eta1_papr3db.csv"))

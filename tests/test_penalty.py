@@ -8,8 +8,8 @@ import hypothesis.strategies as st
 
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, Support,
-                                   penalty_value, prox, prox_array,
-                                   prox_oracle, thresholds)
+                                   penalty_value, prox, prox_array, thresholds)
+from oracles import prox_oracle
 
 FULL = Support.full_plane()
 

@@ -11,6 +11,7 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    fixed_point_update, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
+from oracles import quadrature_update
 
 FULL = Support.full_plane()
 
@@ -82,8 +83,8 @@ def test_update_closed_vs_quadrature(peak):
                            lam0=rng.uniform(0.0, 2.0),
                            peak=peak and rng.uniform(0.3, 6.0))
         st = make_state(params, rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0))
-        pc, cc = fixed_point_update(params, st, method="closed")
-        pq, cq = fixed_point_update(params, st, method="quadrature")
+        pc, cc = fixed_point_update(params, st)
+        pq, cq = quadrature_update(params, st)
         assert abs(pc - pq) <= 1e-7
         assert abs(cc - cq) <= 1e-7
 

@@ -5,15 +5,16 @@ import pytest
 
 from lse_precoding import cli, simulator
 from lse_precoding.numerics import RandomStream
-from lse_precoding.penalty import (PenaltySpec, Support, _prox_scalar, prox,
-                                   thresholds)
+from lse_precoding.penalty import (PenaltySpec, Support, _prox_scalar,
+                                   penalty_value, prox, thresholds)
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ccd_from,
+                                     _clip_to_support,
                                      _greedy_backward_support, _init_vector,
                                      _objective, _trial_workers,
                                      generate_problem, measure,
-                                     monte_carlo, precode_ccd, precode_rzf,
-                                     random_tas_rzf)
+                                     monte_carlo, precode_ccd)
+from oracles import precode_rzf, random_tas_rzf
 
 
 def small_problem(seed=3, n=48, k=24, lam=0.1, lam0=0.0, peak=None, lam_s=1.0):
@@ -118,6 +119,27 @@ def test_ccd_objective_tracking_invariants():
     assert res.max_step_increase <= 1e-12 * scale
     assert res.max_residual_drift <= 1e-8 * np.linalg.norm(pr.s)
     assert res.tracked_objective == pytest.approx(res.objective, rel=1e-8)
+
+
+@pytest.mark.parametrize("peak", [None, 0.6])
+def test_objective_matches_numpy_scalar_sum(peak):
+    # _objective sums the penalty over Python scalars; the sum over numpy
+    # scalars must give the same bits, with exact zeros and (on the disk)
+    # points clipped onto the rim among the entries
+    for seed in range(8):
+        pr = small_problem(seed=40 + seed, n=400, k=200, lam=0.37, lam0=0.21,
+                           peak=peak)
+        rng = RandomStream(40 + seed, 1).generator()
+        x = 0.3 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+        x[rng.random(400) < 0.4] = 0.0
+        x = _clip_to_support(pr.penalty, x)
+        if peak is not None:
+            assert np.any(np.abs(x) == math.sqrt(peak))
+        assert np.any(x == 0.0)
+        r = pr.s - pr.H @ x
+        ref = float(np.vdot(r, r).real
+                    + sum(penalty_value(pr.penalty, v) for v in x))
+        assert _objective(pr, x) == ref
 
 
 def test_ccd_disk_feasibility():
