@@ -15,6 +15,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .numerics import RandomStream, ks_distance
 from .penalty import PenaltySpec, Support
 from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
-                      match_random_selection, solve_constant_envelope,
-                      solve_fixed_point)
+                      match_random_selection, peak_cap_boundary,
+                      solve_constant_envelope, solve_fixed_point)
 from .simulator import INIT_KINDS, monte_carlo
 
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
@@ -241,6 +242,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("give direct weights or calibration targets")
     if direct and cfg.support == "disk" and cfg.peak_power is None:
         raise ConfigError("disk support with direct weights needs peak_power")
+    if cfg.peak_power is not None and not cfg.peak_power > 0:
+        raise ConfigError("peak_power must be positive")
+    if any(db < 0 for db in cfg.papr_db_targets + (cfg.papr_db_target or 0.0,)):
+        raise ConfigError("papr_db_target and papr_db_targets must be >= 0 dB "
+                          "(a peak-to-average ratio is at least one)")
     if targets and cfg.p_target is None:
         raise ConfigError("calibration targets need p_target")
     if cfg.mode in ("replica", "simulate", "compare", "calibrate"):
@@ -322,85 +328,76 @@ def _write(path: str, text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# calibrated points with the peak-cap boundary fallback
+# operating points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CalibratedPoint:
-    lam: float
-    lam0: float
+class OperatingPoint(NamedTuple):
+    """A replica point at one load: the parameters it was solved at, the
+    solution and its status ("ok" or "peak-clamped")."""
+
+    params: SystemParams
     solution: ReplicaSolution
-    status: str = "ok"
+    status: str
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """Reported (lambda, lambda0), nan where the boundary solution has
+        no representable pair."""
+        return self.params.penalty.lam, self.params.penalty.lam0
 
 
-def calibrated_point(alpha_inverse: float, lambda_s: float, p_target: float,
-                     eta_target: float, papr_db: float | None,
-                     support: str = "full", peak_power: float | None = None,
-                     solver_opts: dict | None = None) -> CalibratedPoint:
-    """Calibrate (lambda, lambda0) at one load point.
+def operating_point(cfg: ExperimentConfig, alpha_inverse: float,
+                    eta_target: float | None, papr_db: float | None
+                    ) -> OperatingPoint:
+    """Replica point at one load.
 
-    The peak cap is anchored to the average-power target, P = papr * p.
-    When that cap makes the power target infeasible (p <= eta * P is a hard
-    bound) the point falls back to the boundary solution: every active
-    antenna at the peak, power eta * P, reported with status
-    "peak-clamped".
+    With direct weights it is the fixed point at cfg's weights. With
+    calibration targets it is the calibrated point at (p_target,
+    eta_target) under the peak cap P = papr * p_target. Where that cap
+    binds (`peak_cap_boundary`, decided before any solve) the point is the
+    boundary solution: every active antenna at the peak, power eta * P,
+    with status "peak-clamped" when that is below p_target.
     """
-    alpha = 1.0 / alpha_inverse
-    base_support = Support.disk(peak_power) if (support == "disk" and peak_power) \
-        else Support.full_plane()
-    params = SystemParams(alpha=alpha, lambda_s=lambda_s,
-                          penalty=PenaltySpec(support=base_support))
+    support = Support.disk(cfg.peak_power) \
+        if cfg.support == "disk" and cfg.peak_power is not None else Support.full_plane()
+    base = SystemParams(alpha=1.0 / alpha_inverse, lambda_s=cfg.lambda_s,
+                        penalty=PenaltySpec(support=support))
+    if not cfg.uses_targets:
+        params = replace(base, penalty=replace(
+            base.penalty, lam=cfg.lam or 0.0, lam0=cfg.lam0 or 0.0))
+        return OperatingPoint(params, solve_fixed_point(params, **cfg.solver_opts()),
+                              "ok")
     papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
-    try:
-        lam, lam0, sol = calibrate(params, p_star=p_target, eta_star=eta_target,
-                                   papr_star=papr, solver_opts=solver_opts)
-        return CalibratedPoint(lam, lam0, sol)
-    except NotAchievableError:
-        if papr is None:
-            raise
-        p_clamp = eta_target * papr * p_target
-        if not (0 < p_clamp < p_target):
-            raise
-        sol, lam, lam0 = solve_constant_envelope(params, p_clamp, eta_target)
-        return CalibratedPoint(lam, lam0, sol, status="peak-clamped")
+    power = peak_cap_boundary(cfg.p_target, eta_target, papr)
+    status = "ok"
+    if power is None:
+        lam, lam0, sol = calibrate(base, cfg.p_target, eta_target, papr,
+                                   cfg.solver_opts())
+        if papr is not None:
+            support = Support.disk(papr * cfg.p_target)
+    else:
+        sol, lam, lam0 = solve_constant_envelope(base, power, eta_target)
+        support = Support.disk(power / eta_target)
+        if power < cfg.p_target:
+            status = "peak-clamped"
+    penalty = PenaltySpec(lam=lam, lam0=lam0, support=support)
+    return OperatingPoint(replace(base, penalty=penalty), sol, status)
 
 
-def _direct_params(cfg: ExperimentConfig, alpha_inverse: float) -> SystemParams:
-    support = Support.disk(cfg.peak_power) if cfg.support == "disk" \
-        else Support.full_plane()
-    spec = PenaltySpec(lam=cfg.lam or 0.0, lam0=cfg.lam0 or 0.0, support=support)
-    return SystemParams(alpha=1.0 / alpha_inverse, lambda_s=cfg.lambda_s,
-                        penalty=spec)
-
-
-def _calibrated_point(cfg: ExperimentConfig, alpha_inverse: float,
-                      eta_target: float, papr_db: float | None) -> CalibratedPoint:
-    return calibrated_point(alpha_inverse, cfg.lambda_s, cfg.p_target, eta_target,
-                            papr_db, cfg.support, cfg.peak_power, cfg.solver_opts())
-
-
-def _target_grid(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
-    """(eta targets, papr targets in dB or (None,)) of a sweep or saving study."""
-    return (cfg.eta_targets or (cfg.eta_target,),
-            cfg.papr_db_targets or (cfg.papr_db_target,))
-
-
-def _point_for_config(cfg: ExperimentConfig):
-    """(lam, lam0, solution, params, status) at the single configured load."""
-    ainv = cfg.alpha_inverse[0]
-    if cfg.uses_targets:
-        pt = _calibrated_point(cfg, ainv, cfg.eta_target, cfg.papr_db_target)
-        sol = pt.solution
-        support = Support.disk(sol.papr * sol.state.p) if math.isfinite(sol.papr) \
-            else Support.full_plane()
-        lam = 0.0 if math.isnan(pt.lam) else pt.lam
-        lam0 = 0.0 if math.isnan(pt.lam0) else pt.lam0
-        spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
-        params = SystemParams(alpha=1.0 / ainv, lambda_s=cfg.lambda_s, penalty=spec)
-        return pt.lam, pt.lam0, sol, params, pt.status
-    params = _direct_params(cfg, ainv)
-    sol = solve_fixed_point(params, **cfg.solver_opts())
-    return params.penalty.lam, params.penalty.lam0, sol, params, "ok"
+def _grid_rows(cfg: ExperimentConfig, row, blank: tuple):
+    """(load, eta target, papr target in dB or None, values, status) over the
+    target grid of a sweep or saving study: papr outermost, then eta, then
+    load. values is row(load, eta target, point), or blank
+    with status "error: <reason>" where the point cannot be solved."""
+    for papr_db in cfg.papr_db_targets or (cfg.papr_db_target,):
+        for eta_t in cfg.eta_targets or (cfg.eta_target,):
+            for ainv in cfg.alpha_inverse:
+                try:
+                    pt = operating_point(cfg, ainv, eta_t, papr_db)
+                    values, status = row(ainv, eta_t, pt), pt.status
+                except (NotAchievableError, NoConvergenceError) as exc:
+                    values, status = blank, f"error: {exc}"
+                yield ainv, eta_t, papr_db, values, status
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +427,19 @@ def read_csv(path: str):
 # modes
 # ---------------------------------------------------------------------------
 
-def _header_lines(status: str, lam, lam0) -> list[str]:
-    return [f"status = {status}", f"lambda = {_fmt(lam)}", f"lambda0 = {_fmt(lam0)}"]
+def _header_lines(pt: OperatingPoint) -> list[str]:
+    lam, lam0 = pt.weights
+    return [f"status = {pt.status}", f"lambda = {_fmt(lam)}", f"lambda0 = {_fmt(lam0)}"]
 
 
 def run_replica_point(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Fixed-point solve at the single configured load; replica mode writes
     replica.txt, calibrate mode the same report as calibration.txt."""
-    lam, lam0, sol, _, status = _point_for_config(cfg)
+    pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
+                         cfg.papr_db_target)
+    sol = pt.solution
     st = sol.state
-    lines = _header_lines(status, lam, lam0) + [
+    lines = _header_lines(pt) + [
         f"chi = {_fmt(st.chi)}",
         f"p = {_fmt(st.p)}",
         f"lambda_rs = {_fmt(st.lambda_rs)}",
@@ -461,61 +461,52 @@ def run_replica_point(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def run_replica_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     """One CSV per (eta target, papr target) curve over the load grid."""
-    etas, paprs = _target_grid(cfg)
-    written = {}
-    for eta_t in etas:
-        for papr_db in paprs:
-            tag = f"eta{eta_t:g}"
-            if papr_db is not None:
-                tag += f"_papr{papr_db:g}db"
-            rows = []
-            for ainv in cfg.alpha_inverse:
-                try:
-                    pt = _calibrated_point(cfg, ainv, eta_t, papr_db)
-                except (NotAchievableError, NoConvergenceError) as exc:
-                    blank = (ainv,) + (math.nan,) * 8 + (0,)
-                    rows.append((blank, f"error: {exc}"))
-                    continue
-                sol = pt.solution
-                rows.append(((ainv, pt.lam, pt.lam0, sol.state.chi, sol.state.p,
-                              sol.eta, db10(sol.papr), db10(sol.distortion),
-                              sol.residual, sol.iterations), pt.status))
-            written[tag] = write_csv(os.path.join(out_dir, f"sweep_{tag}.csv"),
-                                     SWEEP_COLUMNS, rows)
-    return written
+    def row(ainv, eta_t, pt):
+        sol = pt.solution
+        return pt.weights + (sol.state.chi, sol.state.p, sol.eta, db10(sol.papr),
+                             db10(sol.distortion), sol.residual, sol.iterations)
+
+    curves: dict[str, list] = {}
+    for ainv, eta_t, papr_db, values, status in _grid_rows(
+            cfg, row, (math.nan,) * 8 + (0,)):
+        tag = f"eta{eta_t:g}" + ("" if papr_db is None else f"_papr{papr_db:g}db")
+        curves.setdefault(tag, []).append(((ainv,) + values, status))
+    return {tag: write_csv(os.path.join(out_dir, f"sweep_{tag}.csv"), SWEEP_COLUMNS, rows)
+            for tag, rows in curves.items()}
+
+
+# the four observables of a Monte Carlo report and their replica values
+_OBSERVABLES = (("distortion", lambda sol: sol.distortion),
+                ("power", lambda sol: sol.state.p),
+                ("eta", lambda sol: sol.eta),
+                ("papr", lambda sol: sol.papr))
 
 
 def _simulated_point(cfg: ExperimentConfig):
-    """Replica solution, system parameters, Monte Carlo report and the
-    status/lambda/lambda0 report header at the single configured load."""
-    lam, lam0, sol, params, status = _point_for_config(cfg)
-    if math.isnan(lam) or math.isnan(lam0):
+    """Operating point and Monte Carlo report at the single configured load."""
+    pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
+                         cfg.papr_db_target)
+    if any(math.isnan(w) for w in pt.weights):
         raise ConfigError("the clamped boundary point has no representable "
                           "penalty weights; simulate with direct weights")
-    report = monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, params.penalty,
+    report = monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, pt.params.penalty,
                          trials=cfg.trials, master_seed=cfg.seed,
                          solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps)
-    return sol, params, report, _header_lines(status, lam, lam0)
+    return pt, report
 
 
 def _report_lines(report) -> list[str]:
-    return [
-        f"trials = {report.trials}",
-        f"distortion_mean = {_fmt(report.distortion_mean)}",
-        f"distortion_ci95 = {_fmt(report.distortion_ci95)}",
-        f"power_mean = {_fmt(report.power_mean)}",
-        f"power_ci95 = {_fmt(report.power_ci95)}",
-        f"eta_mean = {_fmt(report.eta_mean)}",
-        f"eta_ci95 = {_fmt(report.eta_ci95)}",
-        f"papr_mean = {_fmt(report.papr_mean)}",
-        f"papr_ci95 = {_fmt(report.papr_ci95)}",
-    ]
+    lines = [f"trials = {report.trials}"]
+    for name, _ in _OBSERVABLES:
+        lines += [f"{name}_mean = {_fmt(getattr(report, name + '_mean'))}",
+                  f"{name}_ci95 = {_fmt(getattr(report, name + '_ci95'))}"]
+    return lines
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
-    _, _, report, header = _simulated_point(cfg)
+    pt, report = _simulated_point(cfg)
     path = _write(os.path.join(out_dir, "simulation.txt"),
-                  "\n".join(header + _report_lines(report)) + "\n")
+                  "\n".join(_header_lines(pt) + _report_lines(report)) + "\n")
     hist_rows = [((edge, mass, first, second), "ok") for edge, mass, first, second
                  in zip(report.histogram_edges[:-1], report.magnitude_histogram,
                         report.per_index_marginals["first_half"],
@@ -528,57 +519,47 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
 def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Replica solve and Monte Carlo at the same parameters, side by side,
     plus distribution distances against the decoupled law."""
-    sol, params, report, header = _simulated_point(cfg)
+    pt, report = _simulated_point(cfg)
+    sol = pt.solution
 
     stream = RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX)
-    law = np.abs(decoupled_sample(sol.state, params.penalty, stream, 10 ** 6))
+    law = np.abs(decoupled_sample(sol.state, pt.params.penalty, stream, 10 ** 6))
     ks_law = ks_distance(report.magnitudes, law)
     n = cfg.n
     mags = report.magnitudes.reshape(report.trials, n)
     ks_halves = ks_distance(mags[:, : n // 2].ravel(), mags[:, n // 2:].ravel())
 
-    pairs = [
-        ("distortion", sol.distortion, report.distortion_mean, report.distortion_ci95),
-        ("power", sol.state.p, report.power_mean, report.power_ci95),
-        ("eta", sol.eta, report.eta_mean, report.eta_ci95),
-        ("papr", sol.papr, report.papr_mean, report.papr_ci95),
-    ]
     rows = []
-    for name, replica_v, emp_v, ci in pairs:
+    for name, replica_of in _OBSERVABLES:
+        replica_v = replica_of(sol)
+        emp_v = getattr(report, name + "_mean")
         gap = abs(emp_v - replica_v)
         rel = gap / abs(replica_v) if replica_v not in (0.0, math.inf) else math.nan
-        rows.append(((name, replica_v, emp_v, ci, rel), "ok"))
+        rows.append(((name, replica_v, emp_v, getattr(report, name + "_ci95"), rel),
+                     "ok"))
     csv_path = write_csv(os.path.join(out_dir, "compare.csv"),
                          ("metric", "replica", "empirical", "ci95", "rel_gap"),
                          rows)
-    lines = header + [f"ks_decoupled = {_fmt(ks_law)}",
-                      f"ks_index_halves = {_fmt(ks_halves)}"] + _report_lines(report)
+    lines = _header_lines(pt) + [f"ks_decoupled = {_fmt(ks_law)}",
+                                 f"ks_index_halves = {_fmt(ks_halves)}"] \
+        + _report_lines(report)
     summary = _write(os.path.join(out_dir, "compare_summary.txt"),
                      "\n".join(lines) + "\n")
     return {"compare": csv_path, "summary": summary}
 
 
 def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """For each (eta, papr, load): solve the penalized precoder, then find
+    """For each (papr, eta, load): solve the penalized precoder, then find
     the random-selection fraction with equal distortion; saving is the
     difference."""
-    etas, paprs = _target_grid(cfg)
-    rows = []
-    for papr_db in paprs:
-        for eta_t in etas:
-            for ainv in cfg.alpha_inverse:
-                try:
-                    pt = _calibrated_point(cfg, ainv, eta_t, papr_db)
-                    eta_r = match_random_selection(ainv, cfg.lambda_s,
-                                                   cfg.p_target,
-                                                   pt.solution.distortion)
-                    row = (ainv, math.nan if papr_db is None else papr_db, eta_t,
-                           db10(pt.solution.distortion), eta_r, eta_r - eta_t)
-                    rows.append((row, pt.status))
-                except (NotAchievableError, NoConvergenceError) as exc:
-                    row = (ainv, math.nan if papr_db is None else papr_db, eta_t,
-                           math.nan, math.nan, math.nan)
-                    rows.append((row, f"error: {exc}"))
+    def row(ainv, eta_t, pt):
+        eta_r = match_random_selection(ainv, cfg.lambda_s, cfg.p_target,
+                                       pt.solution.distortion)
+        return db10(pt.solution.distortion), eta_r, eta_r - eta_t
+
+    rows = [((ainv, math.nan if papr_db is None else papr_db, eta_t) + values, status)
+            for ainv, eta_t, papr_db, values, status
+            in _grid_rows(cfg, row, (math.nan,) * 3)]
     return {"saving": write_csv(os.path.join(out_dir, "antenna_saving.csv"),
                                 SAVING_COLUMNS, rows)}
 

@@ -360,6 +360,28 @@ def _invert_targets(params: SystemParams, support: Support, p_star: float,
 _CALIBRATION_TOL = 1e-8
 
 
+def peak_cap_boundary(p_star: float, eta_star: float,
+                      papr_star: float | None) -> float | None:
+    """Power of the constant-envelope solution when the peak cap
+    P = papr_star * p_star binds, else None. The bound p <= eta * P is
+    hard: past it the targets are infeasible and the boundary transmits
+    eta * P; within 1e-9 relative of it the target is on the boundary and
+    the power is p_star. Raises NotAchievableError for an eta target
+    outside (0, 1], a power target <= 0 or a peak ratio below one."""
+    if not (0 < eta_star <= 1):
+        raise NotAchievableError("eta target must lie in (0, 1]")
+    if p_star <= 0:
+        raise NotAchievableError("power target must be positive")
+    if papr_star is None:
+        return None
+    if papr_star < 1:
+        raise NotAchievableError("peak-to-average ratio below one")
+    bound = eta_star * papr_star * p_star
+    if bound > p_star * (1 + 1e-9):
+        return None
+    return bound if bound < p_star * (1 - 1e-9) else p_star
+
+
 def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
               papr_star: float | None = None, solver_opts: dict | None = None
               ) -> tuple[float, float, ReplicaSolution]:
@@ -370,33 +392,23 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
     The weights come from inverting the state equations at the targets
     (`_invert_targets`); one `solve_fixed_point` at them then certifies
     that Picard iteration from the standard start reaches that state.
-    Raises NotAchievableError when the targets are infeasible (a power
+    Raises NotAchievableError when the targets are infeasible (those
+    `peak_cap_boundary` rejects, a peak cap with p > eta * P, or a power
     target that needs a negative quadratic weight or admits no
-    self-consistent response, or a peak cap with p > eta * P) or when the
-    certifying solve misses a target by more than _CALIBRATION_TOL. The
-    exact boundary papr_star = 1/eta_star is dispatched to the
-    constant-envelope solve.
+    self-consistent response) or when the certifying solve misses a target
+    by more than _CALIBRATION_TOL. A target on the boundary p = eta * P is
+    dispatched to the constant-envelope solve.
     """
     solver_opts = dict(solver_opts or {})
-    if not (0 < eta_star <= 1):
-        raise NotAchievableError("eta target must lie in (0, 1]")
-    if p_star <= 0:
-        raise NotAchievableError("power target must be positive")
-
-    if papr_star is None:
-        support = params_base.penalty.support
-    else:
-        if papr_star < 1:
-            raise NotAchievableError("peak-to-average ratio below one")
-        peak = papr_star * p_star
-        bound = eta_star * peak
-        if bound < p_star * (1 - 1e-9):
+    bound = peak_cap_boundary(p_star, eta_star, papr_star)
+    if bound is not None:
+        if bound < p_star:
             raise NotAchievableError(
                 f"power {p_star} exceeds the peak-cap bound eta*P = {bound}")
-        if bound <= p_star * (1 + 1e-9):
-            sol, lam, lam0 = solve_constant_envelope(params_base, p_star, eta_star)
-            return lam, lam0, sol
-        support = Support.disk(peak)
+        sol, lam, lam0 = solve_constant_envelope(params_base, p_star, eta_star)
+        return lam, lam0, sol
+    support = params_base.penalty.support if papr_star is None \
+        else Support.disk(papr_star * p_star)
 
     lam, lam0 = _invert_targets(params_base, support, p_star, eta_star)
     sol = solve_fixed_point(

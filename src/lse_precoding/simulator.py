@@ -126,13 +126,10 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
 # ridge warm start
 # ---------------------------------------------------------------------------
 
-def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
     """Ridge solve with one refinement step, the warm start of the descent;
-    returns x = H^H y with y = A^{-1} s, A = H H^H + lam I, and the
-    normal-equation residual s - A y. No residual contract: the warm starts
-    use x as it is, and the residual is there for a caller that checks it.
-    Raises SingularSystemError when A cannot be factored."""
+    returns x = H^H y with y = A^{-1} s, A = H H^H + lam I. Raises
+    SingularSystemError when A cannot be factored."""
     k = H.shape[0]
     A = H @ H.conj().T + lam * np.eye(k)
     try:
@@ -140,7 +137,7 @@ def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     y = y + np.linalg.solve(A, s - A @ y)
-    return H.conj().T @ y, s - A @ y
+    return H.conj().T @ y
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +227,13 @@ def _init_vector(problem: PrecodeProblem, kind: str,
     if kind == "greedy":
         # the greedy loop stops at one antenna, so the support is never empty
         active = _greedy_backward_support(H, s, lam_eff, spec.lam0)
-        x[active], _ = _ridge_solve(H[:, active], s, lam_eff)
+        x[active] = _ridge_solve(H[:, active], s, lam_eff)
     elif kind == "rzf":
-        x, _ = _ridge_solve(H, s, lam_eff)
+        x = _ridge_solve(H, s, lam_eff)
     elif kind == "random":
         density = 0.25 + 0.5 * rng.random()
         mask = rng.random(problem.n) < density
-        x, _ = _ridge_solve(H, s, lam_eff)
+        x = _ridge_solve(H, s, lam_eff)
         x[~mask] = 0.0
     elif kind != "zero":
         raise ValueError(f"unknown init {kind!r}")

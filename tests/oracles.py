@@ -169,8 +169,12 @@ def precode_rzf(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
     below 1e-10 ||s||; raises SingularSystemError when that cannot be met
     (singular or numerically near-singular system).
     """
-    x, residual = _ridge_solve(H, s, lam)
-    if np.linalg.norm(residual) > 1e-10 * np.linalg.norm(s):
+    x = _ridge_solve(H, s, lam)
+    # the refined y of that solve, x = H^H y, and its normal-equation residual
+    A = H @ H.conj().T + lam * np.eye(H.shape[0])
+    y = np.linalg.solve(A, s)
+    y = y + np.linalg.solve(A, s - A @ y)
+    if np.linalg.norm(s - A @ y) > 1e-10 * np.linalg.norm(s):
         raise SingularSystemError("ridge system residual above tolerance")
     return x
 

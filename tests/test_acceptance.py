@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from lse_precoding.experiments import (calibrated_point,
-                                       match_random_selection, parse_config,
-                                       run)
+from lse_precoding.experiments import (ExperimentConfig,
+                                       match_random_selection,
+                                       operating_point, parse_config, run)
 from lse_precoding.numerics import RandomStream, ks_distance
 from lse_precoding.penalty import PenaltySpec, Support, prox
 from lse_precoding import replica, simulator
@@ -22,6 +22,8 @@ from lse_precoding.simulator import generate_problem, monte_carlo
 from oracles import precode_rzf, prox_oracle, quadrature_update
 
 IV_A = dict(alpha_inverse=2.0, lambda_s=1.0, p_target=0.5, eta_target=0.5)
+# calibration targets p = 0.5 at lambda_s = 1 on the full plane
+TARGETS = ExperimentConfig(p_target=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +186,7 @@ def test_criterion_07_marginal_decoupling(iv_a_point, iv_a_monte_carlo):
 def test_criterion_08_antenna_saving_regression():
     results = {}
     for eta_t, band in ((0.5, (0.80, 0.90)), (0.3, (0.61, 0.71))):
-        pt = calibrated_point(2.0, 1.0, 0.5, eta_t, papr_db=None)
+        pt = operating_point(TARGETS, 2.0, eta_t, papr_db=None)
         eta_r = match_random_selection(2.0, 1.0, 0.5, pt.solution.distortion)
         assert band[0] <= eta_r <= band[1]
         saving = eta_r - eta_t
@@ -201,8 +203,8 @@ def test_criterion_09_peak_cap_regressions():
     worst = 0.0
     for ainv in np.arange(1.0, 2.81, 0.2):
         for eta_t in (1.0, 0.5):
-            free = calibrated_point(float(ainv), 1.0, 0.5, eta_t, papr_db=None)
-            capped = calibrated_point(float(ainv), 1.0, 0.5, eta_t, papr_db=8.0)
+            free = operating_point(TARGETS, float(ainv), eta_t, papr_db=None)
+            capped = operating_point(TARGETS, float(ainv), eta_t, papr_db=8.0)
             rel = abs(capped.solution.distortion - free.solution.distortion) \
                 / free.solution.distortion
             worst = max(worst, rel)
@@ -212,7 +214,7 @@ def test_criterion_09_peak_cap_regressions():
     for papr_db, center in ((3.0, 0.25), (0.0, 0.15)):
         ok = []
         for ainv in (1.1, 1.2):
-            pt = calibrated_point(ainv, 1.0, 0.5, 0.5, papr_db=papr_db)
+            pt = operating_point(TARGETS, ainv, 0.5, papr_db=papr_db)
             eta_r = match_random_selection(ainv, 1.0, 0.5, pt.solution.distortion)
             saving = eta_r - 0.5
             savings[(papr_db, ainv)] = saving

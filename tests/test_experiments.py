@@ -8,11 +8,11 @@ import pytest
 
 import lse_precoding
 from lse_precoding import cli
-from lse_precoding.experiments import (ConfigError,
+from lse_precoding.experiments import (ConfigError, ExperimentConfig,
                                        SchemaError, apply_overrides,
-                                       calibrated_point, emit_plot,
-                                       load_config, manifest_text,
-                                       match_random_selection, parse_config,
+                                       emit_plot, load_config, manifest_text,
+                                       match_random_selection,
+                                       operating_point, parse_config,
                                        read_csv, run, validate_config,
                                        write_csv)
 from lse_precoding.penalty import PenaltySpec
@@ -20,6 +20,8 @@ from lse_precoding.replica import (NotAchievableError, SystemParams,
                                    random_tas_baseline)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# calibration targets p = 0.5 at lambda_s = 1 on the full plane
+TARGETS = ExperimentConfig(p_target=0.5)
 
 BASE = """
 [run]
@@ -117,11 +119,15 @@ def test_validate_single_point_modes():
     ("compare", "simulation.max_sweeps=0"),
     ("simulate", "simulation.restarts=0"),
     ("simulate", "simulation.zero_eps=-1"),
+    ("sweep", "penalty.papr_db_targets=3,-1"),
+    ("calibrate", "penalty.papr_db_target=-1"),
+    ("replica", "penalty.peak_power=0"),
 ], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
         "one_trial", "no_users", "unknown_init", "negative_damping",
         "zero_damping", "damping_above_one", "negative_solver_tol",
         "zero_max_iter", "negative_sim_tol", "zero_max_sweeps",
-        "zero_restarts", "negative_zero_eps"])
+        "zero_restarts", "negative_zero_eps", "negative_papr_db_targets",
+        "negative_papr_db_target", "zero_peak_power"])
 def test_validate_rejects_out_of_range(mode, override):
     cfg = apply_overrides(parse_config(BASE), [override])
     cfg.mode = mode
@@ -229,16 +235,55 @@ def test_sweep_single_point_matches_replica_mode(tmp_path):
 # calibrated points and savings
 # ---------------------------------------------------------------------------
 
-def test_calibrated_point_peak_clamp_status():
-    pt = calibrated_point(2.0, 1.0, 0.5, 0.5, papr_db=0.0)
+def test_operating_point_peak_clamp_status():
+    pt = operating_point(TARGETS, 2.0, 0.5, papr_db=0.0)
     assert pt.status == "peak-clamped"
     # the boundary solution transmits eta * P = papr * p * eta
     assert pt.solution.state.p == pytest.approx(0.25, rel=1e-10)
     assert pt.solution.eta == pytest.approx(0.5, rel=1e-12)
 
 
+def _boundary_run(tmp_path, mode, eta_target):
+    """`lse <mode>` at the 0 dB cap on disk support; (exit code, report)."""
+    ini = tmp_path / "boundary.ini"
+    ini.write_text(BASE.replace("support = full", "support = disk")
+                   .replace("eta_target = 0.5", f"eta_target = {eta_target}")
+                   + "papr_db_target = 0\n\n[simulation]\nn = 32\ntrials = 2\n")
+    out = tmp_path / "out"
+    rc = cli.main([mode, "--config", str(ini), "--out", str(out)])
+    name = {"calibrate": "calibration", "simulate": "simulation"}.get(mode, mode)
+    path = out / f"{name}.txt"
+    report = dict(line.split(" = ") for line in path.read_text().splitlines()) \
+        if path.exists() else None
+    return rc, report
+
+
+def test_calibrate_below_the_boundary_is_peak_clamped(tmp_path):
+    # p = 0.5 with half the antennas at P = p: the boundary transmits eta P
+    rc, report = _boundary_run(tmp_path, "calibrate", 0.5)
+    assert rc == 0
+    assert report["status"] == "peak-clamped"
+    assert float(report["p"]) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_replica_on_the_boundary_is_ok_without_weights(tmp_path):
+    # every antenna at P = p lies exactly on the boundary p = eta P
+    rc, report = _boundary_run(tmp_path, "replica", 1)
+    assert rc == 0
+    assert report["status"] == "ok"
+    assert math.isnan(float(report["lambda"]))
+    assert math.isnan(float(report["lambda0"]))
+    assert float(report["p"]) == 0.5
+
+
+def test_simulate_on_the_boundary_without_weights_exits_2(tmp_path, capsys):
+    rc, report = _boundary_run(tmp_path, "simulate", 1)
+    assert rc == 2 and report is None
+    assert "no representable penalty weights" in capsys.readouterr().err
+
+
 def test_match_random_selection_frozen_anchor():
-    pt = calibrated_point(2.0, 1.0, 0.5, 0.5, papr_db=None)
+    pt = operating_point(TARGETS, 2.0, 0.5, papr_db=None)
     eta_r = match_random_selection(2.0, 1.0, 0.5, pt.solution.distortion)
     assert eta_r == pytest.approx(0.84657359, abs=1e-4)
 
@@ -248,7 +293,7 @@ def test_match_random_selection_paper_identity():
     # load, so the saving at eta = 0.5 is ln 2 / 2
     for ainv in (1.0, 1.2, 2.0, 2.8, 3.2, 3.5):
         for eta_t in (0.5, 0.3):
-            pt = calibrated_point(ainv, 1.0, 0.5, eta_t, papr_db=None)
+            pt = operating_point(TARGETS, ainv, eta_t, papr_db=None)
             eta_r = match_random_selection(ainv, 1.0, 0.5, pt.solution.distortion)
             assert abs(eta_r - eta_t * (1.0 - math.log(eta_t))) <= 1e-11, (ainv, eta_t)
 
@@ -259,8 +304,7 @@ def test_match_random_selection_meets_calibrated_baseline():
     for papr_db in cfg.papr_db_targets:
         for eta_t in cfg.eta_targets:
             for ainv in cfg.alpha_inverse:
-                pt = calibrated_point(ainv, cfg.lambda_s, cfg.p_target, eta_t,
-                                      papr_db, cfg.support, cfg.peak_power)
+                pt = operating_point(cfg, ainv, eta_t, papr_db)
                 d = pt.solution.distortion
                 eta_r = match_random_selection(ainv, cfg.lambda_s, cfg.p_target, d)
                 params = SystemParams(alpha=1.0 / ainv, lambda_s=cfg.lambda_s,
