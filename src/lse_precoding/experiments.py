@@ -240,15 +240,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{cfg.mode} mode needs eta_target or eta_targets")
     if not direct and not targets:
         raise ConfigError("give direct weights or calibration targets")
-    if direct and cfg.support == "disk" and cfg.peak_power is None:
-        raise ConfigError("disk support with direct weights needs peak_power")
+    papr = cfg.papr_db_target is not None or bool(cfg.papr_db_targets)
+    if cfg.support == "full" and (cfg.peak_power is not None or papr):
+        raise ConfigError("full support takes no peak_power and no papr target")
+    if cfg.support == "disk" and (cfg.peak_power is not None) == papr:
+        raise ConfigError("disk support needs one of peak_power and a papr target")
+    if direct and papr:
+        raise ConfigError("direct weights take peak_power, not a papr target")
     if cfg.peak_power is not None and not cfg.peak_power > 0:
         raise ConfigError("peak_power must be positive")
     if any(db < 0 for db in cfg.papr_db_targets + (cfg.papr_db_target or 0.0,)):
         raise ConfigError("papr_db_target and papr_db_targets must be >= 0 dB "
                           "(a peak-to-average ratio is at least one)")
-    if targets and cfg.p_target is None:
-        raise ConfigError("calibration targets need p_target")
+    if targets and (cfg.p_target is None or not cfg.p_target > 0):
+        raise ConfigError("calibration targets need a positive p_target")
+    if not all(0 < eta <= 1 for eta in cfg.eta_targets
+               + (() if cfg.eta_target is None else (cfg.eta_target,))):
+        raise ConfigError("eta_target and eta_targets must lie in (0, 1]")
     if cfg.mode in ("replica", "simulate", "compare", "calibrate"):
         if len(cfg.alpha_inverse) != 1:
             raise ConfigError(f"{cfg.mode} mode needs a single alpha_inverse")
@@ -523,7 +531,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     sol = pt.solution
 
     stream = RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX)
-    law = np.abs(decoupled_sample(sol.state, pt.params.penalty, stream, 10 ** 6))
+    law = np.abs(decoupled_sample(sol.state, stream, 10 ** 6))
     ks_law = ks_distance(report.magnitudes, law)
     n = cfg.n
     mags = report.magnitudes.reshape(report.trials, n)

@@ -5,12 +5,14 @@ the Marchenko-Pastur law with R-transform R(w) = alpha / (1 - w).
 State variables are the pair (chi, p): p is the average transmit power per
 antenna and chi the rescaled self-overlap response. From them follow the
 decoupled input variance lambda_rs = (lambda_s + p)/alpha, the prox weight
-kappa = 1/R(-chi), the thresholds of the scalar prox, and the observables
-(distortion (lambda_s + p)/(1 + chi)^2, active fraction, peak ratio).
+kappa = 1/R(-chi), the scalar prox rule at weight kappa, and the
+observables (distortion (lambda_s + p)/(1 + chi)^2, active fraction, peak
+ratio).
 
-The fixed-point update takes the decoupled-symbol expectations in closed
-form from the branch geometry of the shipped penalty family; the test
-suite checks them against radial quadrature of the prox.
+The decoupled symbol is that prox applied to a complex Gaussian of
+variance lambda_rs: the fixed-point update, the active fraction and the
+calibration read its closed-form law (`penalty.gaussian_law`), and
+`decoupled_sample` draws it.
 
 Calibration inverts the state equations at the targets instead of searching
 over the weights. At a given lambda_rs the decoupled law depends on the
@@ -27,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import (RandomStream, complex_normal, expand_bracket,
-                       find_root_1d, q_function)
-from .penalty import PenaltySpec, Support, ThresholdSet, prox_array, thresholds
+from .numerics import RandomStream, complex_normal, expand_bracket, find_root_1d
+from .penalty import (PenaltySpec, Support, ThresholdSet, constant_envelope_rule,
+                      gaussian_law, prox_array, thresholds)
 
 
 class NoConvergenceError(RuntimeError):
@@ -92,81 +94,25 @@ def make_state(params: SystemParams, chi: float, p: float) -> ReplicaState:
                         thresholds=thresholds(params.penalty, kappa))
 
 
-def _interval_moment2(lo: float, hi: float, lrs: float) -> float:
-    """E[r^2 1{lo <= r <= hi}] for r Rayleigh with E r^2 = lrs."""
-    lo_term = (lrs + lo * lo) * math.exp(-lo * lo / lrs)
-    hi_term = 0.0 if math.isinf(hi) else (lrs + hi * hi) * math.exp(-hi * hi / lrs)
-    return lo_term - hi_term
-
-
-def _upper_moment1(lo: float, lrs: float) -> float:
-    """E[r 1{r >= lo}] for the same Rayleigh law."""
-    return (lo * math.exp(-lo * lo / lrs)
-            + math.sqrt(math.pi * lrs) * q_function(lo * math.sqrt(2.0 / lrs)))
-
-
-def _closed_moments(spec: PenaltySpec, t: ThresholdSet, c: float,
-                    lrs: float) -> tuple[float, float]:
-    """(E|x|^2, E Re{x* s}/lrs) of the decoupled symbol x = prox(s, c),
-    s complex Gaussian of variance lrs, using the exact branch geometry.
-
-    The shrink branch only contributes when tau <= tau_tilde; for very
-    large zero-norm weights it is empty and only the rim branch survives.
-    """
-    b = 1.0 + c * spec.lam
-    p = 0.0
-    num = 0.0
-    if t.tau <= t.tau_tilde:
-        xi = _interval_moment2(t.tau, t.tau_tilde, lrs)
-        p += xi / (b * b)
-        num += xi / b
-    if spec.is_disk:
-        peak = spec.support.peak_power
-        e_hat = math.exp(-t.tau_hat ** 2 / lrs)
-        p += peak * e_hat
-        num += math.sqrt(peak) * _upper_moment1(t.tau_hat, lrs)
-    return p, num / lrs
-
-
 def fixed_point_update(params: SystemParams, state: ReplicaState
                        ) -> tuple[float, float]:
     """One update (p_new, chi_new) of the fixed-point map at `state`.
 
     p_new is the decoupled second moment; chi_new = kappa * E Re{x* s}/lrs
-    with kappa and lrs frozen at the current state, both from the exact
-    branch moments of the shipped penalty family.
+    with kappa and lrs frozen at the current state, both from the
+    closed-form law of the state's prox rule.
     """
-    p_new, m = _closed_moments(params.penalty, state.thresholds, state.kappa,
-                               state.lambda_rs)
+    p_new, m, _ = gaussian_law(state.thresholds, state.lambda_rs)
     return p_new, state.kappa * m
-
-
-def _active_fraction(spec: PenaltySpec, t: ThresholdSet, lrs: float) -> float:
-    """Asymptotic active-antenna fraction P{x != 0} from the branch masses
-    at thresholds t and decoupled variance lrs."""
-    if not spec.is_disk:
-        return math.exp(-t.tau ** 2 / lrs)
-    eta = math.exp(-t.tau_hat ** 2 / lrs)
-    if t.tau <= t.tau_tilde:
-        eta += math.exp(-t.tau ** 2 / lrs) - math.exp(-t.tau_tilde ** 2 / lrs)
-    return eta
-
-
-def papr_of_state(spec: PenaltySpec, state: ReplicaState) -> float:
-    """Peak power over average transmit power; infinite without a peak cap."""
-    if not spec.is_disk or state.p <= 0:
-        return math.inf
-    return spec.support.peak_power / state.p
 
 
 def _finalize(params: SystemParams, state: ReplicaState, residual: float,
               iterations: int, alternates=()) -> ReplicaSolution:
     d = (params.lambda_s + state.p) / (1.0 + state.chi) ** 2
+    papr = math.inf if state.p <= 0 else state.thresholds.peak / state.p
     return ReplicaSolution(state=state, distortion=d,
-                           eta=_active_fraction(params.penalty, state.thresholds,
-                                                state.lambda_rs),
-                           papr=papr_of_state(params.penalty, state),
-                           residual=residual, iterations=iterations,
+                           eta=gaussian_law(state.thresholds, state.lambda_rs)[2],
+                           papr=papr, residual=residual, iterations=iterations,
                            alternates=tuple(alternates))
 
 
@@ -242,13 +188,14 @@ def solve_fixed_point(params: SystemParams, damping: float = 0.5,
     return replace(best, alternates=tuple(solutions[1:]))
 
 
-def decoupled_sample(state: ReplicaState, penalty: PenaltySpec,
-                     stream: RandomStream, count: int) -> np.ndarray:
-    """Draw the decoupled precoded symbol: prox of a complex Gaussian of
-    variance lambda_rs at weight kappa. Deterministic given the stream."""
+def decoupled_sample(state: ReplicaState, stream: RandomStream,
+                     count: int) -> np.ndarray:
+    """Draw the decoupled precoded symbol: the state's prox rule applied to
+    a complex Gaussian of variance lambda_rs. Deterministic given the
+    stream."""
     rng = stream.generator()
     s = complex_normal(rng, count, state.lambda_rs)
-    return prox_array(penalty, s, state.kappa)
+    return prox_array(state.thresholds, s)
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +232,24 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     """
     if not (0 < eta_star <= 1):
         raise NotAchievableError("eta target must lie in (0, 1]")
-    peak = p_star / eta_star
 
     def rim(lrs):
         tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
-        return math.sqrt(peak) * _upper_moment1(tau_hat, lrs) / lrs, tau_hat
+        t = constant_envelope_rule(p_star / eta_star, tau_hat)
+        return gaussian_law(t, lrs)[1], t
 
-    chi, lrs, tau_hat = _response(params, p_star, rim)
+    chi, lrs, t = _response(params, p_star, rim)
     kappa = 1.0 / _mp_r(params, chi)
     # back out a representable weight pair when the branch geometry allows it
-    if tau_hat >= math.sqrt(peak):
+    if t.tau_hat >= t.radius:
         lam = 0.0
-        lam0 = (2.0 * tau_hat - math.sqrt(peak)) * math.sqrt(peak) / kappa
+        lam0 = (2.0 * t.tau_hat - t.radius) * t.radius / kappa
     else:
-        lam = math.nan
-        lam0 = math.nan
-    t = ThresholdSet(tau=tau_hat, tau_tilde=tau_hat, tau_hat=tau_hat)
+        lam = lam0 = math.nan
     state = ReplicaState(chi=chi, p=p_star, lambda_rs=lrs, kappa=kappa, thresholds=t)
     d = (params.lambda_s + p_star) / (1.0 + chi) ** 2
     sol = ReplicaSolution(state=state, distortion=d, eta=eta_star,
-                          papr=peak / p_star, residual=0.0, iterations=0)
+                          papr=t.peak / p_star, residual=0.0, iterations=0)
     return sol, lam, lam0
 
 
@@ -329,8 +274,7 @@ def _invert_targets(params: SystemParams, support: Support, p_star: float,
     chi is self-consistent.
     """
     def unit(b, l0):
-        spec = PenaltySpec(lam=b - 1.0, lam0=l0, support=support)
-        return spec, thresholds(spec, 1.0)
+        return thresholds(PenaltySpec(lam=b - 1.0, lam0=l0, support=support), 1.0)
 
     def decoupled(lrs):
         def l0_for(b):
@@ -338,11 +282,11 @@ def _invert_targets(params: SystemParams, support: Support, p_star: float,
                 return 0.0
             # on the scale L0 / lambda_rs
             return lrs * _root_of_decreasing(
-                lambda u: _active_fraction(*unit(b, lrs * u), lrs) - eta_star)
+                lambda u: gaussian_law(unit(b, lrs * u), lrs)[2] - eta_star)
 
         def power_gap(logb):
             b = math.exp(logb)
-            return _closed_moments(*unit(b, l0_for(b)), 1.0, lrs)[0] - p_star
+            return gaussian_law(unit(b, l0_for(b)), lrs)[0] - p_star
 
         if power_gap(0.0) < 0:
             raise NotAchievableError(
@@ -350,7 +294,7 @@ def _invert_targets(params: SystemParams, support: Support, p_star: float,
                 f"active fraction {eta_star}")
         b = math.exp(_root_of_decreasing(power_gap))
         l0 = l0_for(b)
-        return _closed_moments(*unit(b, l0), 1.0, lrs)[1], (b, l0)
+        return gaussian_law(unit(b, l0), lrs)[1], (b, l0)
 
     chi, _, (b, l0) = _response(params, p_star, decoupled)
     r = _mp_r(params, chi)

@@ -262,12 +262,11 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     usable = np.flatnonzero(g > 0.0)
     degenerate = tuple(int(j) for j in np.flatnonzero(g <= 0.0))
     # per usable column j: g_j = ||h_j||^2, the coordinate weight c_j = 1/g_j,
-    # and the prox thresholds and shrink factor at c_j
+    # and the prox rule at c_j
     columns = []
     for j, gj in zip(usable.tolist(), g[usable].tolist()):
         cj = 1.0 / gj
-        columns.append((j, gj, cj, thresholds(spec, cj),
-                        1.0 / (1.0 + cj * spec.lam)))
+        columns.append((j, gj, cj, thresholds(spec, cj)))
     # R[p] is usable column p of H; the whole blocks' Gram matrices come
     # from one batched product, a last short block's from its own
     m = usable.size
@@ -283,7 +282,6 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     blocks = [(columns[lo:lo + _CCD_BLOCK], R[lo:lo + _CCD_BLOCK],
                Rc[lo:lo + _CCD_BLOCK], Gb)
               for lo, Gb in zip(range(0, m, _CCD_BLOCK), gram)]
-    radius = spec.support.radius
     lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
@@ -302,10 +300,10 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
         for columns, Rb, Rcb, Gb in blocks:
             q = (Rcb @ r).tolist()
             deltas = None
-            for p, (j, gj, cj, t, shrink) in enumerate(columns):
+            for p, (j, gj, cj, t) in enumerate(columns):
                 xj = xs[j]
                 zj = xj + q[p] * cj
-                xn = _prox_scalar(zj, abs(zj), t, radius, shrink)
+                xn = _prox_scalar(zj, abs(zj), t)
                 if xn != xj:
                     d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
                              + lam0 * (float(xn != 0.0) - float(xj != 0.0)))

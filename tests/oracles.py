@@ -7,6 +7,10 @@ its one runtime path) by an independent route:
   Gauss-Legendre panels, with `quadrature_update` built on it as the
   quadrature twin of `replica.fixed_point_update`;
 - `prox_oracle`: the scalar prox by brute force over a polar grid;
+- `closed_moments`, `active_fraction` and `constant_envelope_rim`: the
+  closed forms of the decoupled law that the replica route used before
+  `penalty.gaussian_law` took their place, each deriving 1 + c lam,
+  sqrt(P) and the disk test from (spec, c) itself;
 - `precode_rzf` and `random_tas_rzf`: the ridge precoder with a residual
   contract, on all antennas or on a random subset.
 
@@ -22,7 +26,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from lse_precoding.numerics import NonFiniteError, RandomStream, q_function
-from lse_precoding.penalty import PenaltySpec, prox_array, thresholds
+from lse_precoding.penalty import (PenaltySpec, ThresholdSet, _interval_moment2,
+                                   _upper_moment1, prox_array, thresholds)
 from lse_precoding.replica import ReplicaState, SystemParams
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ridge_solve)
@@ -109,7 +114,7 @@ def quadrature_update(params: SystemParams, state: ReplicaState) -> tuple[float,
     breaks = [x for x in (t.tau, t.tau_tilde, t.tau_hat) if math.isfinite(x)]
 
     def mag(r):
-        return np.abs(prox_array(spec, np.asarray(r, dtype=complex), c))
+        return np.abs(prox_array(t, np.asarray(r, dtype=complex)))
 
     if spec.is_disk:
         tail_p = (spec.support.peak_power, 0.0, 0.0)
@@ -122,6 +127,52 @@ def quadrature_update(params: SystemParams, state: ReplicaState) -> tuple[float,
     num = radial_expectation(lambda r: mag(r) * np.asarray(r, dtype=float), lrs,
                              breakpoints=breaks, tail=tail_m)
     return p, c * (num / lrs)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the decoupled law, one derivation per function
+# ---------------------------------------------------------------------------
+
+def closed_moments(spec: PenaltySpec, t: ThresholdSet, c: float,
+                   lrs: float) -> tuple[float, float]:
+    """(E|x|^2, E Re{x* s}/lrs) of the decoupled symbol x = prox(s, c),
+    s complex Gaussian of variance lrs, using the exact branch geometry.
+
+    The shrink branch only contributes when tau <= tau_tilde; for very
+    large zero-norm weights it is empty and only the rim branch survives.
+    """
+    b = 1.0 + c * spec.lam
+    p = 0.0
+    num = 0.0
+    if t.tau <= t.tau_tilde:
+        xi = _interval_moment2(t.tau, t.tau_tilde, lrs)
+        p += xi / (b * b)
+        num += xi / b
+    if spec.is_disk:
+        peak = spec.support.peak_power
+        e_hat = math.exp(-t.tau_hat ** 2 / lrs)
+        p += peak * e_hat
+        num += math.sqrt(peak) * _upper_moment1(t.tau_hat, lrs)
+    return p, num / lrs
+
+
+def active_fraction(spec: PenaltySpec, t: ThresholdSet, lrs: float) -> float:
+    """Asymptotic active-antenna fraction P{x != 0} from the branch masses
+    at thresholds t and decoupled variance lrs."""
+    if not spec.is_disk:
+        return math.exp(-t.tau ** 2 / lrs)
+    eta = math.exp(-t.tau_hat ** 2 / lrs)
+    if t.tau <= t.tau_tilde:
+        eta += math.exp(-t.tau ** 2 / lrs) - math.exp(-t.tau_tilde ** 2 / lrs)
+    return eta
+
+
+def constant_envelope_rim(peak: float, eta_star: float, lrs: float
+                          ) -> tuple[float, float]:
+    """(E Re{x* s}/lrs, tau_hat) of the constant-envelope symbol with rim
+    power `peak` and active fraction eta_star."""
+    tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
+    return math.sqrt(peak) * _upper_moment1(tau_hat, lrs) / lrs, tau_hat
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,8 @@ def test_criterion_06_replica_vs_simulation(iv_a_point, iv_a_monte_carlo):
 def test_criterion_07_marginal_decoupling(iv_a_point, iv_a_monte_carlo):
     _, _, sol = iv_a_point
     report, _ = iv_a_monte_carlo
-    spec = PenaltySpec(lam=iv_a_point[0], lam0=iv_a_point[1])
-    law = np.abs(decoupled_sample(sol.state, spec,
-                                  RandomStream(20240, 1 << 52), 10 ** 6))
+    law = np.abs(decoupled_sample(sol.state, RandomStream(20240, 1 << 52),
+                                  10 ** 6))
     ks_law = ks_distance(report.magnitudes, law)
     mags = report.magnitudes.reshape(report.trials, 400)
     ks_half = ks_distance(mags[:, :200].ravel(), mags[:, 200:].ravel())

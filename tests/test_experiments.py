@@ -122,17 +122,66 @@ def test_validate_single_point_modes():
     ("sweep", "penalty.papr_db_targets=3,-1"),
     ("calibrate", "penalty.papr_db_target=-1"),
     ("replica", "penalty.peak_power=0"),
+    ("calibrate", "penalty.p_target=-1"),
+    ("calibrate", "penalty.p_target=0"),
+    ("calibrate", "penalty.eta_target=0"),
+    ("replica", "penalty.eta_target=1.5"),
+    ("sweep", "penalty.eta_targets=0.5,1.5"),
+    ("saving", "penalty.eta_targets=0,0.5"),
 ], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
         "one_trial", "no_users", "unknown_init", "negative_damping",
         "zero_damping", "damping_above_one", "negative_solver_tol",
         "zero_max_iter", "negative_sim_tol", "zero_max_sweeps",
         "zero_restarts", "negative_zero_eps", "negative_papr_db_targets",
-        "negative_papr_db_target", "zero_peak_power"])
+        "negative_papr_db_target", "zero_peak_power", "negative_p_target",
+        "zero_p_target", "zero_eta_target", "eta_target_above_one",
+        "eta_targets_above_one", "zero_eta_targets"])
 def test_validate_rejects_out_of_range(mode, override):
     cfg = apply_overrides(parse_config(BASE), [override])
     cfg.mode = mode
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+# BASE with direct weights in place of its calibration targets
+DIRECT = BASE.replace("p_target = 0.5\neta_target = 0.5", "lambda = 0.1\nlambda0 = 0.05")
+DISK = "penalty.support=disk"
+
+
+@pytest.mark.parametrize("text, overrides", [
+    (BASE, [DISK]),
+    (BASE, ["penalty.papr_db_target=3"]),
+    (BASE, ["penalty.papr_db_targets=0,3"]),
+    (BASE, ["penalty.peak_power=2"]),
+    (BASE, [DISK, "penalty.peak_power=2", "penalty.papr_db_target=3"]),
+    (BASE, [DISK, "penalty.peak_power=0"]),
+    (DIRECT, ["penalty.peak_power=2"]),
+    (DIRECT, [DISK, "penalty.papr_db_target=3"]),
+    (DIRECT, [DISK, "penalty.peak_power=2", "penalty.papr_db_target=3"]),
+], ids=["disk_targets_without_cap", "full_with_papr_target",
+        "full_with_papr_targets", "full_with_peak_power",
+        "disk_with_peak_power_and_papr_target", "disk_zero_peak_power",
+        "direct_full_with_peak_power", "direct_disk_with_papr_target",
+        "direct_disk_with_peak_power_and_papr_target"])
+def test_validate_rejects_unused_peak_cap(text, overrides):
+    # a peak-cap setting the run would not use is a config error: the full
+    # plane takes neither peak_power nor a papr target, a disk exactly one
+    # (peak_power with direct weights)
+    cfg = apply_overrides(parse_config(text), overrides)
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("text, overrides", [
+    (BASE, []),
+    (BASE, [DISK, "penalty.peak_power=2"]),
+    (BASE, [DISK, "penalty.papr_db_target=3"]),
+    (DIRECT, []),
+    (DIRECT, [DISK, "penalty.peak_power=2"]),
+], ids=["full_targets", "disk_targets_peak_power", "disk_targets_papr_target",
+        "full_direct", "disk_direct_peak_power"])
+def test_validate_accepts_used_peak_cap(text, overrides):
+    validate_config(apply_overrides(parse_config(text), overrides))
 
 
 def test_overrides():

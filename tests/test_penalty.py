@@ -8,8 +8,10 @@ import hypothesis.strategies as st
 
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, Support,
+                                   constant_envelope_rule, gaussian_law,
                                    penalty_value, prox, prox_array, thresholds)
-from oracles import prox_oracle
+from oracles import (active_fraction, closed_moments, constant_envelope_rim,
+                     prox_oracle)
 
 FULL = Support.full_plane()
 
@@ -169,7 +171,7 @@ def test_prox_array_matches_scalar():
     rng = RandomStream(20242, 0).generator()
     spec = PenaltySpec(lam=0.4, lam0=0.8, support=Support.disk(2.0))
     z = rng.normal(0, 2, 256) + 1j * rng.normal(0, 2, 256)
-    vec = prox_array(spec, z, 0.7)
+    vec = prox_array(thresholds(spec, 0.7), z)
     for i in range(256):
         s = prox(spec, complex(z[i]), 0.7)
         assert (vec[i] == 0) == (s == 0)
@@ -216,8 +218,48 @@ def test_prox_array_bytes_match_masked_index_version(lam, lam0, peak, c, extra):
     z = np.array([m * u for m in edges for u in (1, -1, 1j, -1j)] + extra,
                  dtype=complex)
     assert np.array_equal(np.abs(z[:4 * len(edges)]), np.repeat(edges, 4))
-    assert prox_array(spec, z, c).tobytes() == \
+    assert prox_array(t, z).tobytes() == \
         _masked_index_prox_array(spec, z, c).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Gaussian law of the rule
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@given(_weight(), _weight(), st.none() | st.floats(0.2, 4.0),
+       st.floats(0.05, 5.0), st.floats(0.05, 10.0))
+@example(lam=0.0, lam0=3.0, peak=0.2, c=1.0, lrs=1.0)  # tau > tau_tilde
+@example(lam=0.0, lam0=1.0, peak=1.0, c=1.0, lrs=0.7)  # tau = tau_tilde = tau_hat
+@example(lam=0.5, lam0=0.0, peak=None, c=0.7, lrs=2.0)  # tau = 0, full plane
+@settings(max_examples=300, deadline=None)
+def test_gaussian_law_matches_closed_forms_bit_for_bit(lam, lam0, peak, c, lrs):
+    # the one law reads b, shrink, sqrt(P) and P from the rule; the old
+    # closed forms derived them from (spec, c) themselves
+    support = FULL if peak is None else Support.disk(peak)
+    spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
+    t = thresholds(spec, c)
+    assert _bits(gaussian_law(t, lrs)) == \
+        _bits(closed_moments(spec, t, c, lrs) + (active_fraction(spec, t, lrs),))
+
+
+@given(st.floats(0.05, 8.0), st.just(1.0) | st.floats(0.01, 1.0),
+       st.floats(0.05, 10.0))
+@example(peak=1.0, eta=1.0, lrs=1.0)  # tau_hat = 0
+@settings(max_examples=200, deadline=None)
+def test_gaussian_law_matches_constant_envelope_bit_for_bit(peak, eta, lrs):
+    m, tau_hat = constant_envelope_rim(peak, eta, lrs)
+    t = constant_envelope_rule(peak, tau_hat)
+    assert (t.tau, t.tau_tilde, t.tau_hat) == (tau_hat, tau_hat, tau_hat)
+    # the rule at b = 1 is the prox of lam = 0 on the disk of power `peak`
+    spec = PenaltySpec(support=Support.disk(peak))
+    law = gaussian_law(t, lrs)
+    assert _bits(law) == \
+        _bits(closed_moments(spec, t, 1.0, lrs) + (active_fraction(spec, t, lrs),))
+    assert _bits(law[1:2]) == _bits([m])
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,14 @@ def test_solve_divergent_region_raises():
 def test_decoupled_all_zero_for_huge_l0():
     params = mp_params(0.5, lam=0.0, lam0=500.0)
     st = make_state(params, 1.0, 0.5)
-    out = decoupled_sample(st, params.penalty, RandomStream(5, 0), 4096)
+    out = decoupled_sample(st, RandomStream(5, 0), 4096)
     assert np.all(out == 0)
 
 
 def test_decoupled_identity_prox_is_gaussian():
     params = mp_params(2.0)
     sol = solve_fixed_point(params)
-    out = decoupled_sample(sol.state, params.penalty, RandomStream(5, 1), 200_000)
+    out = decoupled_sample(sol.state, RandomStream(5, 1), 200_000)
     var = float(np.mean(np.abs(out) ** 2))
     assert var == pytest.approx(sol.state.lambda_rs, rel=0.02)
 
@@ -154,17 +154,29 @@ def test_decoupled_active_fraction_matches_eta():
     params = mp_params(0.5, lam=0.15593417145704414, lam0=0.11475326486959826)
     sol = solve_fixed_point(params)
     count = 10 ** 6
-    out = decoupled_sample(sol.state, params.penalty, RandomStream(5, 2), count)
+    out = decoupled_sample(sol.state, RandomStream(5, 2), count)
     frac = float(np.mean(out != 0))
     bound = 3.0 * math.sqrt(sol.eta * (1 - sol.eta) / count)
     assert abs(frac - sol.eta) <= bound
 
 
+def test_decoupled_constant_envelope_state():
+    # the 0 dB cap at p = 0.5, eta = 0.5 clamps to the boundary p = eta P
+    # with P = 0.5: every active symbol sits on the rim
+    sol, _, _ = solve_constant_envelope(mp_params(0.5), 0.25, 0.5)
+    count = 10 ** 6
+    out = decoupled_sample(sol.state, RandomStream(5, 4), count)
+    active = out[out != 0]
+    bound = 4.0 * math.sqrt(sol.eta * (1 - sol.eta) / count)
+    assert abs(active.size / count - sol.eta) <= bound
+    assert np.max(np.abs(np.abs(active) / math.sqrt(0.5) - 1.0)) <= 1e-12
+
+
 def test_decoupled_sampling_is_deterministic():
     params = mp_params(2.0)
     sol = solve_fixed_point(params)
-    a = decoupled_sample(sol.state, params.penalty, RandomStream(11, 3), 64)
-    b = decoupled_sample(sol.state, params.penalty, RandomStream(11, 3), 64)
+    a = decoupled_sample(sol.state, RandomStream(11, 3), 64)
+    b = decoupled_sample(sol.state, RandomStream(11, 3), 64)
     assert np.array_equal(a, b)
 
 

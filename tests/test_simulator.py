@@ -199,15 +199,12 @@ def _reference_ccd_from(problem: PrecodeProblem, x0: np.ndarray,
     rows = np.ascontiguousarray(H.T)  # rows[j] is column j of H
     g = np.einsum("ij,ij->j", H.conj(), H).real
     degenerate = tuple(int(j) for j in np.where(g <= 0.0)[0])
-    # per usable column j: h_j, g_j = ||h_j||^2, and the prox thresholds and
-    # shrink factor at the coordinate weight c_j = 1/g_j
+    # per usable column j: h_j, g_j = ||h_j||^2, and the prox rule at the
+    # coordinate weight c_j = 1/g_j
     columns = []
     for j, gj in enumerate(g.tolist()):
         if gj > 0.0:
-            cj = 1.0 / gj
-            columns.append((j, rows[j], gj, thresholds(spec, cj),
-                            1.0 / (1.0 + cj * spec.lam)))
-    radius = spec.support.radius
+            columns.append((j, rows[j], gj, thresholds(spec, 1.0 / gj)))
     lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
@@ -219,10 +216,10 @@ def _reference_ccd_from(problem: PrecodeProblem, x0: np.ndarray,
     sweeps = 0
     for sweep in range(max_sweeps):
         prev = obj
-        for j, hj, gj, t, shrink in columns:
+        for j, hj, gj, t in columns:
             xj = x[j]
             zj = xj + np.vdot(hj, r) / gj
-            xn = _prox_scalar(zj, abs(zj), t, radius, shrink)
+            xn = _prox_scalar(zj, abs(zj), t)
             if xn != xj:
                 d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
                          + lam0 * (float(xn != 0.0) - float(xj != 0.0)))
@@ -296,7 +293,6 @@ def _blocked_reference_ccd_from(problem: PrecodeProblem, x0: np.ndarray,
     g = np.einsum("ij,ij->j", H.conj(), H).real
     degenerate = tuple(int(j) for j in np.where(g <= 0.0)[0])
     usable = [j for j in range(problem.n) if g[j] > 0.0]
-    radius = spec.support.radius
     lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
@@ -319,8 +315,7 @@ def _blocked_reference_ccd_from(problem: PrecodeProblem, x0: np.ndarray,
                 cj = 1.0 / g[j]
                 xj = x[j]
                 zj = xj + q[p] / g[j]
-                xn = _prox_scalar(zj, abs(zj), thresholds(spec, cj), radius,
-                                  1.0 / (1.0 + cj * lam))
+                xn = _prox_scalar(zj, abs(zj), thresholds(spec, cj))
                 if xn != xj:
                     d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
                              + lam0 * (float(xn != 0.0) - float(xj != 0.0)))
