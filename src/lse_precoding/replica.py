@@ -94,8 +94,7 @@ def make_state(params: SystemParams, chi: float, p: float) -> ReplicaState:
                         thresholds=thresholds(params.penalty, kappa))
 
 
-def fixed_point_update(params: SystemParams, state: ReplicaState
-                       ) -> tuple[float, float]:
+def fixed_point_update(state: ReplicaState) -> tuple[float, float]:
     """One update (p_new, chi_new) of the fixed-point map at `state`.
 
     p_new is the decoupled second moment; chi_new = kappa * E Re{x* s}/lrs
@@ -129,7 +128,7 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
     residual = math.inf
     state = make_state(params, chi, p)
     for it in range(max_iter):
-        p_new, chi_new = fixed_point_update(params, state)
+        p_new, chi_new = fixed_point_update(state)
         if not (math.isfinite(p_new) and math.isfinite(chi_new)):
             # chi runs off to infinity when no fixed point exists (e.g. no
             # penalty with more antennas than users)

@@ -11,11 +11,10 @@ the support first by greedy backward elimination with exact re-optimized
 objective deltas, then polishes with coordinate descent. Further starts
 (ridge, zero, random supports) run only when restarts > 1 asks for them;
 the lowest objective, recomputed at the end of each start, then wins.
-Each greedy drop is a rank-one update: the inverse ridge matrix is kept as
-a base matrix plus the stored rank-one terms, and the removal scores
-(leverages d and correlations u) are updated in place. Every 64 drops the
-stored terms are folded into the base with one matrix product; nothing is
-recomputed from scratch, so a trial inverts one matrix, at the start.
+Greedy selection works on the antenna Gram matrix Q0 = H^H M0 H, formed
+once from the one inverse of a trial, M0 = (lam I + H H^H)^{-1}: a drop
+reads one row of Q0, corrects it by the columns stored for earlier drops
+and updates the removal scores (leverages d, correlations u) in place.
 
 The descent sweeps the columns in blocks of 16 in the covariance-update
 form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
@@ -42,7 +41,6 @@ from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 
 INIT_KINDS = ("auto", "greedy", "rzf", "zero", "random")  # precode_ccd inits
 _RESTART_STREAM_OFFSET = 1 << 48
-_GREEDY_FOLD = 64  # rank-one terms stored before greedy selection folds them
 _CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
 _HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
@@ -154,46 +152,37 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
     lam |u_j|^2 / (1 - d_j) with u = H^H M^{-1} s and d_j = h_j^H M^{-1} h_j.
     Columns are dropped while the best delta is negative (ties go to the
     lowest index). Removing column j adds v v^H / (1 - d_j), v = M^{-1} h_j,
-    to M^{-1}; that term is kept unexpanded, M^{-1} = M0 + sum v_i v_i^H /
-    (1 - d_i), and d and u are updated by the same rank-one term, so a
-    drop costs O(k^2 + k n + k m) with m stored terms. Once _GREEDY_FOLD
-    terms are stored they are folded into M0 with one product and the store
-    is emptied; nothing is recomputed from scratch, so M0 starts as the one
-    inverse of the call and d and u are only ever updated.
+    to M^{-1}, hence t t^H / (1 - d_j) to Q = H^H M^{-1} H, where t = H^H v
+    is column j of the current Q: with M0 the one inverse of the call and
+    Q0 = H^H M0 H, t = conj(Q0[j]) + sum_i conj(t_i[j]) t_i / (1 - d_i)
+    over the stored columns t_i. d and u move by that term (v^H s = u_j),
+    so a drop costs O(n + m n) with m stored columns.
     """
     k, n = H.shape
     HH = H.conj().T
     M0 = np.linalg.inv(lam * np.eye(k) + H @ HH)
+    Q0 = HH @ (M0 @ H)
     u = HH @ (M0 @ s)
-    d = np.einsum("ij,ij->j", H.conj(), M0 @ H).real
-    cols = np.ascontiguousarray(H.T)  # cols[j] is column j of H
-    V = np.empty((_GREEDY_FOLD, k), dtype=complex)  # rows v_i
-    W = np.empty_like(V)                            # rows conj(v_i) / (1 - d_i)
-    m = 0
-    active = np.ones(n, dtype=bool)
-    for _ in range(n - 1):
+    d = Q0.diagonal().real.copy()
+    T = np.empty((n, n), dtype=complex)  # rows t_i, one per drop so far
+    den = np.empty(n)                    # their 1 - d_i
+    dead = np.zeros(n)  # inf at dropped columns
+    for m in range(n - 1):
         denom = np.maximum(1.0 - d, 1e-12)
-        delta = lam * np.abs(u) ** 2 / denom - lam0
-        delta[~active] = np.inf
+        delta = lam * np.abs(u) ** 2 / denom - lam0 + dead
         j = int(np.argmin(delta))
         if delta[j] >= 0.0:
             break
-        hj = cols[j]
-        v = M0 @ hj
+        t = Q0[j].conj()
         if m:
-            v += (W[:m] @ hj) @ V[:m]
+            t += (T[:m, j].conj() / den[:m]) @ T[:m]
         dj = max(1.0 - d[j], 1e-12)
-        active[j] = False
-        t = HH @ v
+        dead[j] = np.inf
         d += np.abs(t) ** 2 / dj
-        u += t * (np.vdot(v, s) / dj)
-        V[m] = v
-        np.divide(v.conj(), dj, out=W[m])
-        m += 1
-        if m == _GREEDY_FOLD:
-            M0 += V.T @ W
-            m = 0
-    return active
+        u += t * (u[j] / dj)
+        T[m] = t
+        den[m] = dj
+    return dead == 0.0
 
 
 # ---------------------------------------------------------------------------

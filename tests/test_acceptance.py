@@ -107,7 +107,7 @@ def test_criterion_03_closed_vs_quadrature():
                                     lam0=rng.uniform(0.0, 2.0),
                                     support=support))
             st = make_state(params, rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0))
-            pc, cc = fixed_point_update(params, st)
+            pc, cc = fixed_point_update(st)
             pq, cq = quadrature_update(params, st)
             worst = max(worst, abs(pc - pq), abs(cc - cq))
             assert abs(pc - pq) <= 1e-7 and abs(cc - cq) <= 1e-7

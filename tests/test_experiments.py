@@ -567,21 +567,39 @@ def _package_env(**extra):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_compare_outputs_independent_of_blas_threads(tmp_path):
-    # one OpenBLAS thread runs the trials in worker processes, two (on two
-    # cores) run them serially: the files must not tell the two apart
+def _compare_under_blas_threads(tmp_path, *sets):
+    """compare.ini with `--set` overrides, run under one and under two
+    OpenBLAS threads; returns the files each run wrote."""
     outputs = {}
     for blas in ("1", "2"):
         env = _package_env(OPENBLAS_NUM_THREADS=blas)
         out = tmp_path / f"blas{blas}"
+        args = [a for kv in sets for a in ("--set", kv)]
         subprocess.run([sys.executable, "-m", "lse_precoding.cli", "compare",
-                        "--config", str(CONFIGS / "compare.ini"),
-                        "--set", "simulation.n=64", "--set", "simulation.trials=6",
+                        "--config", str(CONFIGS / "compare.ini"), *args,
                         "--out", str(out)],
                        env=env, check=True, capture_output=True)
         outputs[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(outputs["1"]) == ["compare.csv", "compare_summary.txt",
                                     "manifest.cfg"]
+    return outputs
+
+
+def test_compare_outputs_independent_of_blas_threads(tmp_path):
+    # one OpenBLAS thread runs the trials in worker processes, two (on two
+    # cores) run them serially: the files must not tell the two apart
+    outputs = _compare_under_blas_threads(
+        tmp_path, "simulation.n=64", "simulation.trials=6")
+    assert outputs["1"] == outputs["2"]
+
+
+def test_disk_compare_ks_independent_of_blas_threads(tmp_path):
+    # at a peak-clamped disk point every active magnitude is sqrt(P) up to
+    # rounding that moves with the thread count; the KS distances must not
+    outputs = _compare_under_blas_threads(
+        tmp_path, "penalty.support=disk", "penalty.papr_db_target=0",
+        "simulation.n=200", "simulation.trials=20")
+    assert b"peak-clamped" in outputs["1"]["compare_summary.txt"]
     assert outputs["1"] == outputs["2"]
 
 
@@ -618,7 +636,7 @@ rc = rc or cli.main(["sweep", "--config", configs + "/fig2.ini",
 params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(
     lam=0.3, lam0=0.2, support=Support.disk(2.0)))
 state = make_state(params, 0.8, 0.5)
-closed = fixed_point_update(params, state)
+closed = fixed_point_update(state)
 quad = quadrature_update(params, state)
 gap = max(abs(c - q) for c, q in zip(closed, quad))
 rc = rc or (0 if gap <= 1e-7 else 3)

@@ -48,7 +48,7 @@ def test_update_at_true_fixed_point():
     # alpha=2, lambda_s=1, no penalty: (chi, p) = (1, 1) solves the system
     params = mp_params(2.0)
     st = make_state(params, 1.0, 1.0)
-    p_new, chi_new = fixed_point_update(params, st)
+    p_new, chi_new = fixed_point_update(st)
     assert p_new == pytest.approx(1.0, abs=1e-14)
     assert chi_new == pytest.approx(1.0, abs=1e-14)
 
@@ -57,7 +57,7 @@ def test_update_zero_threshold_power():
     # without the zero-norm weight the power update is lambda_rs / (1+k lam)^2
     params = mp_params(0.8, lam_s=1.2, lam=0.6)
     st = make_state(params, 0.9, 0.4)
-    p_new, _ = fixed_point_update(params, st)
+    p_new, _ = fixed_point_update(st)
     b = 1.0 + st.kappa * 0.6
     assert p_new == pytest.approx(st.lambda_rs / b ** 2, rel=1e-14)
 
@@ -67,8 +67,8 @@ def test_update_large_peak_matches_full_plane():
     disk = mp_params(0.5, lam=0.3, lam0=0.2, peak=1e6)
     stf = make_state(full, 0.8, 0.6)
     std = make_state(disk, 0.8, 0.6)
-    pf, cf = fixed_point_update(full, stf)
-    pd_, cd = fixed_point_update(disk, std)
+    pf, cf = fixed_point_update(stf)
+    pd_, cd = fixed_point_update(std)
     assert pd_ == pytest.approx(pf, rel=1e-4)
     assert cd == pytest.approx(cf, rel=1e-4)
 
@@ -83,7 +83,7 @@ def test_update_closed_vs_quadrature(peak):
                            lam0=rng.uniform(0.0, 2.0),
                            peak=peak and rng.uniform(0.3, 6.0))
         st = make_state(params, rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0))
-        pc, cc = fixed_point_update(params, st)
+        pc, cc = fixed_point_update(st)
         pq, cq = quadrature_update(params, st)
         assert abs(pc - pq) <= 1e-7
         assert abs(cc - cq) <= 1e-7
@@ -110,7 +110,7 @@ def test_solve_eta_is_one_without_l0():
 def test_solve_certificate():
     params = mp_params(0.6, lam=0.2, lam0=0.3)
     sol = solve_fixed_point(params, tol=1e-12)
-    p_new, chi_new = fixed_point_update(params, sol.state)
+    p_new, chi_new = fixed_point_update(sol.state)
     assert abs(p_new - sol.state.p) <= 1e-11
     assert abs(chi_new - sol.state.chi) <= 1e-11
 
@@ -313,8 +313,7 @@ def test_constant_envelope_consistency_with_update():
     # the boundary state is an exact fixed point of the closed-form map
     params = mp_params(0.5)
     sol, _, _ = solve_constant_envelope(params, 0.5, 0.5)
-    disk_params = mp_params(0.5, peak=sol.papr * 0.5)
-    p_new, chi_new = fixed_point_update(disk_params, sol.state)
+    p_new, chi_new = fixed_point_update(sol.state)
     assert p_new == pytest.approx(sol.state.p, abs=1e-10)
     assert chi_new == pytest.approx(sol.state.chi, abs=1e-10)
 
