@@ -26,7 +26,7 @@ from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
                       match_random_selection, peak_cap_boundary,
                       solve_constant_envelope, solve_fixed_point)
-from .simulator import INIT_KINDS, monte_carlo
+from .simulator import monte_carlo
 
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
 # sampler uses a far-away reserved index off the same master seed
@@ -85,6 +85,7 @@ class ExperimentConfig:
     zero_eps: float = 1e-9
     max_sweeps: int = 500
     sim_tol: float = 1e-10
+    # single-valued: every manifest records them (validate_config)
     restarts: int = 1
     init: str = "auto"
 
@@ -100,8 +101,7 @@ class ExperimentConfig:
                     max_iter=self.max_iter)
 
     def sim_opts(self) -> dict:
-        return dict(init=self.init, max_sweeps=self.max_sweeps,
-                    tol=self.sim_tol, restarts=self.restarts)
+        return dict(max_sweeps=self.max_sweeps, tol=self.sim_tol)
 
     @property
     def uses_targets(self) -> bool:
@@ -216,6 +216,11 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.mode not in _RUNNERS:
         raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {cfg.mode!r}")
+    # every manifest records these two; the descent takes one start
+    for key, only in (("restarts", 1), ("init", "auto")):
+        if getattr(cfg, key) != only:
+            raise ConfigError(f"[simulation] {key} takes only {only!r}, "
+                              f"got {getattr(cfg, key)!r}")
     if cfg.mode == "plot":
         if not cfg.plot_inputs:
             raise ConfigError("plot mode needs [plot] inputs")
@@ -268,12 +273,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if _user_count(cfg) < 1:
             raise ConfigError(f"n = {cfg.n} at alpha_inverse = "
                               f"{_fmt(cfg.alpha_inverse[0])} leaves no user")
-        if cfg.init not in INIT_KINDS:
-            raise ConfigError(f"init must be one of {INIT_KINDS}, got {cfg.init!r}")
-        if not (cfg.sim_tol >= 0 and cfg.zero_eps >= 0
-                and cfg.max_sweeps >= 1 and cfg.restarts >= 1):
-            raise ConfigError("simulation needs tol >= 0, zero_eps >= 0, "
-                              "max_sweeps >= 1 and restarts >= 1")
+        if not (cfg.sim_tol >= 0 and cfg.zero_eps >= 0 and cfg.max_sweeps >= 1):
+            raise ConfigError("simulation needs tol >= 0, zero_eps >= 0 "
+                              "and max_sweeps >= 1")
 
 
 def _user_count(cfg: ExperimentConfig) -> int:

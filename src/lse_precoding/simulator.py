@@ -6,15 +6,14 @@ the marginal law of the precoded symbols.
 The zero-norm term makes the problem nonconvex, and coordinate descent
 from a ridge warm start systematically keeps too many antennas active: the
 single-coordinate exchange rate 1/||h_j||^2 understates how well the other
-antennas compensate for a removal. The default pipeline therefore selects
-the support first by greedy backward elimination with exact re-optimized
-objective deltas, then polishes with coordinate descent. Further starts
-(ridge, zero, random supports) run only when restarts > 1 asks for them;
-the lowest objective, recomputed at the end of each start, then wins.
-Greedy selection works on the antenna Gram matrix Q0 = H^H M0 H, formed
-once from the one inverse of a trial, M0 = (lam I + H H^H)^{-1}: a drop
-reads one row of Q0, corrects it by the columns stored for earlier drops
-and updates the removal scores (leverages d, correlations u) in place.
+antennas compensate for a removal. When the zero-norm weight is active the
+solver therefore selects the support first by greedy backward elimination
+with exact re-optimized objective deltas and starts the descent from ridge
+on it; otherwise it starts from ridge on every antenna. Greedy works on
+the antenna Gram matrix Q0 = H^H M0 H, formed once from the one inverse of
+a trial, M0 = (lam I + H H^H)^{-1}: a drop reads one row of Q0, corrects
+it by the columns stored for earlier drops and updates the removal scores
+(leverages d, correlations u) in place.
 
 The descent sweeps the columns in blocks of 16 in the covariance-update
 form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
@@ -39,8 +38,6 @@ import numpy as np
 from .numerics import RandomStream, complex_normal
 from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 
-INIT_KINDS = ("auto", "greedy", "rzf", "zero", "random")  # precode_ccd inits
-_RESTART_STREAM_OFFSET = 1 << 48
 _CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
 _HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
@@ -56,7 +53,6 @@ class PrecodeProblem:
     H: np.ndarray
     s: np.ndarray
     penalty: PenaltySpec
-    stream: RandomStream | None = None
 
     @property
     def k(self) -> int:
@@ -117,7 +113,7 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
     rng = stream.generator()
     H = complex_normal(rng, (k, n), 1.0 / n)
     s = complex_normal(rng, k, lambda_s)
-    return PrecodeProblem(H=H, s=s, penalty=penalty, stream=stream)
+    return PrecodeProblem(H=H, s=s, penalty=penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +202,6 @@ def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
     x = x.copy()
     x[over] *= radius / a[over]
     return x
-
-
-def _init_vector(problem: PrecodeProblem, kind: str,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    H, s, spec = problem.H, problem.s, problem.penalty
-    lam_eff = max(spec.lam, 1e-6)
-    x = np.zeros(problem.n, dtype=complex)
-    if kind == "greedy":
-        # the greedy loop stops at one antenna, so the support is never empty
-        active = _greedy_backward_support(H, s, lam_eff, spec.lam0)
-        x[active] = _ridge_solve(H[:, active], s, lam_eff)
-    elif kind == "rzf":
-        x = _ridge_solve(H, s, lam_eff)
-    elif kind == "random":
-        density = 0.25 + 0.5 * rng.random()
-        mask = rng.random(problem.n) < density
-        x = _ridge_solve(H, s, lam_eff)
-        x[~mask] = 0.0
-    elif kind != "zero":
-        raise ValueError(f"unknown init {kind!r}")
-    return _clip_to_support(spec, x)
 
 
 def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
@@ -331,44 +306,25 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
                          tracked_objective=tracked)
 
 
-def precode_ccd(problem: PrecodeProblem, init: str = "auto",
-                max_sweeps: int = 500, tol: float = 1e-10,
-                restarts: int = 1) -> PrecodeResult:
-    """Solve one precoding instance; returns the result of the start with
-    the lowest objective (`PrecodeResult.objective`, recomputed from
-    scratch when the start's descent ends) over the deterministic
-    initializations.
+def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,
+                tol: float = 1e-10) -> PrecodeResult:
+    """Solve one precoding instance by coordinate descent from one start.
 
-    init "auto" selects the support by greedy backward elimination whenever
-    the zero-norm weight is active and uses the ridge warm start otherwise.
-    With restarts > 1 additional starts are appended (ridge, zero, then
-    random supports seeded from the problem stream, or from stream (0, 0)
-    when the problem has none) and the best final objective wins.
+    When the zero-norm weight is active the start is the ridge solution on
+    the support that greedy backward elimination selects; otherwise it is
+    the ridge solution on every antenna. On a disk the start is clipped
+    onto it. With max_sweeps = 0 the result holds the start itself.
     """
-    spec = problem.penalty
-    if init == "auto":
-        init = "greedy" if spec.lam0 > 0 else "rzf"
-    kinds = [init]
-    for extra in ("rzf", "zero"):
-        if len(kinds) >= restarts:
-            break
-        if extra not in kinds:
-            kinds.append(extra)
-    while len(kinds) < restarts:
-        kinds.append("random")
-
-    rng = None
-    if "random" in kinds:
-        base = problem.stream or RandomStream(0, 0)
-        rng = base.substream(base.stream_index + _RESTART_STREAM_OFFSET).generator()
-
-    best = None
-    for kind in kinds:
-        res = _ccd_from(problem, _init_vector(problem, kind, rng),
-                        max_sweeps, tol)
-        if best is None or res.objective < best.objective:
-            best = res
-    return best
+    H, s, spec = problem.H, problem.s, problem.penalty
+    lam_eff = max(spec.lam, 1e-6)
+    if spec.lam0 > 0:
+        # the greedy loop stops at one antenna, so the support is never empty
+        active = _greedy_backward_support(H, s, lam_eff, spec.lam0)
+        x0 = np.zeros(problem.n, dtype=complex)
+        x0[active] = _ridge_solve(H[:, active], s, lam_eff)
+    else:
+        x0 = _ridge_solve(H, s, lam_eff)
+    return _ccd_from(problem, _clip_to_support(spec, x0), max_sweeps, tol)
 
 
 # ---------------------------------------------------------------------------

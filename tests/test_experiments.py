@@ -118,6 +118,11 @@ def test_validate_single_point_modes():
     ("compare", "simulation.tol=-1e-10"),
     ("compare", "simulation.max_sweeps=0"),
     ("simulate", "simulation.restarts=0"),
+    ("simulate", "simulation.restarts=4"),
+    ("simulate", "simulation.init=zero"),
+    ("simulate", "simulation.init=greedy"),
+    ("replica", "simulation.restarts=2"),
+    ("plot", "simulation.init=zero"),
     ("simulate", "simulation.zero_eps=-1"),
     ("sweep", "penalty.papr_db_targets=3,-1"),
     ("calibrate", "penalty.papr_db_target=-1"),
@@ -132,15 +137,21 @@ def test_validate_single_point_modes():
         "one_trial", "no_users", "unknown_init", "negative_damping",
         "zero_damping", "damping_above_one", "negative_solver_tol",
         "zero_max_iter", "negative_sim_tol", "zero_max_sweeps",
-        "zero_restarts", "negative_zero_eps", "negative_papr_db_targets",
+        "zero_restarts", "four_restarts", "zero_init", "greedy_init",
+        "replica_two_restarts", "plot_zero_init", "negative_zero_eps",
+        "negative_papr_db_targets",
         "negative_papr_db_target", "zero_peak_power", "negative_p_target",
         "zero_p_target", "zero_eta_target", "eta_target_above_one",
         "eta_targets_above_one", "zero_eta_targets"])
 def test_validate_rejects_out_of_range(mode, override):
     cfg = apply_overrides(parse_config(BASE), [override])
     cfg.mode = mode
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         validate_config(cfg)
+    # restarts and init take one value each, in every mode
+    key = override.split("=")[0].split(".")[1]
+    if key in ("restarts", "init"):
+        assert key in str(exc.value)
 
 
 # BASE with direct weights in place of its calibration targets
@@ -224,6 +235,8 @@ def test_manifest_skips_execution_knobs():
         ["lse_precoding", "numpy", "blas"]
     blas = [line for line in text.splitlines() if line.startswith("blas = ")]
     assert len(blas) == 1 and len(blas[0].split()) == 4  # blas = <name> <version>
+    simulation = text.split("[simulation]\n", 1)[1].split("\n\n", 1)[0]
+    assert {"restarts = 1", "init = auto"} <= set(simulation.splitlines())
 
 
 # mode, config text (None: a plot of a BASE sweep) and the flags of a first

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from lse_precoding.penalty import (PenaltySpec, Support, _prox_scalar,
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ccd_from,
                                      _clip_to_support,
-                                     _greedy_backward_support, _init_vector,
-                                     _objective, _trial_workers,
+                                     _greedy_backward_support, _objective,
+                                     _ridge_solve, _trial_workers,
                                      generate_problem, measure,
                                      monte_carlo, precode_ccd)
 from oracles import precode_rzf, random_tas_rzf
@@ -100,7 +101,7 @@ def test_ccd_from_zero_reaches_ridge_solution():
     # the floor is sqrt(eps * objective / strong-convexity) ~ 6e-8 here, set
     # by float64 resolution of the tracked objective
     pr = small_problem(seed=13)
-    res = precode_ccd(pr, init="zero", max_sweeps=4000, tol=1e-16)
+    res = _ccd_from(pr, np.zeros(pr.n, dtype=complex), 4000, 1e-16)
     ref = precode_rzf(pr.H, pr.s, 0.1)
     assert np.linalg.norm(res.x - ref) / np.linalg.norm(ref) <= 2e-7
 
@@ -149,11 +150,27 @@ def test_ccd_disk_feasibility():
     assert np.all(np.abs(res.x) <= math.sqrt(peak) + 1e-12)
 
 
-def test_ccd_restarts_never_worse():
-    pr = small_problem(seed=17, n=48, k=24, lam=0.15, lam0=0.1)
-    single = precode_ccd(pr, restarts=1)
-    multi = precode_ccd(pr, restarts=4)
-    assert multi.objective <= single.objective + 1e-12
+@pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
+@pytest.mark.parametrize("lam0", [0.05, 0.0], ids=["greedy", "ridge"])
+def test_ccd_takes_one_start(peak, lam0):
+    # with no sweep the result is the start itself: the ridge solution on
+    # the greedy support when lambda0 > 0, on every antenna otherwise,
+    # clipped onto a disk; the descent of every run begins there
+    for seed in range(4):
+        pr = small_problem(seed=30 + seed, n=64, k=32, lam=0.1, lam0=lam0,
+                           peak=peak)
+        H, s, lam = pr.H, pr.s, pr.penalty.lam
+        if lam0 > 0:
+            active = _greedy_backward_support(H, s, lam, lam0)
+            assert 0 < np.count_nonzero(active) < pr.n
+            x0 = np.zeros(pr.n, dtype=complex)
+            x0[active] = _ridge_solve(H[:, active], s, lam)
+        else:
+            x0 = _ridge_solve(H, s, lam)
+        x0 = _clip_to_support(pr.penalty, x0)
+        res = precode_ccd(pr, max_sweeps=0)
+        assert res.sweeps == 0
+        assert res.x.tobytes() == x0.tobytes()
 
 
 @pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
@@ -182,7 +199,7 @@ def test_ccd_skips_degenerate_column():
     pr = small_problem(seed=18, n=16, k=8)
     H = pr.H.copy()
     H[:, 3] = 0.0
-    bad = PrecodeProblem(H=H, s=pr.s, penalty=pr.penalty, stream=pr.stream)
+    bad = PrecodeProblem(H=H, s=pr.s, penalty=pr.penalty)
     res = precode_ccd(bad)
     assert res.degenerate_columns == (3,)
     assert res.x[3] == 0.0
@@ -249,6 +266,21 @@ def _reference_ccd_from(problem: PrecodeProblem, x0: np.ndarray,
                          tracked_objective=tracked)
 
 
+def _start(pr: PrecodeProblem, kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A start for the descent kernels: the package's own ("greedy"), the
+    ridge solution ("rzf"), zero, or ridge on a random support ("random",
+    density then mask drawn from rng), clipped onto a disk."""
+    if kind == "greedy":
+        return precode_ccd(pr, max_sweeps=0).x
+    if kind == "zero":
+        return np.zeros(pr.n, dtype=complex)
+    x = _ridge_solve(pr.H, pr.s, pr.penalty.lam)
+    if kind == "random":
+        density = 0.25 + 0.5 * rng.random()
+        x[rng.random(pr.n) >= density] = 0.0
+    return _clip_to_support(pr.penalty, x)
+
+
 def _rel(a, b):
     return float(np.linalg.norm(np.subtract(a, b))
                  / max(np.linalg.norm(b), 1e-300))
@@ -268,7 +300,7 @@ def test_ccd_matches_reference(peak):
         rng = np.random.default_rng(seed)
         for kind, tol in (("greedy", 1e-10), ("rzf", 1e-10), ("zero", 1e-16),
                           ("random", 1e-10)):
-            x0 = _init_vector(pr, kind, rng)
+            x0 = _start(pr, kind, rng)
             res = _ccd_from(pr, x0, 500, tol)
             ref = _reference_ccd_from(pr, x0, 500, tol)
             if tol == 1e-16:
@@ -363,11 +395,11 @@ def test_ccd_matches_blocked_reference(peak):
                                lam=0.1, lam0=0.05, peak=peak)
             H = pr.H.copy()
             H[:, zero] = 0.0
-            pr = PrecodeProblem(H=H, s=pr.s, penalty=pr.penalty, stream=pr.stream)
+            pr = PrecodeProblem(H=H, s=pr.s, penalty=pr.penalty)
             rng = np.random.default_rng(n + zero)
             for kind, tol in (("greedy", 1e-10), ("zero", 1e-16),
                               ("random", 1e-10)):
-                x0 = _init_vector(pr, kind, rng)
+                x0 = _start(pr, kind, rng)
                 res = _ccd_from(pr, x0, 500, tol)
                 ref = _blocked_reference_ccd_from(pr, x0, 500, tol)
                 assert res.x.tobytes() == ref.x.tobytes()
@@ -630,13 +662,15 @@ def test_monte_carlo_bit_identical_for_one_two_three_workers(spec):
 
 def test_monte_carlo_worker_error_keeps_its_type(monkeypatch):
     import lse_precoding.simulator as simulator
+    parent = os.getpid()
 
-    def failing(problem, **opts):
-        if problem.stream.stream_index == 1:
+    def failing(n, k, lambda_s, penalty, stream):
+        # only a forked worker raises, so the error must cross the pool
+        if stream.stream_index == 1 and os.getpid() != parent:
             raise SingularSystemError("trial 1 is singular")
-        return precode_ccd(problem, **opts)
+        return generate_problem(n, k, lambda_s, penalty, stream)
 
-    monkeypatch.setattr(simulator, "precode_ccd", failing)  # forked workers see it
+    monkeypatch.setattr(simulator, "generate_problem", failing)  # forked workers see it
     with pytest.raises(SingularSystemError, match="trial 1 is singular"):
         monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
                     trials=4, master_seed=5, workers=2)

@@ -1,0 +1,51 @@
+"""The runtime package holds no code that only tests use: every module-level
+function, class and constant of `lse_precoding` is referenced elsewhere in
+the package or exported through `__all__`."""
+import ast
+from pathlib import Path
+
+import lse_precoding
+
+PACKAGE = Path(lse_precoding.__file__).resolve().parent
+
+
+def _defined(node: ast.stmt) -> list:
+    """Names a module-level statement defines (dunder names aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("__")]
+
+
+def _referenced(node: ast.AST) -> set:
+    """Names read inside a statement, as bare names or as attributes."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_every_module_level_name_has_a_package_user():
+    definitions = []  # (module, name, statement)
+    statements = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            statements.append(node)
+            definitions.extend((path.stem, name, node) for name in _defined(node))
+    assert len(definitions) > 50  # the scan sees the package
+    unused = []
+    for module, name, own in definitions:
+        # a statement's references to itself (recursion) do not count
+        if not any(name in _referenced(node) for node in statements
+                   if node is not own):
+            unused.append(f"{module}.{name}")
+    exported = set(lse_precoding.__all__)
+    assert [name for name in unused if name.split(".")[1] not in exported] == []
