@@ -505,22 +505,43 @@ def _simulated_point(cfg: ExperimentConfig):
     return pt, report
 
 
+def _mean_ci95(report, name: str) -> tuple[float, float]:
+    """Mean and 95 % half-width of the per-trial metric `name`."""
+    values = np.array([getattr(m, name) for m in report.per_trial])
+    # a trial that transmits nothing has papr = inf, whose spread is nan
+    with np.errstate(invalid="ignore"):
+        return (float(values.mean()),
+                float(1.96 * values.std(ddof=1) / math.sqrt(values.size)))
+
+
+def _index_halves(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x| of the first and of the second half of the antenna indices,
+    pooled over the trials (the rows of mags)."""
+    half = mags.shape[1] // 2
+    return mags[:, :half].ravel(), mags[:, half:].ravel()
+
+
 def _report_lines(report) -> list[str]:
-    lines = [f"trials = {report.trials}"]
+    lines = [f"trials = {len(report.per_trial)}"]
     for name, _ in _OBSERVABLES:
-        lines += [f"{name}_mean = {_fmt(getattr(report, name + '_mean'))}",
-                  f"{name}_ci95 = {_fmt(getattr(report, name + '_ci95'))}"]
+        mean, ci95 = _mean_ci95(report, name)
+        lines += [f"{name}_mean = {_fmt(mean)}", f"{name}_ci95 = {_fmt(ci95)}"]
     return lines
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
+    """Monte Carlo at the single configured load: the report's statistics,
+    and a 128-bin histogram of |x| pooled over trials and antennas, with
+    the mass of each half of the antenna indices next to it."""
     pt, report = _simulated_point(cfg)
     path = _write(os.path.join(out_dir, "simulation.txt"),
                   "\n".join(_header_lines(pt) + _report_lines(report)) + "\n")
-    hist_rows = [((edge, mass, first, second), "ok") for edge, mass, first, second
-                 in zip(report.histogram_edges[:-1], report.magnitude_histogram,
-                        report.per_index_marginals["first_half"],
-                        report.per_index_marginals["second_half"])]
+    mags = report.magnitudes
+    edges = np.linspace(0.0, float(mags.max()) or 1.0, 129)
+    pooled = np.histogram(mags, bins=edges)[0]
+    halves = [np.histogram(h, bins=edges)[0] for h in _index_halves(mags)]
+    hist_rows = [(row, "ok") for row in zip(
+        edges[:-1], pooled / pooled.sum(), *(h / max(h.sum(), 1) for h in halves))]
     hist = write_csv(os.path.join(out_dir, "histogram.csv"),
                      ("bin_left", "mass", "first_half", "second_half"), hist_rows)
     return {"simulation": path, "histogram": hist}
@@ -541,19 +562,16 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
         rim = spec.support.radius
         mags, law = (np.where(abs(a - rim) <= 1e-12 * rim, rim, a)
                      for a in (mags, law))
-    ks_law = ks_distance(mags, law)
-    n = cfg.n
-    mags = mags.reshape(report.trials, n)
-    ks_halves = ks_distance(mags[:, : n // 2].ravel(), mags[:, n // 2:].ravel())
+    ks_law = ks_distance(mags.ravel(), law)
+    ks_halves = ks_distance(*_index_halves(mags))
 
     rows = []
     for name, replica_of in _OBSERVABLES:
         replica_v = replica_of(sol)
-        emp_v = getattr(report, name + "_mean")
+        emp_v, ci95 = _mean_ci95(report, name)
         gap = abs(emp_v - replica_v)
         rel = gap / abs(replica_v) if replica_v not in (0.0, math.inf) else math.nan
-        rows.append(((name, replica_v, emp_v, getattr(report, name + "_ci95"), rel),
-                     "ok"))
+        rows.append(((name, replica_v, emp_v, ci95, rel), "ok"))
     csv_path = write_csv(os.path.join(out_dir, "compare.csv"),
                          ("metric", "replica", "empirical", "ci95", "rel_gap"),
                          rows)

@@ -71,9 +71,6 @@ class RandomStream:
         w0, w1 = self.key_words()
         return np.random.Generator(np.random.Philox(key=np.array([w0, w1], dtype=np.uint64)))
 
-    def substream(self, index: int) -> "RandomStream":
-        return RandomStream(self.master_seed, index)
-
 
 def complex_normal(rng: np.random.Generator, size, variance: float) -> np.ndarray:
     """Zero-mean circularly-symmetric complex Gaussian with total variance `variance`."""
@@ -111,8 +108,10 @@ def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
                  tol: float = 1e-12, xtol: float | None = None) -> float:
     """Find a root of f on [lo, hi] by bisection with secant acceleration.
 
-    Stops when |f(x)| <= tol, the bracket width falls below xtol (defaults
-    to tol) or after _ROOT_MAX_ITER steps. Deterministic; raises
+    Stops when |f| <= tol at an endpoint of the bracket, the bracket width
+    falls below xtol (defaults to tol) or after _ROOT_MAX_ITER steps, and
+    returns the endpoint of the final bracket where |f| is smaller (hi on a
+    tie). Deterministic; raises
     NoSignChangeError when the bracket does not straddle a root and
     NonFiniteError when f returns a non-finite value.
     """
@@ -128,10 +127,9 @@ def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0:
         raise NoSignChangeError(f"no sign change on [{lo}, {hi}]")
-    best_x, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
     for _ in range(_ROOT_MAX_ITER):
-        if abs(best_f) <= tol or (hi - lo) <= xtol:
-            return best_x
+        if min(abs(flo), abs(fhi)) <= tol or (hi - lo) <= xtol:
+            break
         mid = 0.5 * (lo + hi)
         # secant candidate from the bracket endpoints, accepted when it
         # falls safely inside the bracket
@@ -144,15 +142,13 @@ def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
         fx = f(x)
         if not math.isfinite(fx):
             raise NonFiniteError(f"f({x}) is non-finite")
-        if abs(fx) < abs(best_f):
-            best_x, best_f = x, fx
         if fx == 0.0:
             return x
         if flo * fx < 0:
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
-    return best_x
+    return lo if abs(flo) < abs(fhi) else hi
 
 
 def expand_bracket(f: Callable[[float], float], x0: float,

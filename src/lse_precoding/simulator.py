@@ -1,7 +1,9 @@
 """Finite-dimensional Monte Carlo: draw (H, s), solve the penalized
 least-square precoding problem by cyclic coordinate descent with exact
-scalar prox steps, and measure distortion, power, sparsity, peak ratio and
-the marginal law of the precoded symbols.
+scalar prox steps, and measure each trial's distortion, power, sparsity and
+peak ratio and the magnitudes of its precoded symbols. A run returns the
+trials alone; `experiments` derives the statistics and histograms it
+writes from them.
 
 The zero-norm term makes the problem nonconvex, and coordinate descent
 from a ridge warm start systematically keeps too many antennas active: the
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .numerics import RandomStream, complex_normal
 from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
 
 _CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
-_HISTOGRAM_BINS = 128  # magnitude histogram of a Monte Carlo report
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -85,20 +86,11 @@ class TrialMetrics:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    trials: int
-    distortion_mean: float
-    distortion_ci95: float
-    power_mean: float
-    power_ci95: float
-    eta_mean: float
-    eta_ci95: float
-    papr_mean: float
-    papr_ci95: float
-    histogram_edges: np.ndarray
-    magnitude_histogram: np.ndarray
-    per_index_marginals: dict
-    per_trial: tuple = field(repr=False, default=())
-    magnitudes: np.ndarray = field(repr=False, default=None)
+    """The trials of a Monte Carlo run, in trial order: their metrics and
+    the trials x n array of |x| (row t is trial t)."""
+
+    per_trial: tuple
+    magnitudes: np.ndarray
 
 
 def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
@@ -328,14 +320,15 @@ def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,
 
 
 # ---------------------------------------------------------------------------
-# measurement and aggregation
+# measurement and trials
 # ---------------------------------------------------------------------------
 
 def measure(result: PrecodeResult, problem: PrecodeProblem,
             zero_eps: float = 1e-9) -> TrialMetrics:
-    """Per-trial metrics. The active count uses a small magnitude floor even
-    though the prox emits exact zeros, so alternative solvers stay
-    comparable."""
+    """Per-trial metrics. An antenna counts as active when |x_j| exceeds
+    zero_eps ([simulation] zero_eps). The prox emits exact zeros, so the
+    floor decides only for coefficients the descent leaves tiny but
+    nonzero."""
     x = result.x
     r = problem.s - problem.H @ x
     distortion = float(np.vdot(r, r).real) / problem.k
@@ -344,10 +337,6 @@ def measure(result: PrecodeResult, problem: PrecodeProblem,
     eta = float(np.count_nonzero(mags > zero_eps)) / problem.n
     papr = float(np.max(mags) ** 2 / power) if power > 0 else math.inf
     return TrialMetrics(distortion=distortion, power=power, eta=eta, papr=papr)
-
-
-def _ci95(values: np.ndarray) -> float:
-    return float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
 
 
 def _trial_workers(trials: int) -> int:
@@ -410,36 +399,5 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                                      [args] * trials, chunksize=1))
     else:
         outcomes = [_run_trial(t, args) for t in range(trials)]
-
-    metrics = [m for m, _ in outcomes]
-    mags = np.stack([mag for _, mag in outcomes])  # trials x n, trial order
-    pooled = mags.ravel()
-    top = float(pooled.max()) if pooled.size else 0.0
-    edges = np.linspace(0.0, top if top > 0 else 1.0, _HISTOGRAM_BINS + 1)
-    hist, _ = np.histogram(pooled, bins=edges)
-    hist = hist / hist.sum()
-    half = n // 2
-    marginals = {}
-    for name, block in (("first_half", mags[:, :half]),
-                        ("second_half", mags[:, half:])):
-        h, _ = np.histogram(block.ravel(), bins=edges)
-        marginals[name] = h / max(h.sum(), 1)
-
-    arr = {f: np.array([getattr(m, f) for m in metrics])
-           for f in ("distortion", "power", "eta", "papr")}
-    return MonteCarloReport(
-        trials=trials,
-        distortion_mean=float(arr["distortion"].mean()),
-        distortion_ci95=_ci95(arr["distortion"]),
-        power_mean=float(arr["power"].mean()),
-        power_ci95=_ci95(arr["power"]),
-        eta_mean=float(arr["eta"].mean()),
-        eta_ci95=_ci95(arr["eta"]),
-        papr_mean=float(arr["papr"].mean()),
-        papr_ci95=_ci95(arr["papr"]),
-        histogram_edges=edges,
-        magnitude_histogram=hist,
-        per_index_marginals=marginals,
-        per_trial=tuple(metrics),
-        magnitudes=pooled,
-    )
+    return MonteCarloReport(per_trial=tuple(m for m, _ in outcomes),
+                            magnitudes=np.stack([mag for _, mag in outcomes]))

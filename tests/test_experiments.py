@@ -489,6 +489,29 @@ def test_compare_mode_small_run(tmp_path):
     assert "ks_decoupled" in summary and "ks_index_halves" in summary
 
 
+def test_simulate_histogram_masses(tmp_path):
+    # |x| pooled over trials and antennas, and each half of the antenna
+    # indices, in 128 bins: every mass column sums to one
+    cfg = cfg_from(out=str(tmp_path / "sim"), mode="simulate", seed=8, n=24,
+                   trials=3, p_target=None, eta_target=None, lam=0.2)
+    header, data = read_csv(run(cfg)["histogram"])
+    assert header == ["bin_left", "mass", "first_half", "second_half", "status"]
+    assert len(data) == 128 and float(data[0][0]) == 0.0
+    for col in (1, 2, 3):
+        assert math.fsum(float(row[col]) for row in data) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_simulate_trial_without_power_warns_nothing(tmp_path):
+    # one antenna at unit load: a trial that switches it off has power 0
+    # and papr = inf, so papr's mean is inf and its spread nan, and no
+    # numpy warning escapes (the suite turns warnings into errors)
+    out = tmp_path / "n1"
+    assert cli.main(["simulate", "--config", str(CONFIGS / "compare.ini"),
+                     "--set", "simulation.n=1", "--set", "system.alpha_inverse=1",
+                     "--set", "simulation.trials=4", "--out", str(out)]) == 0
+    assert "papr_mean = inf\npapr_ci95 = nan\n" in (out / "simulation.txt").read_text()
+
+
 def test_fig_style_sweep_orderings(tmp_path):
     # more antenna freedom never hurts; looser peak caps never hurt
     cfg = cfg_from(out=str(tmp_path / "o1"))

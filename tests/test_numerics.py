@@ -93,6 +93,21 @@ def test_root_non_finite():
         find_root_1d(lambda x: math.inf if x > 0.5 else -1.0, 0.0, 1.0, tol=1e-10)
 
 
+def test_root_of_a_step_is_a_point_of_the_final_bracket():
+    # no point has |f| <= tol, so the search ends on the bracket width; the
+    # answer sits at the step, on the side where |f| is smaller, and not at
+    # the starting endpoint, which has the smallest |f| ever seen
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -1.0 if x < 0.999 else 8.0
+
+    x = find_root_1d(f, 0.0, 1.0, tol=1e-12)
+    assert 0.999 - 2e-12 <= x < 0.999
+    assert len(calls) < numerics._ROOT_MAX_ITER
+
+
 def test_bracket_negative_step_is_ordered():
     # walking down from 0 the sign changes between -3 and -2
     assert expand_bracket(lambda x: x + 2.5, 0.0, -1.0) == (-3.0, -2.0)

@@ -1,6 +1,7 @@
 """The runtime package holds no code that only tests use: every module-level
 function, class and constant of `lse_precoding` is referenced elsewhere in
-the package or exported through `__all__`."""
+the package or exported through `__all__`, and every method and property of
+a package class is read by attribute name outside its own definition."""
 import ast
 from pathlib import Path
 
@@ -49,3 +50,23 @@ def test_every_module_level_name_has_a_package_user():
             unused.append(f"{module}.{name}")
     exported = set(lse_precoding.__all__)
     assert [name for name in unused if name.split(".")[1] not in exported] == []
+
+
+def test_every_method_and_property_has_a_package_user():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    # methods and properties, dunders aside; dataclass fields are
+    # annotated assignments, not definitions
+    methods = [(cls.name, node) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("__")]
+    assert len(methods) > 5  # the scan sees the package
+    reads = [sub for tree in trees for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
+    unused = []
+    for cls, own in methods:
+        inside = {id(sub) for sub in ast.walk(own)}
+        if not any(sub.attr == own.name and id(sub) not in inside for sub in reads):
+            unused.append(f"{cls}.{own.name}")
+    assert unused == []
