@@ -268,8 +268,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if targets and cfg.eta_target is None:
             raise ConfigError(f"{cfg.mode} mode needs eta_target")
     if cfg.mode in ("simulate", "compare"):
-        if cfg.n < 1 or cfg.trials < 2:
-            raise ConfigError("simulation needs n >= 1 and trials >= 2")
+        # compare splits the antenna indices into two non-empty halves
+        min_n = 2 if cfg.mode == "compare" else 1
+        if cfg.n < min_n:
+            raise ConfigError(f"{cfg.mode} mode needs simulation.n >= {min_n}, "
+                              f"got {cfg.n}")
+        if cfg.trials < 2:
+            raise ConfigError(f"simulation.trials must be >= 2, got {cfg.trials}")
         if _user_count(cfg) < 1:
             raise ConfigError(f"n = {cfg.n} at alpha_inverse = "
                               f"{_fmt(cfg.alpha_inverse[0])} leaves no user")
@@ -554,7 +559,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     sol = pt.solution
 
     stream = RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX)
-    law = np.abs(decoupled_sample(sol.state, stream, 10 ** 6))
+    law = decoupled_sample(sol.state, stream, 10 ** 6)
     mags = report.magnitudes
     spec = pt.params.penalty
     if spec.is_disk:

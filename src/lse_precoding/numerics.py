@@ -72,10 +72,21 @@ class RandomStream:
         return np.random.Generator(np.random.Philox(key=np.array([w0, w1], dtype=np.uint64)))
 
 
+def complex_from_parts(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
+    """sqrt(variance / 2) (re + 1j im) from standard normal parts, formed in
+    one complex array, bit-identical to that expression."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    z *= math.sqrt(variance / 2.0)
+    return z
+
+
 def complex_normal(rng: np.random.Generator, size, variance: float) -> np.ndarray:
-    """Zero-mean circularly-symmetric complex Gaussian with total variance `variance`."""
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    """Zero-mean circularly-symmetric complex Gaussian with total variance
+    `variance`: every real part is drawn before every imaginary part."""
+    re = rng.standard_normal(size)
+    return complex_from_parts(re, rng.standard_normal(size), variance)
 
 
 # ---------------------------------------------------------------------------

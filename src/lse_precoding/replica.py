@@ -12,7 +12,9 @@ ratio).
 The decoupled symbol is that prox applied to a complex Gaussian of
 variance lambda_rs: the fixed-point update, the active fraction and the
 calibration read its closed-form law (`penalty.gaussian_law`), and
-`decoupled_sample` draws it.
+`decoupled_sample` draws its magnitudes |x|: the real parts of every
+Gaussian input first, then the imaginary parts chunk by chunk, so a large
+draw holds one full-size array.
 
 Calibration inverts the state equations at the targets instead of searching
 over the weights. At a given lambda_rs the decoupled law depends on the
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RandomStream, complex_normal, expand_bracket, find_root_1d
+from .numerics import RandomStream, complex_from_parts, expand_bracket, find_root_1d
 from .penalty import (PenaltySpec, Support, ThresholdSet, constant_envelope_rule,
                       gaussian_law, prox_array, thresholds)
 
@@ -187,14 +189,29 @@ def solve_fixed_point(params: SystemParams, damping: float = 0.5,
     return replace(best, alternates=tuple(solutions[1:]))
 
 
+_SAMPLE_CHUNK = 1 << 16
+
+
 def decoupled_sample(state: ReplicaState, stream: RandomStream,
                      count: int) -> np.ndarray:
-    """Draw the decoupled precoded symbol: the state's prox rule applied to
-    a complex Gaussian of variance lambda_rs. Deterministic given the
-    stream."""
+    """Draw `count` magnitudes |x| of the decoupled precoded symbol x: the
+    state's prox rule applied to a complex Gaussian of variance lambda_rs.
+
+    The draw order is that of `complex_normal`: all `count` real parts
+    from the stream's generator, then all imaginary parts, so the result
+    is deterministic given the stream. The imaginary parts are drawn and
+    the prox applied `_SAMPLE_CHUNK` symbols at a time, each chunk's |x|
+    overwriting its real parts, so the only full-size array is the
+    result."""
     rng = stream.generator()
-    s = complex_normal(rng, count, state.lambda_rs)
-    return prox_array(state.thresholds, s)
+    mags = rng.standard_normal(count)
+    im = np.empty(min(count, _SAMPLE_CHUNK))
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        re = mags[lo:lo + _SAMPLE_CHUNK]
+        chunk_im = rng.standard_normal(out=im[:re.size])
+        s = complex_from_parts(re, chunk_im, state.lambda_rs)
+        np.abs(prox_array(state.thresholds, s), out=re)
+    return mags
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ its one runtime path) by an independent route:
   `penalty.gaussian_law` took their place, each deriving 1 + c lam,
   sqrt(P) and the disk test from (spec, c) itself;
 - `precode_rzf` and `random_tas_rzf`: the ridge precoder with a residual
-  contract, on all antennas or on a random subset.
+  contract, on all antennas or on a random subset;
+- `complex_normal_reference` and `decoupled_magnitudes`: the Gaussian draw
+  and the decoupled |x| as whole-array expressions, which the package's
+  in-place and chunked forms must match byte for byte.
 
 Only numpy is needed; the panel rule comes from
 `numpy.polynomial.legendre.leggauss`.
@@ -173,6 +176,27 @@ def constant_envelope_rim(peak: float, eta_star: float, lrs: float
     power `peak` and active fraction eta_star."""
     tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
     return math.sqrt(peak) * _upper_moment1(tau_hat, lrs) / lrs, tau_hat
+
+
+# ---------------------------------------------------------------------------
+# whole-array Gaussian draws
+# ---------------------------------------------------------------------------
+
+def complex_normal_reference(rng: np.random.Generator, size,
+                             variance: float) -> np.ndarray:
+    """`numerics.complex_normal` as one expression: real parts, then
+    imaginary parts, combined out of full-size temporaries."""
+    scale = math.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+def decoupled_magnitudes(state: ReplicaState, stream: RandomStream,
+                         count: int) -> np.ndarray:
+    """`replica.decoupled_sample` in one pass: all `count` Gaussian inputs
+    drawn at once, the prox applied to the whole array, then |x|."""
+    rng = stream.generator()
+    s = complex_normal_reference(rng, count, state.lambda_rs)
+    return np.abs(prox_array(state.thresholds, s))
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,7 @@ def test_validate_single_point_modes():
     ("replica", "system.alpha_inverse=0"),
     ("replica", "system.lambda_s=-1"),
     ("compare", "simulation.n=0"),
+    ("compare", "simulation.n=1"),  # no index halves to compare
     ("compare", "simulation.trials=1"),
     ("simulate", "simulation.n=1"),  # k = round(1 / 2) = 0 users
     ("simulate", "simulation.init=bogus"),
@@ -134,6 +135,7 @@ def test_validate_single_point_modes():
     ("sweep", "penalty.eta_targets=0.5,1.5"),
     ("saving", "penalty.eta_targets=0,0.5"),
 ], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
+        "compare_one_antenna",
         "one_trial", "no_users", "unknown_init", "negative_damping",
         "zero_damping", "damping_above_one", "negative_solver_tol",
         "zero_max_iter", "negative_sim_tol", "zero_max_sweeps",
@@ -149,9 +151,12 @@ def test_validate_rejects_out_of_range(mode, override):
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg)
     # restarts and init take one value each, in every mode
-    key = override.split("=")[0].split(".")[1]
+    name = override.split("=")[0]
+    key = name.split(".")[1]
     if key in ("restarts", "init"):
         assert key in str(exc.value)
+    if mode == "compare" and key == "n":
+        assert name in str(exc.value)
 
 
 # BASE with direct weights in place of its calibration targets

@@ -10,8 +10,8 @@ import oracles
 from lse_precoding import numerics
 from lse_precoding.numerics import (EmptySampleError, NonFiniteError,
                                     NoSignChangeError, RandomStream,
-                                    expand_bracket, find_root_1d, ks_distance,
-                                    q_function)
+                                    complex_normal, expand_bracket,
+                                    find_root_1d, ks_distance, q_function)
 from oracles import ShapeMismatchError, radial_expectation
 
 
@@ -285,3 +285,14 @@ def test_stream_key_derivation_is_stable():
 def test_stream_rejects_negative_index():
     with pytest.raises(ValueError):
         RandomStream(1, -1)
+
+
+@pytest.mark.parametrize("size", [(200, 400), (200,), 10 ** 6],
+                         ids=["channel", "symbols", "million"])
+def test_complex_normal_matches_whole_array_expression(size):
+    # forming the sample in place keeps the bytes of scale * (re + 1j im)
+    out = complex_normal(RandomStream(3, 1).generator(), size, 1.0 / 400)
+    ref = oracles.complex_normal_reference(RandomStream(3, 1).generator(),
+                                           size, 1.0 / 400)
+    assert out.dtype == np.complex128 and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    fixed_point_update, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
-from oracles import quadrature_update
+from oracles import decoupled_magnitudes, quadrature_update
 
 FULL = Support.full_plane()
 
@@ -146,7 +147,7 @@ def test_decoupled_identity_prox_is_gaussian():
     params = mp_params(2.0)
     sol = solve_fixed_point(params)
     out = decoupled_sample(sol.state, RandomStream(5, 1), 200_000)
-    var = float(np.mean(np.abs(out) ** 2))
+    var = float(np.mean(out ** 2))
     assert var == pytest.approx(sol.state.lambda_rs, rel=0.02)
 
 
@@ -169,7 +170,7 @@ def test_decoupled_constant_envelope_state():
     active = out[out != 0]
     bound = 4.0 * math.sqrt(sol.eta * (1 - sol.eta) / count)
     assert abs(active.size / count - sol.eta) <= bound
-    assert np.max(np.abs(np.abs(active) / math.sqrt(0.5) - 1.0)) <= 1e-12
+    assert np.max(np.abs(active / math.sqrt(0.5) - 1.0)) <= 1e-12
 
 
 def test_decoupled_sampling_is_deterministic():
@@ -178,6 +179,45 @@ def test_decoupled_sampling_is_deterministic():
     a = decoupled_sample(sol.state, RandomStream(11, 3), 64)
     b = decoupled_sample(sol.state, RandomStream(11, 3), 64)
     assert np.array_equal(a, b)
+
+
+IV_A = dict(lam=0.15593417145704414, lam0=0.11475326486959826)
+
+# states whose prox takes every branch: shrink with a dead zone, shrink
+# and rim, rim only, and zero everywhere
+SAMPLED_STATES = {
+    "iv_a_full_plane": lambda: solve_fixed_point(mp_params(0.5, **IV_A)).state,
+    "disk_3db": lambda: calibrate(mp_params(0.5), p_star=0.5, eta_star=0.7,
+                                  papr_star=10.0 ** 0.3)[2].state,
+    "constant_envelope_0db": lambda: solve_constant_envelope(
+        mp_params(0.5), 0.25, 0.5)[0].state,
+    "all_zero": lambda: make_state(mp_params(0.5, lam=0.0, lam0=500.0), 1.0, 0.5),
+}
+CHUNK = replica._SAMPLE_CHUNK
+
+
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+@pytest.mark.parametrize("name", list(SAMPLED_STATES))
+def test_decoupled_sample_matches_whole_array_draw(name, count):
+    # the chunked draw keeps the whole-array draw order and its bytes
+    state = SAMPLED_STATES[name]()
+    out = decoupled_sample(state, RandomStream(13, 6), count)
+    ref = decoupled_magnitudes(state, RandomStream(13, 6), count)
+    assert out.dtype == np.float64 and out.shape == (count,)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_decoupled_sample_holds_one_full_size_array():
+    # 10^6 magnitudes are 8 MB; whole-array complex temporaries would add
+    # more than 30 MB, one chunk's add about 3.5 MB
+    state = SAMPLED_STATES["iv_a_full_plane"]()
+    tracemalloc.start()
+    try:
+        decoupled_sample(state, RandomStream(13, 7), 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 10 ** 6
 
 
 # ---------------------------------------------------------------------------
