@@ -141,7 +141,7 @@ _KEY_MAP = {
 def _parse_grid(text: str) -> tuple:
     text = text.strip()
     if ":" in text:
-        parts = [float(tok) for tok in text.split(":")]
+        parts = [_finite(tok) for tok in text.split(":")]
         if len(parts) != 3:
             raise ConfigError(f"grid must be start:step:stop, got {text!r}")
         start, step, stop = parts
@@ -152,22 +152,30 @@ def _parse_grid(text: str) -> tuple:
         # so the manifest's grid parses back to the same floats
         values = tuple(float(_fmt(start + i * step)) for i in range(count))
     elif "," in text:
-        values = tuple(float(tok) for tok in text.split(","))
+        values = tuple(_finite(tok) for tok in text.split(","))
     else:
-        values = (float(text),)
+        values = (_finite(text),)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("alpha_inverse grid must be strictly increasing")
     return values
+
+
+def _finite(text: str) -> float:
+    """A float config value; nan and inf parse but are no operating point."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _convert(kind, raw: str):
     if kind == "grid":
         return _parse_grid(raw)
     if kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
     if kind == "strings":
         return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    return kind(raw)
+    return _finite(raw) if kind is float else kind(raw)
 
 
 def _assign(cfg: ExperimentConfig, section: str, key: str, raw: str) -> None:

@@ -5,7 +5,7 @@ The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over either the
 whole complex plane or a disk of radius sqrt(P). Its prox at weight c has
 a closed four-branch form (shrink, drop, or clip to the rim), a rule that
 `thresholds(spec, c)` alone derives from (spec, c). Everything else reads
-the rule: `prox`, `prox_array`, the descent of `simulator`, and
+the rule: `prox_array`, the descent of `simulator`, and
 `gaussian_law`, the closed-form law of the prox of a complex Gaussian
 input, which the replica route solves with and samples from. The test
 suite certifies the prox's global optimality against a brute-force grid
@@ -132,16 +132,6 @@ def _prox_scalar(z: complex, a: float, t: ThresholdSet) -> complex:
         # the vectorized path bit for bit
         return z * t.shrink
     return 0.0 + 0.0j
-
-
-def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
-    """Exact global minimizer over the support of |v - z|^2 + c u(v).
-
-    The output preserves the phase of z or is an exact 0 (so zero-norm
-    counts need no epsilon downstream).
-    """
-    z = complex(z)
-    return _prox_scalar(z, abs(z), thresholds(spec, c))
 
 
 def prox_array(t: ThresholdSet, z: np.ndarray) -> np.ndarray:

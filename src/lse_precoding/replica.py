@@ -39,7 +39,7 @@ from .penalty import (PenaltySpec, Support, ThresholdSet, constant_envelope_rule
 class NoConvergenceError(RuntimeError):
     """Fixed-point iteration did not converge; carries the last state."""
 
-    def __init__(self, message, state=None, residual=None):
+    def __init__(self, message, state, residual):
         super().__init__(message)
         self.state = state
         self.residual = residual
@@ -80,7 +80,6 @@ class ReplicaSolution:
     papr: float
     residual: float
     iterations: int
-    alternates: tuple = ()
 
 
 def _mp_r(params: SystemParams, chi: float) -> float:
@@ -108,22 +107,27 @@ def fixed_point_update(state: ReplicaState) -> tuple[float, float]:
 
 
 def _finalize(params: SystemParams, state: ReplicaState, residual: float,
-              iterations: int, alternates=()) -> ReplicaSolution:
+              iterations: int) -> ReplicaSolution:
     d = (params.lambda_s + state.p) / (1.0 + state.chi) ** 2
     papr = math.inf if state.p <= 0 else state.thresholds.peak / state.p
     return ReplicaSolution(state=state, distortion=d,
                            eta=gaussian_law(state.thresholds, state.lambda_rs)[2],
-                           papr=papr, residual=residual, iterations=iterations,
-                           alternates=tuple(alternates))
+                           papr=papr, residual=residual, iterations=iterations)
 
 
-_RETRY_INITS = ((0.1, 0.1), (0.1, 1.0), (0.1, 10.0), (1.0, 0.1),
-                (1.0, 10.0), (10.0, 0.1), (10.0, 1.0), (10.0, 10.0))
+def solve_fixed_point(params: SystemParams, damping: float = 0.5,
+                      tol: float = 1e-12, max_iter: int = 100_000) -> ReplicaSolution:
+    """Damped Picard iteration of the closed-form fixed-point map from the
+    one start (chi, p) = (1, lambda_s) until max(|dp|, |dchi|) <= tol.
 
-
-def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
-             tol: float, max_iter: int):
-    chi, p = init
+    The iteration is deterministic, so it reports one fixed point: the one
+    this start reaches. The damping starts at `damping` and, while above
+    1/64, halves after five consecutive sign flips of the p-residual. Raises
+    NoConvergenceError as soon as an iterate is not finite, carrying the
+    last finite state, or after max_iter updates, carrying the last
+    iterate and the residual of the update that led to it.
+    """
+    chi, p = 1.0, params.lambda_s
     theta = damping
     last_sign = 0
     flips = 0
@@ -139,7 +143,7 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
                 f"(p = {p_new:.3e}, chi = {chi_new:.3e})", state=state, residual=residual)
         residual = max(abs(p_new - p), abs(chi_new - chi))
         if residual <= tol:
-            return state, residual, it
+            return _finalize(params, state, residual, it)
         # damp oscillations: five consecutive sign flips of the p-residual
         sign = 1 if p_new > p else -1
         if sign == -last_sign:
@@ -153,40 +157,9 @@ def _iterate(params: SystemParams, init: tuple[float, float], damping: float,
         p = (1.0 - theta) * p + theta * p_new
         chi = (1.0 - theta) * chi + theta * chi_new
         state = make_state(params, chi, p)
-    return None, residual, max_iter
-
-
-def solve_fixed_point(params: SystemParams, damping: float = 0.5,
-                      tol: float = 1e-12, max_iter: int = 100_000) -> ReplicaSolution:
-    """Damped Picard iteration of the closed-form fixed-point map from
-    (chi, p) = (1, lambda_s) until max(|dp|, |dchi|) <= tol.
-
-    On failure from that start the solver retries from a fixed log-grid of
-    starting points; all distinct fixed points found are reported (smallest
-    distortion first, the rest attached as alternates) since the ansatz can
-    admit several solutions. Raises NoConvergenceError when no start
-    converges, or as soon as an iterate is not finite.
-    """
-    init = (1.0, params.lambda_s)
-    state, residual, its = _iterate(params, init, damping, tol, max_iter)
-    if state is not None:
-        return _finalize(params, state, residual, its)
-
-    found = []
-    for start in _RETRY_INITS:
-        st, res, it2 = _iterate(params, start, damping, tol, max_iter)
-        if st is not None:
-            if all(max(abs(st.chi - o[0].chi), abs(st.p - o[0].p)) > 1e-6
-                   for o in found):
-                found.append((st, res, it2))
-    if not found:
-        raise NoConvergenceError(
-            f"no fixed point after {max_iter} iterations (last residual {residual:.3e})",
-            state=make_state(params, *init), residual=residual)
-    solutions = [_finalize(params, st, res, it2) for st, res, it2 in found]
-    solutions.sort(key=lambda s: s.distortion)
-    best = solutions[0]
-    return replace(best, alternates=tuple(solutions[1:]))
+    raise NoConvergenceError(
+        f"no fixed point after {max_iter} iterations (last residual {residual:.3e})",
+        state=state, residual=residual)
 
 
 _SAMPLE_CHUNK = 1 << 16

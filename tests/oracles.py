@@ -6,7 +6,9 @@ its one runtime path) by an independent route:
 - `radial_expectation`: E[g(|s|)] of a complex Gaussian by threshold-aligned
   Gauss-Legendre panels, with `quadrature_update` built on it as the
   quadrature twin of `replica.fixed_point_update`;
-- `prox_oracle`: the scalar prox by brute force over a polar grid;
+- `prox_oracle`: the scalar prox by brute force over a polar grid, against
+  `prox`, the package's rule for one input at one weight (the package
+  itself applies the rule only through the descent and `prox_array`);
 - `closed_moments`, `active_fraction` and `constant_envelope_rim`: the
   closed forms of the decoupled law that the replica route used before
   `penalty.gaussian_law` took their place, each deriving 1 + c lam,
@@ -30,7 +32,8 @@ from numpy.polynomial.legendre import leggauss
 
 from lse_precoding.numerics import NonFiniteError, RandomStream, q_function
 from lse_precoding.penalty import (PenaltySpec, ThresholdSet, _interval_moment2,
-                                   _upper_moment1, prox_array, thresholds)
+                                   _prox_scalar, _upper_moment1, prox_array,
+                                   thresholds)
 from lse_precoding.replica import ReplicaState, SystemParams
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ridge_solve)
@@ -200,8 +203,20 @@ def decoupled_magnitudes(state: ReplicaState, stream: RandomStream,
 
 
 # ---------------------------------------------------------------------------
-# brute-force prox
+# the scalar prox and its brute-force oracle
 # ---------------------------------------------------------------------------
+
+def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
+    """The package's scalar prox rule for one input: `_prox_scalar` at
+    `thresholds(spec, c)`, the exact global minimizer over the support of
+    |v - z|^2 + c u(v).
+
+    The output preserves the phase of z or is an exact 0 (so zero-norm
+    counts need no epsilon downstream).
+    """
+    z = complex(z)
+    return _prox_scalar(z, abs(z), thresholds(spec, c))
+
 
 def prox_oracle(spec: PenaltySpec, z: complex, c: float, grid_n: int = 201) -> complex:
     """Brute-force minimizer of |v - z|^2 + c u(v) over a polar grid of the

@@ -13,13 +13,13 @@ from lse_precoding.experiments import (ExperimentConfig, _mean_ci95,
                                        match_random_selection,
                                        operating_point, parse_config, run)
 from lse_precoding.numerics import RandomStream, ks_distance
-from lse_precoding.penalty import PenaltySpec, Support, prox
+from lse_precoding.penalty import PenaltySpec, Support
 from lse_precoding import replica, simulator
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
                                    solve_fixed_point)
 from lse_precoding.simulator import generate_problem, monte_carlo
-from oracles import precode_rzf, prox_oracle, quadrature_update
+from oracles import precode_rzf, prox, prox_oracle, quadrature_update
 
 IV_A = dict(alpha_inverse=2.0, lambda_s=1.0, p_target=0.5, eta_target=0.5)
 # calibration targets p = 0.5 at lambda_s = 1 on the full plane

@@ -200,6 +200,26 @@ def test_validate_accepts_used_peak_cap(text, overrides):
     validate_config(apply_overrides(parse_config(text), overrides))
 
 
+@pytest.mark.parametrize("mode, config, override", [
+    ("replica", None, "penalty.lambda=nan"),
+    ("replica", "compare.ini", "system.alpha_inverse=inf"),
+    ("sweep", "fig1.ini", "system.alpha_inverse=1:1:inf"),
+    ("sweep", "fig1.ini", "penalty.p_target=inf"),
+    ("sweep", "fig2.ini", "penalty.papr_db_targets=0,nan"),
+], ids=["nan_lambda", "inf_load", "inf_grid_stop", "inf_p_target",
+        "nan_papr_db_targets"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, mode, config, override):
+    # nan and inf parse as floats, but no solver takes them: the value is
+    # rejected by name before anything runs
+    args = [mode, "--set", override, "--out", str(tmp_path / "out")]
+    if config is not None:
+        args += ["--config", str(CONFIGS / config)]
+    assert cli.main(args) == 2
+    key = override.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_overrides():
     cfg = apply_overrides(parse_config(BASE), ["penalty.eta_target=0.3",
                                                "run.seed=99"])

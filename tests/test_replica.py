@@ -128,8 +128,12 @@ def test_solve_large_peak_reduction():
 
 def test_solve_divergent_region_raises():
     # no quadratic weight below unit load: the response diverges
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError,
+                       match="no fixed point after 400 iterations") as info:
         solve_fixed_point(mp_params(0.5), max_iter=400)
+    # the error carries the last iterate (chi ≈ 8.2e70) and its residual
+    assert info.value.state.chi > 1e60
+    assert math.isfinite(info.value.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from lse_precoding import cli, simulator
 from lse_precoding.experiments import _mean_ci95
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import (PenaltySpec, Support, _prox_scalar,
-                                   penalty_value, prox, thresholds)
+                                   penalty_value, thresholds)
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ccd_from,
                                      _clip_to_support,
@@ -16,7 +16,7 @@ from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      _ridge_solve, _trial_workers,
                                      generate_problem, measure,
                                      monte_carlo, precode_ccd)
-from oracles import precode_rzf, random_tas_rzf
+from oracles import precode_rzf, prox, random_tas_rzf
 
 
 def small_problem(seed=3, n=48, k=24, lam=0.1, lam0=0.0, peak=None, lam_s=1.0):
@@ -176,7 +176,7 @@ def test_ccd_takes_one_start(peak, lam0):
 
 @pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
 def test_ccd_fixed_point_of_certified_prox(peak):
-    # a converged descent leaves every coordinate where penalty.prox (the
+    # a converged descent leaves every coordinate where oracles.prox (the
     # scalar rule the brute-force oracle certifies) would put it; the value
     # bound is the float64 floor of descent stopped on the tracked objective,
     # sqrt(eps * objective) ~ 5e-8 here (the disk instance stops at 2.3e-8)

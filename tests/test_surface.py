@@ -1,7 +1,8 @@
 """The runtime package holds no code that only tests use: every module-level
 function, class and constant of `lse_precoding` is referenced elsewhere in
-the package or exported through `__all__`, and every method and property of
-a package class is read by attribute name outside its own definition."""
+the package (an export through `__all__` alone does not count; one name is
+exempt), and every method and property of a package class is read by
+attribute name outside its own definition."""
 import ast
 from pathlib import Path
 
@@ -48,8 +49,9 @@ def test_every_module_level_name_has_a_package_user():
         if not any(name in _referenced(node) for node in statements
                    if node is not own):
             unused.append(f"{module}.{name}")
-    exported = set(lse_precoding.__all__)
-    assert [name for name in unused if name.split(".")[1] not in exported] == []
+    # the benchmark's tracer (perfbench/tracing.py) wraps this one by name;
+    # ROADMAP item 1 moves it to tests/oracles.py with that tracer row
+    assert [name for name in unused if name != "replica.random_tas_baseline"] == []
 
 
 def test_every_method_and_property_has_a_package_user():
