@@ -5,16 +5,18 @@ The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over either the
 whole complex plane or a disk of radius sqrt(P). Its prox at weight c has
 a closed four-branch form (shrink, drop, or clip to the rim), a rule that
 `thresholds(spec, c)` alone derives from (spec, c). Everything else reads
-the rule: `prox_array`, the descent of `simulator`, and
-`gaussian_law`, the closed-form law of the prox of a complex Gaussian
-input, which the replica route solves with and samples from. The test
-suite certifies the prox's global optimality against a brute-force grid
-search and the law against radial quadrature.
+the rule: `prox_array`, the descent of `simulator` (which applies it one
+scalar at a time, written into its sweep), and `gaussian_law`, the
+closed-form law of the prox of a complex Gaussian input, which the
+replica route solves with and samples from. The test suite certifies the
+prox's global optimality against a brute-force grid search and the law
+against radial quadrature.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +76,7 @@ class PenaltySpec:
         return self.support.kind == DISK
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(NamedTuple):
     """The scalar prox rule at a given weight c.
 
     tau separates drop from shrink; for the disk, tau_tilde marks where the
@@ -117,29 +118,12 @@ def constant_envelope_rule(peak: float, tau_hat: float) -> ThresholdSet:
     return ThresholdSet(tau_hat, tau_hat, tau_hat, 1.0, 1.0, math.sqrt(peak), peak)
 
 
-def _prox_scalar(z: complex, a: float, t: ThresholdSet) -> complex:
-    """The four-branch prox rule t for one input z with a = |z| (on the
-    full plane tau_hat = inf, so the rim never holds). Ties at the
-    thresholds go to the branch tested first; the competing branches are
-    cost-equal there."""
-    if a >= t.tau_hat:
-        # clip to the rim; tau_hat >= tau_tilde > 0 so z != 0 here
-        return z * (t.radius / a)
-    if a > t.tau_tilde:
-        return 0.0 + 0.0j
-    if a >= t.tau:
-        # multiply by the real reciprocal: componentwise rounding matches
-        # the vectorized path bit for bit
-        return z * t.shrink
-    return 0.0 + 0.0j
-
-
 def prox_array(t: ThresholdSet, z: np.ndarray) -> np.ndarray:
     """The prox rule t over an array of complex inputs.
 
     Each branch is one masked ufunc pass over the whole array (no gather
     or scatter); the rim pass runs last, so at a = tau_tilde = tau_hat the
-    rim wins as in the scalar rule."""
+    rim wins as in the descent's scalar rule."""
     z = np.asarray(z, dtype=complex)
     a = np.abs(z)
     out = np.zeros_like(z)
@@ -181,13 +165,3 @@ def gaussian_law(t: ThresholdSet, lrs: float) -> tuple[float, float, float]:
         num += t.radius * _upper_moment1(t.tau_hat, lrs)
         eta = e_hat + eta
     return p, num / lrs, eta
-
-
-def penalty_value(spec: PenaltySpec, v: complex) -> float:
-    """u(v); raises OutOfSupportError outside the disk (tolerance 1e-12 on
-    the radius). The zero-norm term tests v against exact zero."""
-    a = abs(v)
-    if spec.is_disk and a > spec.support.radius + 1e-12:
-        raise OutOfSupportError(f"|v| = {a} exceeds the disk radius")
-    return spec.lam * a * a + (spec.lam0 if v != 0 else 0.0)
-

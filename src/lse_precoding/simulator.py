@@ -22,7 +22,10 @@ form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
 33(1), 2010): one product gives h_j^H r for a whole block, each change of
 a coordinate corrects the block's later inner products through the
 block's Gram matrix, and the residual moves once per block. The cyclic
-order and the prox steps are those of the column-by-column loop.
+order and the prox steps are those of the column-by-column loop. A sweep
+does only the descent; after it the objective is recomputed from the
+true residual s - Hx, and the descent stops once a sweep lowers it by at
+most tol relative.
 
 A Monte Carlo run spreads its trials over forked worker processes when the
 cores outnumber the BLAS threads of one process (for instance under
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RandomStream, complex_normal
-from .penalty import PenaltySpec, _prox_scalar, penalty_value, thresholds
+from .penalty import OutOfSupportError, PenaltySpec, thresholds
 
 _CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
 
@@ -71,9 +74,7 @@ class PrecodeResult:
     sweeps: int
     converged: bool
     degenerate_columns: tuple = ()
-    max_step_increase: float = 0.0
     max_residual_drift: float = 0.0
-    tracked_objective: float = math.nan  # incrementally tracked final value
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,16 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
 # cyclic coordinate descent
 # ---------------------------------------------------------------------------
 
-def _objective(problem: PrecodeProblem, x: np.ndarray) -> float:
-    r = problem.s - problem.H @ x
-    # Python complex scalars cost less per element than numpy scalars and
-    # give the same sum bit for bit
-    pen = sum(penalty_value(problem.penalty, v) for v in x.tolist())
-    return float(np.vdot(r, r).real + pen)
+def _objective(spec: PenaltySpec, x: np.ndarray, r: np.ndarray) -> float:
+    """||r||^2 + lam ||x||^2 + lam0 nnz(x) for x with residual r = s - Hx;
+    raises OutOfSupportError when some |x_j| exceeds the disk radius by
+    more than 1e-12. The zero-norm term tests x against exact zero."""
+    if spec.is_disk:
+        a = float(np.max(np.abs(x)))
+        if a > spec.support.radius + 1e-12:
+            raise OutOfSupportError(f"|x_j| = {a} exceeds the disk radius")
+    return float(np.vdot(r, r).real + spec.lam * np.vdot(x, x).real
+                 + spec.lam0 * np.count_nonzero(x))
 
 
 def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
@@ -198,8 +203,9 @@ def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
 
 def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
               tol: float) -> PrecodeResult:
-    """Exact-prox cyclic descent from x0, tracking the objective
-    incrementally with a from-scratch refresh every 50 sweeps.
+    """Exact-prox cyclic descent from x0. After each sweep the objective is
+    recomputed from the true residual s - Hx; the descent stops when a
+    sweep lowers it by at most tol relative, or after max_sweeps sweeps.
 
     The usable columns (g_j > 0, in index order) are swept in blocks of
     _CCD_BLOCK. A block starts from q = (h_j^H r) of all its columns, one
@@ -211,18 +217,20 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     update) for at most 15 scalar products on a change; larger blocks make
     those products the cost. At n = 400, k = 200 blocks of 8 and 16 ran
     alike, and 32 and 64 ran 1.2 and 1.7 times as long (one OpenBLAS
-    thread, 2-vCPU Xeon VM).
+    thread, 2-vCPU Xeon VM). Every 50 sweeps the carried r is replaced by
+    the true residual; the largest distance between the two is reported.
     """
     H, s, spec = problem.H, problem.s, problem.penalty
     g = np.einsum("ij,ij->j", H.conj(), H).real
     usable = np.flatnonzero(g > 0.0)
     degenerate = tuple(int(j) for j in np.flatnonzero(g <= 0.0))
-    # per usable column j: g_j = ||h_j||^2, the coordinate weight c_j = 1/g_j,
-    # and the prox rule at c_j
+    # per usable column j: the coordinate weight c_j = 1/||h_j||^2 and the
+    # prox rule at c_j, unpacked (b and peak are not read)
     columns = []
     for j, gj in zip(usable.tolist(), g[usable].tolist()):
         cj = 1.0 / gj
-        columns.append((j, gj, cj, thresholds(spec, cj)))
+        tau, tau_tilde, tau_hat, _, shrink, radius, _ = thresholds(spec, cj)
+        columns.append((j, cj, tau, tau_tilde, tau_hat, shrink, radius))
     # R[p] is usable column p of H; the whole blocks' Gram matrices come
     # from one batched product, a last short block's from its own
     m = usable.size
@@ -238,12 +246,10 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     blocks = [(columns[lo:lo + _CCD_BLOCK], R[lo:lo + _CCD_BLOCK],
                Rc[lo:lo + _CCD_BLOCK], Gb)
               for lo, Gb in zip(range(0, m, _CCD_BLOCK), gram)]
-    lam, lam0 = spec.lam, spec.lam0
 
     x = x0.astype(complex, copy=True)
     r = s - H @ x
-    obj = _objective(problem, x)
-    max_inc = 0.0
+    obj = _objective(spec, x, r)
     max_drift = 0.0
     converged = False
     sweeps = 0
@@ -252,22 +258,24 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     # division of a complex by a real does (Python's `/` does not)
     xs = x.tolist()
     for sweep in range(max_sweeps):
-        prev = obj
         for columns, Rb, Rcb, Gb in blocks:
             q = (Rcb @ r).tolist()
             deltas = None
-            for p, (j, gj, cj, t) in enumerate(columns):
+            for p, (j, cj, tau, tau_tilde, tau_hat, shrink, radius) in enumerate(columns):
                 xj = xs[j]
                 zj = xj + q[p] * cj
-                xn = _prox_scalar(zj, abs(zj), t)
+                # the prox rule at c_j; a tie goes to the branch tested
+                # first, where the competing branches cost the same
+                a = abs(zj)
+                if a >= tau_hat:
+                    xn = zj * (radius / a)  # the rim; tau_hat > 0, so zj != 0
+                elif a > tau_tilde:
+                    xn = 0j
+                elif a >= tau:
+                    xn = zj * shrink  # rounds as penalty.prox_array does
+                else:
+                    xn = 0j
                 if xn != xj:
-                    d_pen = (lam * (abs(xn) ** 2 - abs(xj) ** 2)
-                             + lam0 * (float(xn != 0.0) - float(xj != 0.0)))
-                    d_ls = gj * (abs(xn - zj) ** 2 - abs(xj - zj) ** 2)
-                    step = d_ls + d_pen
-                    obj += step
-                    if step > max_inc:
-                        max_inc = step
                     delta = xj - xn
                     Gp = Gb[p]
                     for i in range(p + 1, len(columns)):
@@ -286,16 +294,13 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
             max_drift = drift
         if sweeps % 50 == 0:
             r = r_true
-            obj = _objective(problem, x)
+        prev, obj = obj, _objective(spec, x, r_true)
         if prev - obj <= tol * max(abs(prev), 1e-300):
             converged = True
             break
-    tracked = obj
-    obj = _objective(problem, x)
     return PrecodeResult(x=x, objective=obj, sweeps=sweeps, converged=converged,
                          degenerate_columns=degenerate,
-                         max_step_increase=max_inc, max_residual_drift=max_drift,
-                         tracked_objective=tracked)
+                         max_residual_drift=max_drift)
 
 
 def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,

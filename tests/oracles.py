@@ -7,8 +7,12 @@ its one runtime path) by an independent route:
   Gauss-Legendre panels, with `quadrature_update` built on it as the
   quadrature twin of `replica.fixed_point_update`;
 - `prox_oracle`: the scalar prox by brute force over a polar grid, against
-  `prox`, the package's rule for one input at one weight (the package
-  itself applies the rule only through the descent and `prox_array`);
+  `prox`, the package's rule for one input at one weight, and
+  `prox_scalar`, that rule as the descent writes it into its sweep (the
+  package itself applies the rule only through the descent and
+  `prox_array`);
+- `penalty_value`: the penalty of one symbol, the per-antenna term that
+  the descent's vectorized objective sums;
 - `closed_moments`, `active_fraction` and `constant_envelope_rim`: the
   closed forms of the decoupled law that the replica route used before
   `penalty.gaussian_law` took their place, each deriving 1 + c lam,
@@ -31,9 +35,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from lse_precoding.numerics import NonFiniteError, RandomStream, q_function
-from lse_precoding.penalty import (PenaltySpec, ThresholdSet, _interval_moment2,
-                                   _prox_scalar, _upper_moment1, prox_array,
-                                   thresholds)
+from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, ThresholdSet,
+                                   _interval_moment2, _upper_moment1,
+                                   prox_array, thresholds)
 from lse_precoding.replica import ReplicaState, SystemParams
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ridge_solve)
@@ -206,8 +210,26 @@ def decoupled_magnitudes(state: ReplicaState, stream: RandomStream,
 # the scalar prox and its brute-force oracle
 # ---------------------------------------------------------------------------
 
+def prox_scalar(z: complex, a: float, t: ThresholdSet) -> complex:
+    """The four-branch prox rule t for one input z with a = |z|, in the
+    branch order and with the ties of the descent's sweep (on the full
+    plane tau_hat = inf, so the rim never holds). Ties at the thresholds
+    go to the branch tested first; the competing branches are cost-equal
+    there."""
+    if a >= t.tau_hat:
+        # clip to the rim; tau_hat >= tau_tilde > 0 so z != 0 here
+        return z * (t.radius / a)
+    if a > t.tau_tilde:
+        return 0.0 + 0.0j
+    if a >= t.tau:
+        # multiply by the real reciprocal: componentwise rounding matches
+        # the vectorized path bit for bit
+        return z * t.shrink
+    return 0.0 + 0.0j
+
+
 def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
-    """The package's scalar prox rule for one input: `_prox_scalar` at
+    """The package's scalar prox rule for one input: `prox_scalar` at
     `thresholds(spec, c)`, the exact global minimizer over the support of
     |v - z|^2 + c u(v).
 
@@ -215,7 +237,16 @@ def prox(spec: PenaltySpec, z: complex, c: float) -> complex:
     counts need no epsilon downstream).
     """
     z = complex(z)
-    return _prox_scalar(z, abs(z), thresholds(spec, c))
+    return prox_scalar(z, abs(z), thresholds(spec, c))
+
+
+def penalty_value(spec: PenaltySpec, v: complex) -> float:
+    """u(v); raises OutOfSupportError outside the disk (tolerance 1e-12 on
+    the radius). The zero-norm term tests v against exact zero."""
+    a = abs(v)
+    if spec.is_disk and a > spec.support.radius + 1e-12:
+        raise OutOfSupportError(f"|v| = {a} exceeds the disk radius")
+    return spec.lam * a * a + (spec.lam0 if v != 0 else 0.0)
 
 
 def prox_oracle(spec: PenaltySpec, z: complex, c: float, grid_n: int = 201) -> complex:

@@ -9,9 +9,9 @@ import hypothesis.strategies as st
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, Support,
                                    constant_envelope_rule, gaussian_law,
-                                   penalty_value, prox_array, thresholds)
+                                   prox_array, thresholds)
 from oracles import (active_fraction, closed_moments, constant_envelope_rim,
-                     prox, prox_oracle)
+                     penalty_value, prox, prox_oracle)
 
 FULL = Support.full_plane()
 
