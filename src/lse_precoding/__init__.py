@@ -4,7 +4,7 @@ predictions for penalized precoders and finite-n Monte Carlo validation."""
 __version__ = "0.1.0"
 
 from .numerics import RandomStream, find_root_1d, ks_distance, q_function
-from .penalty import PenaltySpec, Support, ThresholdSet, prox_array, thresholds
+from .penalty import PenaltySpec, ThresholdSet, prox_array, thresholds
 from .replica import (ReplicaSolution, ReplicaState, SystemParams, calibrate,
                       decoupled_sample, fixed_point_update, make_state,
                       random_tas_baseline, solve_constant_envelope,
@@ -14,7 +14,7 @@ from .simulator import (MonteCarloReport, PrecodeProblem, PrecodeResult,
 
 __all__ = [
     "RandomStream", "find_root_1d", "ks_distance", "q_function",
-    "PenaltySpec", "Support", "ThresholdSet", "prox_array", "thresholds",
+    "PenaltySpec", "ThresholdSet", "prox_array", "thresholds",
     "ReplicaSolution", "ReplicaState", "SystemParams", "calibrate",
     "decoupled_sample", "fixed_point_update", "make_state",
     "random_tas_baseline", "solve_constant_envelope", "solve_fixed_point",

@@ -6,8 +6,8 @@
 Modes: replica, sweep, simulate, compare, calibrate, saving, plot.
 Flags override file values; every run writes a manifest next to its
 outputs that reproduces the run byte for byte. Exit status 2 means the
-configuration was rejected, 1 that a solver gave up on it (no fixed point
-found, or the targets are not achievable).
+configuration or a plot's input CSV was rejected, 1 that a solver gave up
+on it (no fixed point found, or the targets are not achievable).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .experiments import (_RUNNERS, ConfigError, ExperimentConfig,
-                          apply_overrides, load_config, run)
+                          SchemaError, apply_overrides, load_config, run)
 from .replica import NoConvergenceError, NotAchievableError
 
 
@@ -47,6 +47,9 @@ def main(argv=None) -> int:
         written = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SchemaError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergenceError, NotAchievableError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .numerics import RandomStream, ks_distance
-from .penalty import PenaltySpec, Support
+from .penalty import PenaltySpec
 from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
                       match_random_selection, peak_cap_boundary,
@@ -374,17 +374,18 @@ def operating_point(cfg: ExperimentConfig, alpha_inverse: float,
                     ) -> OperatingPoint:
     """Replica point at one load.
 
-    With direct weights it is the fixed point at cfg's weights. With
-    calibration targets it is the calibrated point at (p_target,
-    eta_target) under the peak cap P = papr * p_target. Where that cap
-    binds (`peak_cap_boundary`, decided before any solve) the point is the
-    boundary solution: every active antenna at the peak, power eta * P,
-    with status "peak-clamped" when that is below p_target.
+    The support is the disk of cfg's peak_power, else the whole plane.
+    With direct weights the point is the fixed point at cfg's weights.
+    With calibration targets it is the point calibrated to (p_target,
+    eta_target); a papr target replaces the support by the disk of the
+    peak cap P = papr * p_target. This is the one place that decides
+    whether that cap binds (`peak_cap_boundary`, before any solve). Where
+    it does, the point is the boundary solution on the disk of
+    P = power / eta: every active antenna at the peak, with status
+    "peak-clamped" when its power eta * P is below p_target.
     """
-    support = Support.disk(cfg.peak_power) \
-        if cfg.support == "disk" and cfg.peak_power is not None else Support.full_plane()
     base = SystemParams(alpha=1.0 / alpha_inverse, lambda_s=cfg.lambda_s,
-                        penalty=PenaltySpec(support=support))
+                        penalty=PenaltySpec(peak_power=cfg.peak_power))
     if not cfg.uses_targets:
         params = replace(base, penalty=replace(
             base.penalty, lam=cfg.lam or 0.0, lam0=cfg.lam0 or 0.0))
@@ -392,18 +393,16 @@ def operating_point(cfg: ExperimentConfig, alpha_inverse: float,
                               "ok")
     papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
     power = peak_cap_boundary(cfg.p_target, eta_target, papr)
-    status = "ok"
     if power is None:
-        lam, lam0, sol = calibrate(base, cfg.p_target, eta_target, papr,
-                                   cfg.solver_opts())
         if papr is not None:
-            support = Support.disk(papr * cfg.p_target)
+            base = replace(base, penalty=PenaltySpec(peak_power=papr * cfg.p_target))
+        lam, lam0, sol = calibrate(base, cfg.p_target, eta_target, cfg.solver_opts())
+        status = "ok"
     else:
+        base = replace(base, penalty=PenaltySpec(peak_power=power / eta_target))
         sol, lam, lam0 = solve_constant_envelope(base, power, eta_target)
-        support = Support.disk(power / eta_target)
-        if power < cfg.p_target:
-            status = "peak-clamped"
-    penalty = PenaltySpec(lam=lam, lam0=lam0, support=support)
+        status = "peak-clamped" if power < cfg.p_target else "ok"
+    penalty = replace(base.penalty, lam=lam, lam0=lam0)
     return OperatingPoint(replace(base, penalty=penalty), sol, status)
 
 
@@ -437,9 +436,11 @@ def write_csv(path: str, columns, rows) -> str:
 
 
 def read_csv(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
     if not rows:
         raise SchemaError(f"{path}: empty CSV")
     header, data = rows[0], rows[1:]
@@ -572,7 +573,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     spec = pt.params.penalty
     if spec.is_disk:
         # snap rim ties, sqrt(P) up to thread-count-dependent rounding
-        rim = spec.support.radius
+        rim = spec.radius
         mags, law = (np.where(abs(a - rim) <= 1e-12 * rim, rim, a)
                      for a in (mags, law))
     ks_law = ks_distance(mags.ravel(), law)
@@ -618,6 +619,8 @@ def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#e377c2")
+# XML character data; `html.escape` would import the html.entities table
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _curve_from_csv(path: str):
@@ -646,11 +649,14 @@ def _curve_from_csv(path: str):
 
 def emit_plot(csv_paths, out_path: str, title: str = "") -> str:
     """Deterministic SVG: one polyline per CSV, axes in inverse load and
-    distortion dB, legend from file names. Identical inputs give identical
+    distortion dB, legend from file names. The title and the names are
+    written with &, < and > escaped. Identical inputs give identical
     bytes."""
     if not csv_paths:
         raise SchemaError("no input CSVs")
-    curves = [(os.path.basename(p), *_curve_from_csv(p)) for p in csv_paths]
+    curves = [(os.path.basename(p).translate(_XML_TEXT), *_curve_from_csv(p))
+              for p in csv_paths]
+    title = title.translate(_XML_TEXT)
     width, height = 640.0, 480.0
     ml, mr, mt, mb = 60.0, 160.0, 30.0, 45.0
     xs_all = [x for _, xs, _ in curves for x in xs]

@@ -1,9 +1,9 @@
-"""Per-antenna penalty functions, transmit supports, and the exact scalar
-prox at one weight.
+"""Per-antenna penalty functions and the exact scalar prox at one weight.
 
-The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over either the
-whole complex plane or a disk of radius sqrt(P). Its prox at weight c has
-a closed four-branch form (shrink, drop, or clip to the rim), a rule that
+The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over a transmit
+support that is either the whole complex plane or, when the spec carries a
+peak power P, the disk of radius sqrt(P). Its prox at weight c has a
+closed four-branch form (shrink, drop, or clip to the rim), a rule that
 `thresholds(spec, c)` alone derives from (spec, c). Everything else reads
 the rule: `prox_array`, the descent of `simulator` (which applies it one
 scalar at a time, written into its sweep), and `gaussian_law`, the
@@ -22,58 +22,34 @@ import numpy as np
 
 from .numerics import q_function
 
-FULL_PLANE = "full_plane"
-DISK = "disk"
-
 
 class OutOfSupportError(ValueError):
     """A symbol lies outside the transmit support."""
 
 
 @dataclass(frozen=True)
-class Support:
-    """Transmit constellation support: the whole plane or a centered disk."""
-
-    kind: str
-    peak_power: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (FULL_PLANE, DISK):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == DISK:
-            if self.peak_power is None or self.peak_power <= 0:
-                raise ValueError("disk support needs a positive peak power")
-        elif self.peak_power is not None:
-            raise ValueError("full-plane support takes no peak power")
-
-    @classmethod
-    def full_plane(cls) -> "Support":
-        return cls(FULL_PLANE)
-
-    @classmethod
-    def disk(cls, peak_power: float) -> "Support":
-        return cls(DISK, float(peak_power))
-
-    @property
-    def radius(self) -> float:
-        return math.inf if self.kind == FULL_PLANE else math.sqrt(self.peak_power)
-
-
-@dataclass(frozen=True)
 class PenaltySpec:
-    """u(v) = lam |v|^2 + lam0 1{v != 0} over a support."""
+    """u(v) = lam |v|^2 + lam0 1{v != 0} over the whole plane, or over the
+    disk |v|^2 <= peak_power when a peak power is given."""
 
     lam: float = 0.0
     lam0: float = 0.0
-    support: Support = Support.full_plane()
+    peak_power: float | None = None
 
     def __post_init__(self):
         if self.lam < 0 or self.lam0 < 0:
             raise ValueError("penalty weights must be non-negative")
+        if self.peak_power is not None and not self.peak_power > 0:
+            raise ValueError("disk support needs a positive peak power")
 
     @property
     def is_disk(self) -> bool:
-        return self.support.kind == DISK
+        return self.peak_power is not None
+
+    @property
+    def radius(self) -> float:
+        """sqrt(P) on the disk, inf on the whole plane."""
+        return math.inf if self.peak_power is None else math.sqrt(self.peak_power)
 
 
 class ThresholdSet(NamedTuple):
@@ -104,11 +80,10 @@ def thresholds(spec: PenaltySpec, c: float) -> ThresholdSet:
     tau = math.sqrt(c * spec.lam0 * b)
     if not spec.is_disk:
         return ThresholdSet(tau, math.inf, math.inf, b, 1.0 / b, math.inf, math.inf)
-    root_p = spec.support.radius
+    root_p = spec.radius
     tau_tilde = b * root_p
     tau_hat = max(tau_tilde, 0.5 * b * root_p + c * spec.lam0 / (2.0 * root_p))
-    return ThresholdSet(tau, tau_tilde, tau_hat, b, 1.0 / b, root_p,
-                        spec.support.peak_power)
+    return ThresholdSet(tau, tau_tilde, tau_hat, b, 1.0 / b, root_p, spec.peak_power)
 
 
 def constant_envelope_rule(peak: float, tau_hat: float) -> ThresholdSet:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import RandomStream, complex_from_parts, expand_bracket, find_root_1d
-from .penalty import (PenaltySpec, Support, ThresholdSet, constant_envelope_rule,
+from .penalty import (PenaltySpec, ThresholdSet, constant_envelope_rule,
                       gaussian_law, prox_array, thresholds)
 
 
@@ -209,6 +209,15 @@ def _response(params: SystemParams, p: float, decoupled):
     return m / (params.alpha - m), lrs, extra
 
 
+def _check_targets(p_star: float, eta_star: float) -> None:
+    """Raise NotAchievableError for an eta target outside (0, 1] or a power
+    target that is not positive."""
+    if not (0 < eta_star <= 1):
+        raise NotAchievableError("eta target must lie in (0, 1]")
+    if not p_star > 0:
+        raise NotAchievableError("power target must be positive")
+
+
 def solve_constant_envelope(params: SystemParams, p_star: float,
                             eta_star: float
                             ) -> tuple[ReplicaSolution, float, float]:
@@ -218,9 +227,9 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     the shrink branch is empty, the peak is P = p_star / eta_star, and the
     active fraction pins the rim threshold directly: eta = exp(-tau_hat^2 /
     lambda_rs). The remaining self-consistency in chi is `_response`.
+    Raises NotAchievableError for the targets `_check_targets` rejects.
     """
-    if not (0 < eta_star <= 1):
-        raise NotAchievableError("eta target must lie in (0, 1]")
+    _check_targets(p_star, eta_star)
 
     def rim(lrs):
         tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
@@ -249,10 +258,10 @@ def _root_of_decreasing(f) -> float:
     return find_root_1d(f, lo, hi, tol=1e-15, xtol=1e-15 * max(1.0, hi))
 
 
-def _invert_targets(params: SystemParams, support: Support, p_star: float,
+def _invert_targets(params: SystemParams, p_star: float,
                     eta_star: float) -> tuple[float, float]:
     """Penalty weights (lam, lam0) whose replica state has power p_star and
-    active fraction eta_star.
+    active fraction eta_star on the support of params.penalty.
 
     At a given lambda_rs the decoupled law depends on the weights only
     through b = 1 + kappa lam and L0 = kappa lam0, which are the weights
@@ -263,7 +272,7 @@ def _invert_targets(params: SystemParams, support: Support, p_star: float,
     chi is self-consistent.
     """
     def unit(b, l0):
-        return thresholds(PenaltySpec(lam=b - 1.0, lam0=l0, support=support), 1.0)
+        return thresholds(replace(params.penalty, lam=b - 1.0, lam0=l0), 1.0)
 
     def decoupled(lrs):
         def l0_for(b):
@@ -299,12 +308,9 @@ def peak_cap_boundary(p_star: float, eta_star: float,
     P = papr_star * p_star binds, else None. The bound p <= eta * P is
     hard: past it the targets are infeasible and the boundary transmits
     eta * P; within 1e-9 relative of it the target is on the boundary and
-    the power is p_star. Raises NotAchievableError for an eta target
-    outside (0, 1], a power target <= 0 or a peak ratio below one."""
-    if not (0 < eta_star <= 1):
-        raise NotAchievableError("eta target must lie in (0, 1]")
-    if p_star <= 0:
-        raise NotAchievableError("power target must be positive")
+    the power is p_star. Raises NotAchievableError for the targets
+    `_check_targets` rejects and for a peak ratio below one."""
+    _check_targets(p_star, eta_star)
     if papr_star is None:
         return None
     if papr_star < 1:
@@ -316,37 +322,27 @@ def peak_cap_boundary(p_star: float, eta_star: float,
 
 
 def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
-              papr_star: float | None = None, solver_opts: dict | None = None
+              solver_opts: dict | None = None
               ) -> tuple[float, float, ReplicaSolution]:
     """Penalty weights (lam, lam0) whose fixed point meets the targets
-    (p_star, eta_star), optionally under a peak-power cap
-    P = papr_star * p_star.
+    (p_star, eta_star) on the support of params_base.penalty.
 
     The weights come from inverting the state equations at the targets
     (`_invert_targets`); one `solve_fixed_point` at them then certifies
     that Picard iteration from the standard start reaches that state.
     Raises NotAchievableError when the targets are infeasible (those
-    `peak_cap_boundary` rejects, a peak cap with p > eta * P, or a power
-    target that needs a negative quadratic weight or admits no
+    `_check_targets` rejects, or a power target that needs a negative
+    quadratic weight, as on a disk with p > eta * P, or admits no
     self-consistent response) or when the certifying solve misses a target
-    by more than _CALIBRATION_TOL. A target on the boundary p = eta * P is
-    dispatched to the constant-envelope solve.
+    by more than _CALIBRATION_TOL. Whether a peak cap binds, and the
+    constant-envelope solution where it does, is the caller's decision
+    (`peak_cap_boundary`, `solve_constant_envelope`).
     """
-    solver_opts = dict(solver_opts or {})
-    bound = peak_cap_boundary(p_star, eta_star, papr_star)
-    if bound is not None:
-        if bound < p_star:
-            raise NotAchievableError(
-                f"power {p_star} exceeds the peak-cap bound eta*P = {bound}")
-        sol, lam, lam0 = solve_constant_envelope(params_base, p_star, eta_star)
-        return lam, lam0, sol
-    support = params_base.penalty.support if papr_star is None \
-        else Support.disk(papr_star * p_star)
-
-    lam, lam0 = _invert_targets(params_base, support, p_star, eta_star)
-    sol = solve_fixed_point(
-        replace(params_base, penalty=PenaltySpec(lam=lam, lam0=lam0, support=support)),
-        **solver_opts)
+    _check_targets(p_star, eta_star)
+    lam, lam0 = _invert_targets(params_base, p_star, eta_star)
+    params = replace(params_base,
+                     penalty=replace(params_base.penalty, lam=lam, lam0=lam0))
+    sol = solve_fixed_point(params, **(solver_opts or {}))
     miss = max(abs(sol.state.p - p_star), abs(sol.eta - eta_star))
     if miss > _CALIBRATION_TOL:
         raise NotAchievableError(
@@ -373,7 +369,7 @@ def random_tas_baseline(params: SystemParams, eta_r: float,
         raise NotAchievableError("selection fraction must lie in (0, 1]")
     sub = SystemParams(alpha=params.alpha / eta_r,
                        lambda_s=params.lambda_s / eta_r,
-                       penalty=PenaltySpec(support=Support.full_plane()))
+                       penalty=PenaltySpec())
     _, _, sol = calibrate(sub, p_star / eta_r, 1.0)
     return replace(sol, distortion=eta_r * sol.distortion, eta=eta_r * sol.eta,
                    papr=math.inf)

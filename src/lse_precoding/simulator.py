@@ -184,7 +184,7 @@ def _objective(spec: PenaltySpec, x: np.ndarray, r: np.ndarray) -> float:
     more than 1e-12. The zero-norm term tests x against exact zero."""
     if spec.is_disk:
         a = float(np.max(np.abs(x)))
-        if a > spec.support.radius + 1e-12:
+        if a > spec.radius + 1e-12:
             raise OutOfSupportError(f"|x_j| = {a} exceeds the disk radius")
     return float(np.vdot(r, r).real + spec.lam * np.vdot(x, x).real
                  + spec.lam0 * np.count_nonzero(x))
@@ -193,7 +193,7 @@ def _objective(spec: PenaltySpec, x: np.ndarray, r: np.ndarray) -> float:
 def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
     if not spec.is_disk:
         return x
-    radius = spec.support.radius
+    radius = spec.radius
     a = np.abs(x)
     over = a > radius
     x = x.copy()

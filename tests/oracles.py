@@ -127,8 +127,8 @@ def quadrature_update(params: SystemParams, state: ReplicaState) -> tuple[float,
         return np.abs(prox_array(t, np.asarray(r, dtype=complex)))
 
     if spec.is_disk:
-        tail_p = (spec.support.peak_power, 0.0, 0.0)
-        tail_m = (0.0, math.sqrt(spec.support.peak_power), 0.0)
+        tail_p = (spec.peak_power, 0.0, 0.0)
+        tail_m = (0.0, math.sqrt(spec.peak_power), 0.0)
     else:
         tail_p = (0.0, 0.0, 1.0 / (b * b))
         tail_m = (0.0, 0.0, 1.0 / b)
@@ -159,7 +159,7 @@ def closed_moments(spec: PenaltySpec, t: ThresholdSet, c: float,
         p += xi / (b * b)
         num += xi / b
     if spec.is_disk:
-        peak = spec.support.peak_power
+        peak = spec.peak_power
         e_hat = math.exp(-t.tau_hat ** 2 / lrs)
         p += peak * e_hat
         num += math.sqrt(peak) * _upper_moment1(t.tau_hat, lrs)
@@ -244,7 +244,7 @@ def penalty_value(spec: PenaltySpec, v: complex) -> float:
     """u(v); raises OutOfSupportError outside the disk (tolerance 1e-12 on
     the radius). The zero-norm term tests v against exact zero."""
     a = abs(v)
-    if spec.is_disk and a > spec.support.radius + 1e-12:
+    if spec.is_disk and a > spec.radius + 1e-12:
         raise OutOfSupportError(f"|v| = {a} exceeds the disk radius")
     return spec.lam * a * a + (spec.lam0 if v != 0 else 0.0)
 
@@ -260,18 +260,18 @@ def prox_oracle(spec: PenaltySpec, z: complex, c: float, grid_n: int = 201) -> c
     t = thresholds(spec, c)
     span = max((x for x in (t.tau, t.tau_tilde, t.tau_hat) if math.isfinite(x)),
                default=0.0)
-    r_hi = max(abs(z), spec.support.radius if spec.is_disk else 0.0) + 3.0 * span + 1.0
+    r_hi = max(abs(z), spec.radius if spec.is_disk else 0.0) + 3.0 * span + 1.0
     if spec.is_disk:
-        r_hi = min(r_hi, spec.support.radius)
+        r_hi = min(r_hi, spec.radius)
     radii = np.linspace(0.0, r_hi, grid_n)
     phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False))
     grid = np.outer(radii, phases).ravel()
 
     candidates = [0.0 + 0.0j, z / (1.0 + c * spec.lam)]
     if spec.is_disk and z != 0:
-        candidates.append(z / abs(z) * spec.support.radius)
+        candidates.append(z / abs(z) * spec.radius)
     candidates = [v for v in candidates
-                  if not spec.is_disk or abs(v) <= spec.support.radius + 1e-15]
+                  if not spec.is_disk or abs(v) <= spec.radius + 1e-15]
     pts = np.concatenate([grid, np.array(candidates)])
 
     cost = np.abs(pts - z) ** 2 + c * (spec.lam * np.abs(pts) ** 2

@@ -13,7 +13,7 @@ from lse_precoding.experiments import (ExperimentConfig, _mean_ci95,
                                        match_random_selection,
                                        operating_point, parse_config, run)
 from lse_precoding.numerics import RandomStream, ks_distance
-from lse_precoding.penalty import PenaltySpec, Support
+from lse_precoding.penalty import PenaltySpec
 from lse_precoding import replica, simulator
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
@@ -50,11 +50,8 @@ def test_criterion_01_prox_global_optimality():
     for _ in range(10_000):
         lam = rng.uniform(0.0, 3.0) * (rng.random() > 0.15)
         lam0 = rng.uniform(0.0, 3.0) * (rng.random() > 0.15)
-        if rng.random() < 0.5:
-            support = Support.full_plane()
-        else:
-            support = Support.disk(rng.uniform(0.2, 6.0))
-        spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
+        peak = None if rng.random() < 0.5 else rng.uniform(0.2, 6.0)
+        spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
         c = 10.0 ** rng.uniform(-2.0, 1.0)
         z = complex(rng.normal(0.0, 2.5), rng.normal(0.0, 2.5))
         diff = abs(prox(spec, z, c) - prox_oracle(spec, z, c, grid_n=121))
@@ -100,12 +97,11 @@ def test_criterion_03_closed_vs_quadrature():
     for family in ("full", "disk"):
         for _ in range(50):
             peak = rng.uniform(0.3, 6.0) if family == "disk" else None
-            support = Support.disk(peak) if peak else Support.full_plane()
             params = SystemParams(
                 alpha=rng.uniform(0.4, 2.5), lambda_s=rng.uniform(0.4, 2.0),
                 penalty=PenaltySpec(lam=rng.uniform(0.0, 2.0),
                                     lam0=rng.uniform(0.0, 2.0),
-                                    support=support))
+                                    peak_power=peak))
             st = make_state(params, rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0))
             pc, cc = fixed_point_update(st)
             pq, cq = quadrature_update(params, st)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,16 @@ def test_operating_point_peak_clamp_status():
     assert pt.solution.eta == pytest.approx(0.5, rel=1e-12)
 
 
+def test_operating_point_on_the_boundary_is_constant_envelope():
+    # papr = 1/eta sits exactly on the feasibility boundary p = eta * P
+    pt = operating_point(TARGETS, 2.0, 0.5, papr_db=10.0 * math.log10(2.0))
+    assert pt.status == "ok"
+    assert pt.params.penalty.peak_power == pytest.approx(1.0, rel=1e-12)
+    assert pt.solution.state.p == pytest.approx(0.5, abs=1e-10)
+    assert pt.solution.eta == pytest.approx(0.5, abs=1e-12)
+    assert pt.solution.papr == pytest.approx(2.0, rel=1e-12)
+
+
 def _boundary_run(tmp_path, mode, eta_target):
     """`lse <mode>` at the 0 dB cap on disk support; (exit code, report)."""
     ini = tmp_path / "boundary.ini"
@@ -481,6 +492,33 @@ def test_emit_plot_missing_column(tmp_path):
         fh.write("x,y\n1,2\n")
     with pytest.raises(SchemaError):
         emit_plot([bad], str(tmp_path / "p.svg"))
+
+
+def test_emit_plot_escapes_title_and_legend(tmp_path):
+    # &, < and > in the title or a CSV name still give well-formed XML
+    path = _tiny_csv(tmp_path, name="eta&papr.csv")
+    svg = emit_plot([path], str(tmp_path / "p.svg"), title="D < 0 dB & p = 0.5")
+    texts = [el.text for el in ET.parse(svg).getroot()
+             .iter("{http://www.w3.org/2000/svg}text")]
+    assert "D < 0 dB & p = 0.5" in texts
+    assert "eta&papr.csv" in texts
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    ("x,y\n1,2\n", "missing required column"),
+], ids=["missing_file", "missing_column"])
+def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
+                                                 reason):
+    csv_path = tmp_path / "curve.csv"
+    if content is not None:
+        csv_path.write_text(content)
+    rc = cli.main(["plot", "--set", f"plot.inputs={csv_path}",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
+    assert str(csv_path) in err and reason in err
 
 
 def test_emit_plot_byte_identical(tmp_path):
@@ -680,7 +718,7 @@ class NoScipy:
 sys.meta_path.insert(0, NoScipy())
 
 from lse_precoding import cli
-from lse_precoding.penalty import PenaltySpec, Support
+from lse_precoding.penalty import PenaltySpec
 from lse_precoding.replica import SystemParams, fixed_point_update, make_state
 
 configs, out, tests = sys.argv[1:]
@@ -695,7 +733,7 @@ rc = rc or cli.main(["sweep", "--config", configs + "/fig2.ini",
                      "--set", "penalty.papr_db_targets=3",
                      "--out", out + "/sweep"])
 params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(
-    lam=0.3, lam0=0.2, support=Support.disk(2.0)))
+    lam=0.3, lam0=0.2, peak_power=2.0))
 state = make_state(params, 0.8, 0.5)
 closed = fixed_point_update(state)
 quad = quadrature_update(params, state)

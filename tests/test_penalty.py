@@ -7,13 +7,11 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from lse_precoding.numerics import RandomStream
-from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, Support,
+from lse_precoding.penalty import (OutOfSupportError, PenaltySpec,
                                    constant_envelope_rule, gaussian_law,
                                    prox_array, thresholds)
 from oracles import (active_fraction, closed_moments, constant_envelope_rim,
                      penalty_value, prox, prox_oracle)
-
-FULL = Support.full_plane()
 
 
 def objective(spec, v, z, c):
@@ -32,13 +30,13 @@ def test_thresholds_full_plane_no_l0():
 
 
 def test_thresholds_disk_projection_case():
-    t = thresholds(PenaltySpec(support=Support.disk(1.0)), 1.0)
+    t = thresholds(PenaltySpec(peak_power=1.0), 1.0)
     assert (t.tau, t.tau_tilde, t.tau_hat) == (0.0, 1.0, 1.0)
 
 
 def test_thresholds_disk_degenerate_equality():
     # tau_hat's two arguments tie at 1: the max branch is exercised
-    t = thresholds(PenaltySpec(lam=0.0, lam0=1.0, support=Support.disk(1.0)), 1.0)
+    t = thresholds(PenaltySpec(lam=0.0, lam0=1.0, peak_power=1.0), 1.0)
     assert (t.tau, t.tau_tilde, t.tau_hat) == (1.0, 1.0, 1.0)
 
 
@@ -72,20 +70,20 @@ def test_prox_pure_shrinkage_without_l0():
 
 
 def test_prox_disk_projection():
-    spec = PenaltySpec(support=Support.disk(1.0))
+    spec = PenaltySpec(peak_power=1.0)
     assert prox(spec, 3.0 + 0.0j, 1.0) == pytest.approx(1.0 + 0.0j)
 
 
 def test_prox_disk_drop_below_tau():
     # tau = sqrt(0.5) > 0.6, verified against the brute-force oracle below
-    spec = PenaltySpec(lam=0.0, lam0=0.5, support=Support.disk(1.0))
+    spec = PenaltySpec(lam=0.0, lam0=0.5, peak_power=1.0)
     assert prox(spec, 0.6 + 0.0j, 1.0) == 0.0
     assert prox_oracle(spec, 0.6 + 0.0j, 1.0, grid_n=201) == 0.0
 
 
 def test_prox_zero_input_stays_zero():
     for spec in (PenaltySpec(), PenaltySpec(lam=1.0, lam0=2.0),
-                 PenaltySpec(lam=0.5, lam0=0.1, support=Support.disk(2.0))):
+                 PenaltySpec(lam=0.5, lam0=0.1, peak_power=2.0)):
         v = prox(spec, 0.0 + 0.0j, 1.3)
         assert v == 0.0
 
@@ -111,13 +109,10 @@ def _random_specs(rng, count):
     for _ in range(count):
         lam = rng.uniform(0.0, 3.0) * (rng.random() > 0.2)
         lam0 = rng.uniform(0.0, 3.0) * (rng.random() > 0.2)
-        if rng.random() < 0.5:
-            support = Support.full_plane()
-        else:
-            support = Support.disk(rng.uniform(0.2, 5.0))
+        peak = None if rng.random() < 0.5 else rng.uniform(0.2, 5.0)
         c = 10.0 ** rng.uniform(-2, 1)
         z = complex(rng.normal(0, 2), rng.normal(0, 2))
-        yield PenaltySpec(lam=lam, lam0=lam0, support=support), z, c
+        yield PenaltySpec(lam=lam, lam0=lam0, peak_power=peak), z, c
 
 
 def test_prox_agrees_with_oracle_sampled():
@@ -134,10 +129,10 @@ def test_prox_objective_certificate():
         v = prox(spec, z, c)
         candidates = [0.0 + 0.0j, z / (1.0 + c * spec.lam)]
         if spec.is_disk and z != 0:
-            candidates.append(z / abs(z) * spec.support.radius)
+            candidates.append(z / abs(z) * spec.radius)
         best = objective(spec, v, z, c)
         for w in candidates:
-            if spec.is_disk and abs(w) > spec.support.radius + 1e-12:
+            if spec.is_disk and abs(w) > spec.radius + 1e-12:
                 continue
             assert best <= objective(spec, w, z, c) + 1e-12
 
@@ -148,7 +143,7 @@ def test_prox_objective_certificate():
          lam0=0.8238731597168758, c=0.8238731597168758)  # |z| at the threshold
 @settings(max_examples=120, deadline=None)
 def test_prox_phase_equivariance(theta, mag, lam, lam0, c):
-    spec = PenaltySpec(lam=lam, lam0=lam0, support=Support.disk(1.5))
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=1.5)
     # compare against the prox of |w| itself: rot * z may round to a
     # magnitude an ulp off mag, which at |z| = threshold flips the branch
     w = cmath.exp(1j * theta) * (mag + 0.0j)
@@ -160,7 +155,7 @@ def test_prox_phase_equivariance(theta, mag, lam, lam0, c):
        st.floats(0.05, 5.0), st.floats(0.2, 4.0))
 @settings(max_examples=120, deadline=None)
 def test_prox_nonexpansive_energy(mag, lam, lam0, c, peak):
-    spec = PenaltySpec(lam=lam, lam0=lam0, support=Support.disk(peak))
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
     v = prox(spec, mag + 0.0j, c)
     assert abs(v) <= min(mag, math.sqrt(peak)) + 1e-12
 
@@ -169,7 +164,7 @@ def test_prox_array_matches_scalar():
     # scalar and vector paths may differ by an ulp through libm hypot, but
     # the branch decision (exact zero or not) must coincide
     rng = RandomStream(20242, 0).generator()
-    spec = PenaltySpec(lam=0.4, lam0=0.8, support=Support.disk(2.0))
+    spec = PenaltySpec(lam=0.4, lam0=0.8, peak_power=2.0)
     z = rng.normal(0, 2, 256) + 1j * rng.normal(0, 2, 256)
     vec = prox_array(thresholds(spec, 0.7), z)
     for i in range(256):
@@ -190,7 +185,7 @@ def _masked_index_prox_array(spec, z, c):
     out[shrink] = z[shrink] * (1.0 / (1.0 + c * spec.lam))
     if spec.is_disk:
         rim = a >= t.tau_hat
-        out[rim] = z[rim] * (spec.support.radius / a[rim])
+        out[rim] = z[rim] * (spec.radius / a[rim])
     return out
 
 
@@ -206,8 +201,7 @@ def _weight():
 @example(lam=0.5, lam0=0.0, peak=2.0, c=0.7, extra=[])  # tau_tilde = tau_hat
 @settings(max_examples=150, deadline=None)
 def test_prox_array_bytes_match_masked_index_version(lam, lam0, peak, c, extra):
-    support = FULL if peak is None else Support.disk(peak)
-    spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
     t = thresholds(spec, c)
     # magnitudes exactly at 0 and at each finite threshold, and an ulp
     # either side of each, on both axes and in both directions
@@ -239,8 +233,7 @@ def _bits(values):
 def test_gaussian_law_matches_closed_forms_bit_for_bit(lam, lam0, peak, c, lrs):
     # the one law reads b, shrink, sqrt(P) and P from the rule; the old
     # closed forms derived them from (spec, c) themselves
-    support = FULL if peak is None else Support.disk(peak)
-    spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
     t = thresholds(spec, c)
     assert _bits(gaussian_law(t, lrs)) == \
         _bits(closed_moments(spec, t, c, lrs) + (active_fraction(spec, t, lrs),))
@@ -255,7 +248,7 @@ def test_gaussian_law_matches_constant_envelope_bit_for_bit(peak, eta, lrs):
     t = constant_envelope_rule(peak, tau_hat)
     assert (t.tau, t.tau_tilde, t.tau_hat) == (tau_hat, tau_hat, tau_hat)
     # the rule at b = 1 is the prox of lam = 0 on the disk of power `peak`
-    spec = PenaltySpec(support=Support.disk(peak))
+    spec = PenaltySpec(peak_power=peak)
     law = gaussian_law(t, lrs)
     assert _bits(law) == \
         _bits(closed_moments(spec, t, 1.0, lrs) + (active_fraction(spec, t, lrs),))
@@ -279,7 +272,7 @@ def test_penalty_value_tiny_nonzero_counts():
 
 
 def test_penalty_value_out_of_support():
-    spec = PenaltySpec(support=Support.disk(1.0))
+    spec = PenaltySpec(peak_power=1.0)
     with pytest.raises(OutOfSupportError):
         penalty_value(spec, 1.1 + 0.0j)
 
@@ -287,9 +280,6 @@ def test_penalty_value_out_of_support():
 def test_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec(lam=-0.1)
-    with pytest.raises(ValueError):
-        Support.disk(0.0)
-    with pytest.raises(ValueError):
-        Support("disk")
-    with pytest.raises(ValueError):
-        Support("full_plane", peak_power=1.0)
+    for peak in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            PenaltySpec(peak_power=peak)

@@ -6,7 +6,7 @@ import pytest
 
 from lse_precoding.numerics import RandomStream
 from lse_precoding import replica
-from lse_precoding.penalty import PenaltySpec, Support
+from lse_precoding.penalty import PenaltySpec
 from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
@@ -14,13 +14,10 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    solve_constant_envelope, solve_fixed_point)
 from oracles import decoupled_magnitudes, quadrature_update
 
-FULL = Support.full_plane()
-
 
 def mp_params(alpha, lam_s=1.0, lam=0.0, lam0=0.0, peak=None):
-    support = Support.disk(peak) if peak is not None else FULL
     return SystemParams(alpha=alpha, lambda_s=lam_s,
-                        penalty=PenaltySpec(lam=lam, lam0=lam0, support=support))
+                        penalty=PenaltySpec(lam=lam, lam0=lam0, peak_power=peak))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +188,8 @@ IV_A = dict(lam=0.15593417145704414, lam0=0.11475326486959826)
 # and rim, rim only, and zero everywhere
 SAMPLED_STATES = {
     "iv_a_full_plane": lambda: solve_fixed_point(mp_params(0.5, **IV_A)).state,
-    "disk_3db": lambda: calibrate(mp_params(0.5), p_star=0.5, eta_star=0.7,
-                                  papr_star=10.0 ** 0.3)[2].state,
+    "disk_3db": lambda: calibrate(mp_params(0.5, peak=10.0 ** 0.3 * 0.5),
+                                  p_star=0.5, eta_star=0.7)[2].state,
     "constant_envelope_0db": lambda: solve_constant_envelope(
         mp_params(0.5), 0.25, 0.5)[0].state,
     "all_zero": lambda: make_state(mp_params(0.5, lam=0.0, lam0=500.0), 1.0, 0.5),
@@ -274,9 +271,9 @@ def test_calibrate_one_solve_meets_targets(monkeypatch, alpha_inverse, eta,
     # the weights come from inverting the state equations; one forward
     # solve certifies them
     calls = counting_solves(monkeypatch)
-    papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
-    lam, lam0, sol = calibrate(mp_params(1.0 / alpha_inverse), p_star=0.5,
-                               eta_star=eta, papr_star=papr)
+    peak = None if papr_db is None else 10.0 ** (papr_db / 10.0) * 0.5
+    lam, lam0, sol = calibrate(mp_params(1.0 / alpha_inverse, peak=peak),
+                               p_star=0.5, eta_star=eta)
     assert len(calls) == 1
     assert calls[0][0].penalty.lam == lam
     assert calls[0][0].penalty.lam0 == lam0
@@ -322,24 +319,26 @@ def test_calibrate_names_a_missed_target(monkeypatch):
 
 def test_calibrate_high_papr_matches_full_plane():
     _, _, full = calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5)
-    _, _, disk = calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5,
-                           papr_star=10.0 ** 0.8)
+    _, _, disk = calibrate(mp_params(0.5, peak=10.0 ** 0.8 * 0.5), p_star=0.5,
+                           eta_star=0.5)
     assert disk.distortion == pytest.approx(full.distortion, rel=0.02)
 
 
 def test_calibrate_infeasible_peak_cap():
-    # p <= eta * P is a hard bound; papr 1.2 with eta 0.5 violates it
-    with pytest.raises(NotAchievableError):
-        calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5, papr_star=1.2)
+    # p <= eta * P is a hard bound; papr 1.2 with eta 0.5 violates it: the
+    # disk's decoupled power at b = 1 falls short of the target
+    with pytest.raises(NotAchievableError, match="unpenalized decoupled power"):
+        calibrate(mp_params(0.5, peak=1.2 * 0.5), p_star=0.5, eta_star=0.5)
 
 
-def test_calibrate_boundary_dispatches_to_constant_envelope():
-    # papr = 1/eta sits exactly on the feasibility boundary
-    lam, lam0, sol = calibrate(mp_params(0.5), p_star=0.5, eta_star=0.5,
-                               papr_star=2.0)
-    assert sol.state.p == pytest.approx(0.5, abs=1e-10)
-    assert sol.eta == pytest.approx(0.5, abs=1e-12)
-    assert sol.papr == pytest.approx(2.0, rel=1e-12)
+@pytest.mark.parametrize("p_star, eta_star", [(0.5, 0.0), (0.5, 1.5),
+                                              (0.0, 0.5), (-1.0, 0.5)])
+def test_calibrate_rejects_out_of_range_targets(monkeypatch, p_star, eta_star):
+    # named at once, before any fixed-point solve
+    calls = counting_solves(monkeypatch)
+    with pytest.raises(NotAchievableError, match="must"):
+        calibrate(mp_params(0.5), p_star=p_star, eta_star=eta_star)
+    assert calls == []
 
 
 def test_constant_envelope_all_antennas():

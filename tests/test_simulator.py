@@ -7,8 +7,7 @@ import pytest
 from lse_precoding import cli, simulator
 from lse_precoding.experiments import _mean_ci95
 from lse_precoding.numerics import RandomStream
-from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, Support,
-                                   thresholds)
+from lse_precoding.penalty import OutOfSupportError, PenaltySpec, thresholds
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
                                      SingularSystemError, _ccd_from,
                                      _clip_to_support,
@@ -21,8 +20,7 @@ from oracles import (penalty_value, precode_rzf, prox, prox_scalar,
 
 
 def small_problem(seed=3, n=48, k=24, lam=0.1, lam0=0.0, peak=None, lam_s=1.0):
-    support = Support.disk(peak) if peak is not None else Support.full_plane()
-    spec = PenaltySpec(lam=lam, lam0=lam0, support=support)
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
     return generate_problem(n, k, lam_s, spec, RandomStream(seed, 0))
 
 
@@ -160,7 +158,7 @@ def test_objective_matches_fsum_of_terms(peak):
 def test_objective_rejects_points_outside_the_disk():
     # tolerance 1e-12 on the radius: on the rim and within the tolerance
     # the objective is taken, just beyond it OutOfSupportError is raised
-    spec = PenaltySpec(lam=0.2, lam0=0.1, support=Support.disk(0.5))
+    spec = PenaltySpec(lam=0.2, lam0=0.1, peak_power=0.5)
     radius = math.sqrt(0.5)
     r = np.array([0.3 - 0.1j])
     for a in (radius, radius + 0.5e-12):
@@ -516,9 +514,9 @@ def _reference_greedy_support(H: np.ndarray, s: np.ndarray, lam: float,
 def _calibrated_weights(papr_db):
     from lse_precoding.replica import SystemParams, calibrate
 
-    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec())
-    papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
-    lam, lam0, _ = calibrate(params, p_star=0.5, eta_star=0.5, papr_star=papr)
+    peak = None if papr_db is None else 10.0 ** (papr_db / 10.0) * 0.5
+    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(peak_power=peak))
+    lam, lam0, _ = calibrate(params, p_star=0.5, eta_star=0.5)
     return lam, lam0
 
 
@@ -658,7 +656,7 @@ def test_monte_carlo_deterministic_across_worker_counts():
 
 @pytest.mark.parametrize("spec", [
     PenaltySpec(lam=0.1, lam0=0.05),                        # greedy, full plane
-    PenaltySpec(lam=0.05, support=Support.disk(1.0)),       # eta = 1, disk
+    PenaltySpec(lam=0.05, peak_power=1.0),                  # eta = 1, disk
 ], ids=["greedy_full", "eta1_disk"])
 def test_monte_carlo_bit_identical_for_one_two_three_workers(spec):
     kwargs = dict(n=64, k=32, lambda_s=1.0, penalty=spec, trials=5,
@@ -745,11 +743,10 @@ def test_index_independence_disk_config():
     from lse_precoding.numerics import ks_distance
     from lse_precoding.replica import SystemParams, calibrate
 
-    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec())
-    lam, lam0, _ = calibrate(params, p_star=0.5, eta_star=0.5,
-                             papr_star=10.0 ** 0.8)
-    spec = PenaltySpec(lam=lam, lam0=lam0,
-                       support=Support.disk(10.0 ** 0.8 * 0.5))
+    peak = 10.0 ** 0.8 * 0.5
+    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(peak_power=peak))
+    lam, lam0, _ = calibrate(params, p_star=0.5, eta_star=0.5)
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
     rep = monte_carlo(n=400, k=200, lambda_s=1.0, penalty=spec, trials=50,
                       master_seed=313)
     ks = ks_distance(rep.magnitudes[:, :200].ravel(), rep.magnitudes[:, 200:].ravel())
@@ -761,7 +758,6 @@ def test_random_selection_pairing_at_finite_n():
     # distortion as the penalized precoder at half the antennas
     from lse_precoding.replica import (SystemParams, calibrate,
                                        _invert_targets)
-    from lse_precoding.penalty import Support as Sup
 
     n, k, trials, eta_r = 200, 100, 40, 0.8466
     params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec())
@@ -774,7 +770,7 @@ def test_random_selection_pairing_at_finite_n():
     # rescaled standard model
     sub = SystemParams(alpha=0.5 / eta_r, lambda_s=1.0 / eta_r,
                        penalty=PenaltySpec())
-    lam_sub, _ = _invert_targets(sub, Sup.full_plane(), 0.5 / eta_r, 1.0)
+    lam_sub, _ = _invert_targets(sub, 0.5 / eta_r, 1.0)
     lam_phys = eta_r * lam_sub
     ds = []
     for t in range(trials):
