@@ -24,8 +24,8 @@ from .numerics import RandomStream, ks_distance
 from .penalty import PenaltySpec
 from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
-                      match_random_selection, peak_cap_boundary,
-                      solve_constant_envelope, solve_fixed_point)
+                      match_random_selection, solve_constant_envelope,
+                      solve_fixed_point)
 from .simulator import monte_carlo
 
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Malformed CSV input for plotting."""
+    """Malformed or unreadable CSV input for plotting."""
 
 
 SWEEP_COLUMNS = ("alpha_inverse", "lambda", "lambda0", "chi", "p", "eta",
@@ -204,9 +204,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _read_text(path: str, error) -> str:
+    """The UTF-8 text of path; error("<path>: <reason>") where the file
+    cannot be opened or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read_text(path, ConfigError))
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
@@ -374,31 +383,31 @@ def operating_point(cfg: ExperimentConfig, alpha_inverse: float,
                     ) -> OperatingPoint:
     """Replica point at one load.
 
-    The support is the disk of cfg's peak_power, else the whole plane.
-    With direct weights the point is the fixed point at cfg's weights.
-    With calibration targets it is the point calibrated to (p_target,
-    eta_target); a papr target replaces the support by the disk of the
-    peak cap P = papr * p_target. This is the one place that decides
-    whether that cap binds (`peak_cap_boundary`, before any solve). Where
-    it does, the point is the boundary solution on the disk of
-    P = power / eta: every active antenna at the peak, with status
-    "peak-clamped" when its power eta * P is below p_target.
+    The support is the disk of the peak power P, else the whole plane:
+    P is cfg's peak_power, or papr * p_target under a papr target, and
+    one rule serves both. With direct weights the point is the fixed point
+    at cfg's weights. With calibration targets this is the one place that
+    decides whether the cap binds, by the hard bound p <= eta * P. Where
+    eta * P exceeds p_target by more than 1e-9 relative the point is
+    calibrated to (p_target, eta_target); otherwise it is the boundary
+    solution on the disk of P = power / eta, every active antenna at the
+    peak, at power p_target within the band and at eta * P, status
+    "peak-clamped", below it.
     """
+    peak = cfg.peak_power if papr_db is None else 10.0 ** (papr_db / 10.0) * cfg.p_target
     base = SystemParams(alpha=1.0 / alpha_inverse, lambda_s=cfg.lambda_s,
-                        penalty=PenaltySpec(peak_power=cfg.peak_power))
+                        penalty=PenaltySpec(peak_power=peak))
     if not cfg.uses_targets:
         params = replace(base, penalty=replace(
             base.penalty, lam=cfg.lam or 0.0, lam0=cfg.lam0 or 0.0))
         return OperatingPoint(params, solve_fixed_point(params, **cfg.solver_opts()),
                               "ok")
-    papr = None if papr_db is None else 10.0 ** (papr_db / 10.0)
-    power = peak_cap_boundary(cfg.p_target, eta_target, papr)
-    if power is None:
-        if papr is not None:
-            base = replace(base, penalty=PenaltySpec(peak_power=papr * cfg.p_target))
+    bound = math.inf if peak is None else eta_target * peak
+    if bound > cfg.p_target * (1 + 1e-9):
         lam, lam0, sol = calibrate(base, cfg.p_target, eta_target, cfg.solver_opts())
         status = "ok"
     else:
+        power = bound if bound < cfg.p_target * (1 - 1e-9) else cfg.p_target
         base = replace(base, penalty=PenaltySpec(peak_power=power / eta_target))
         sol, lam, lam0 = solve_constant_envelope(base, power, eta_target)
         status = "peak-clamped" if power < cfg.p_target else "ok"
@@ -436,11 +445,7 @@ def write_csv(path: str, columns, rows) -> str:
 
 
 def read_csv(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
+    rows = list(csv.reader(io.StringIO(_read_text(path, SchemaError))))
     if not rows:
         raise SchemaError(f"{path}: empty CSV")
     header, data = rows[0], rows[1:]

@@ -302,25 +302,6 @@ def _invert_targets(params: SystemParams, p_star: float,
 _CALIBRATION_TOL = 1e-8
 
 
-def peak_cap_boundary(p_star: float, eta_star: float,
-                      papr_star: float | None) -> float | None:
-    """Power of the constant-envelope solution when the peak cap
-    P = papr_star * p_star binds, else None. The bound p <= eta * P is
-    hard: past it the targets are infeasible and the boundary transmits
-    eta * P; within 1e-9 relative of it the target is on the boundary and
-    the power is p_star. Raises NotAchievableError for the targets
-    `_check_targets` rejects and for a peak ratio below one."""
-    _check_targets(p_star, eta_star)
-    if papr_star is None:
-        return None
-    if papr_star < 1:
-        raise NotAchievableError("peak-to-average ratio below one")
-    bound = eta_star * papr_star * p_star
-    if bound > p_star * (1 + 1e-9):
-        return None
-    return bound if bound < p_star * (1 - 1e-9) else p_star
-
-
 def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
               solver_opts: dict | None = None
               ) -> tuple[float, float, ReplicaSolution]:
@@ -335,8 +316,8 @@ def calibrate(params_base: SystemParams, p_star: float, eta_star: float,
     quadratic weight, as on a disk with p > eta * P, or admits no
     self-consistent response) or when the certifying solve misses a target
     by more than _CALIBRATION_TOL. Whether a peak cap binds, and the
-    constant-envelope solution where it does, is the caller's decision
-    (`peak_cap_boundary`, `solve_constant_envelope`).
+    constant-envelope solution (`solve_constant_envelope`) where it does,
+    is the caller's decision.
     """
     _check_targets(p_star, eta_star)
     lam, lam0 = _invert_targets(params_base, p_star, eta_star)

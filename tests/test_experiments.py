@@ -221,6 +221,22 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, mode, config, overrid
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"[run]\nseed = 1\n# \xff\n"),
+     "can't decode byte 0xff"),
+], ids=["missing_file", "directory", "not_utf8"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, make, reason):
+    path = tmp_path / "run.ini"
+    make(path)
+    args = ["replica", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert str(path) in err and reason in err
+
+
 def test_overrides():
     cfg = apply_overrides(parse_config(BASE), ["penalty.eta_target=0.3",
                                                "run.seed=99"])
@@ -323,22 +339,59 @@ def test_sweep_single_point_matches_replica_mode(tmp_path):
 # calibrated points and savings
 # ---------------------------------------------------------------------------
 
-def test_operating_point_peak_clamp_status():
-    pt = operating_point(TARGETS, 2.0, 0.5, papr_db=0.0)
+def _capped_point(source, ainv, eta_target, papr_db):
+    """operating_point at TARGETS on the disk of the cap papr * p_target,
+    given as a papr target or as the peak_power it stands for. Both must
+    give the same point, nan weights included (compared by repr)."""
+    pt = operating_point(TARGETS, ainv, eta_target, papr_db)
+    if source == "peak_power":
+        peak = 10.0 ** (papr_db / 10.0) * TARGETS.p_target
+        cfg = parse_config(f"[penalty]\nsupport = disk\np_target = "
+                           f"{TARGETS.p_target!r}\npeak_power = {peak!r}\n")
+        by_peak = operating_point(cfg, ainv, eta_target, None)
+        assert repr(by_peak) == repr(pt)
+        pt = by_peak
+    return pt
+
+
+@pytest.mark.parametrize("source", ["papr", "peak_power"])
+def test_operating_point_peak_clamp_status(source):
+    pt = _capped_point(source, 2.0, 0.5, papr_db=0.0)
     assert pt.status == "peak-clamped"
     # the boundary solution transmits eta * P = papr * p * eta
     assert pt.solution.state.p == pytest.approx(0.25, rel=1e-10)
     assert pt.solution.eta == pytest.approx(0.5, rel=1e-12)
 
 
-def test_operating_point_on_the_boundary_is_constant_envelope():
+@pytest.mark.parametrize("source", ["papr", "peak_power"])
+def test_operating_point_on_the_boundary_is_constant_envelope(source):
     # papr = 1/eta sits exactly on the feasibility boundary p = eta * P
-    pt = operating_point(TARGETS, 2.0, 0.5, papr_db=10.0 * math.log10(2.0))
+    pt = _capped_point(source, 2.0, 0.5, papr_db=10.0 * math.log10(2.0))
     assert pt.status == "ok"
     assert pt.params.penalty.peak_power == pytest.approx(1.0, rel=1e-12)
     assert pt.solution.state.p == pytest.approx(0.5, abs=1e-10)
     assert pt.solution.eta == pytest.approx(0.5, abs=1e-12)
     assert pt.solution.papr == pytest.approx(2.0, rel=1e-12)
+
+
+def test_sweep_peak_power_rows_match_papr_target_rows(tmp_path):
+    # one cap, two spellings: the sweep under peak_power = papr * p_target
+    # writes the papr-target sweep's rows, clamped where p > eta * P
+    papr_db = 3.0
+    peak = 10.0 ** (papr_db / 10.0) * 0.5
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(BASE.replace("support = full", "support = disk")
+                   .replace("eta_target = 0.5", "eta_targets = 1.0,0.3"))
+    for out, cap in (("papr", f"papr_db_target={papr_db!r}"),
+                     ("peak", f"peak_power={peak!r}")):
+        assert cli.main(["sweep", "--config", str(ini),
+                         "--set", "system.alpha_inverse=1.2,2.0",
+                         "--set", f"penalty.{cap}", "--out", str(tmp_path / out)]) == 0
+    for eta in ("1", "0.3"):
+        by_papr = read_csv(str(tmp_path / "papr" / f"sweep_eta{eta}_papr3db.csv"))
+        assert read_csv(str(tmp_path / "peak" / f"sweep_eta{eta}.csv")) == by_papr
+    # the last eta, 0.3, has p = 0.5 > eta * P = 0.299
+    assert [row[-1] for row in by_papr[1]] == ["peak-clamped"] * 2
 
 
 def _boundary_run(tmp_path, mode, eta_target):
@@ -506,13 +559,14 @@ def test_emit_plot_escapes_title_and_legend(tmp_path):
 
 @pytest.mark.parametrize("content, reason", [
     (None, "No such file or directory"),
-    ("x,y\n1,2\n", "missing required column"),
-], ids=["missing_file", "missing_column"])
+    (b"x,y\n1,2\n", "missing required column"),
+    (b"alpha_inverse,distortion_db\n1,\xff\n", "can't decode byte 0xff"),
+], ids=["missing_file", "missing_column", "not_utf8"])
 def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
                                                  reason):
     csv_path = tmp_path / "curve.csv"
     if content is not None:
-        csv_path.write_text(content)
+        csv_path.write_bytes(content)
     rc = cli.main(["plot", "--set", f"plot.inputs={csv_path}",
                    "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
