@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RandomStream, complex_from_parts, expand_bracket, find_root_1d
+from .numerics import (NoSignChangeError, RandomStream, complex_from_parts,
+                       expand_bracket, find_root_1d)
 from .penalty import (PenaltySpec, ThresholdSet, constant_envelope_rule,
                       gaussian_law, prox_array, thresholds)
 
@@ -251,10 +252,14 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     return sol, lam, lam0
 
 
-def _root_of_decreasing(f) -> float:
+def _root_of_decreasing(f, target: str) -> float:
     """Root of a decreasing f with f(0) >= 0: unit steps up from 0 to the
-    sign change, then bisection down to rounding."""
-    lo, hi = expand_bracket(f, 0.0, 1.0)
+    sign change, then bisection down to rounding. Raises
+    NotAchievableError naming `target` when the steps find no sign change."""
+    try:
+        lo, hi = expand_bracket(f, 0.0, 1.0)
+    except NoSignChangeError as exc:
+        raise NotAchievableError(f"{target} is out of reach: {exc}") from exc
     return find_root_1d(f, lo, hi, tol=1e-15, xtol=1e-15 * max(1.0, hi))
 
 
@@ -280,7 +285,8 @@ def _invert_targets(params: SystemParams, p_star: float,
                 return 0.0
             # on the scale L0 / lambda_rs
             return lrs * _root_of_decreasing(
-                lambda u: gaussian_law(unit(b, lrs * u), lrs)[2] - eta_star)
+                lambda u: gaussian_law(unit(b, lrs * u), lrs)[2] - eta_star,
+                f"active fraction {eta_star}")
 
         def power_gap(logb):
             b = math.exp(logb)
@@ -290,7 +296,7 @@ def _invert_targets(params: SystemParams, p_star: float,
             raise NotAchievableError(
                 f"power {p_star} exceeds the unpenalized decoupled power at "
                 f"active fraction {eta_star}")
-        b = math.exp(_root_of_decreasing(power_gap))
+        b = math.exp(_root_of_decreasing(power_gap, f"power {p_star}"))
         l0 = l0_for(b)
         return gaussian_law(unit(b, l0), lrs)[1], (b, l0)
 

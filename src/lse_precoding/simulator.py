@@ -11,11 +11,12 @@ single-coordinate exchange rate 1/||h_j||^2 understates how well the other
 antennas compensate for a removal. When the zero-norm weight is active the
 solver therefore selects the support first by greedy backward elimination
 with exact re-optimized objective deltas and starts the descent from ridge
-on it; otherwise it starts from ridge on every antenna. Greedy works on
-the antenna Gram matrix Q0 = H^H M0 H, formed once from the one inverse of
-a trial, M0 = (lam I + H H^H)^{-1}: a drop reads one row of Q0, corrects
-it by the columns stored for earlier drops and updates the removal scores
-(leverages d, correlations u) in place.
+on it; otherwise it starts from ridge on every antenna. Both starts come
+from one matrix A = lam I + H H^H per trial. Greedy works on the antenna
+Gram matrix Q0 = H^H M0 H of its one inverse M0 = A^{-1}: a drop reads one
+row of Q0, corrects it by the columns stored for earlier drops and updates
+the removal scores (leverages d, correlations u) in place. On the support
+that remains, u is the ridge solution there, so it is the start itself.
 
 The descent sweeps the columns in blocks of 16 in the covariance-update
 form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
@@ -44,10 +45,6 @@ from .numerics import RandomStream, complex_normal
 from .penalty import OutOfSupportError, PenaltySpec, thresholds
 
 _CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
-
-
-class SingularSystemError(np.linalg.LinAlgError):
-    """The ridge system is singular or misses a required residual."""
 
 
 @dataclass(frozen=True)
@@ -110,46 +107,38 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
 
 
 # ---------------------------------------------------------------------------
-# ridge warm start
+# warm start: ridge, or greedy backward elimination and its ridge vector
 # ---------------------------------------------------------------------------
 
-def _ridge_solve(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge solve with one refinement step, the warm start of the descent;
-    returns x = H^H y with y = A^{-1} s, A = H H^H + lam I. Raises
-    SingularSystemError when A cannot be factored."""
-    k = H.shape[0]
-    A = H @ H.conj().T + lam * np.eye(k)
-    try:
-        y = np.linalg.solve(A, s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    y = y + np.linalg.solve(A, s - A @ y)
-    return H.conj().T @ y
-
-
-# ---------------------------------------------------------------------------
-# support selection by greedy backward elimination
-# ---------------------------------------------------------------------------
-
-def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
-                             lam0: float) -> np.ndarray:
-    """Active-set mask from greedy antenna removal with exact ridge deltas.
+def _warm_start(H: np.ndarray, s: np.ndarray, lam: float,
+                lam0: float) -> np.ndarray:
+    """The start of the descent, from A = lam I + H H^H formed once: with
+    lam0 = 0 the ridge solution x = H^H y, y = A^{-1} s with one refinement
+    step; with lam0 > 0 the ridge solution on the support that greedy
+    backward elimination keeps, zero at the dropped antennas.
 
     For support S the partially minimized objective is
         F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
     and removing column j changes the quadratic part by
     lam |u_j|^2 / (1 - d_j) with u = H^H M^{-1} s and d_j = h_j^H M^{-1} h_j.
+    On S, u is the ridge solution H_S^H M^{-1} s, so the start is u itself.
     Columns are dropped while the best delta is negative (ties go to the
     lowest index). Removing column j adds v v^H / (1 - d_j), v = M^{-1} h_j,
     to M^{-1}, hence t t^H / (1 - d_j) to Q = H^H M^{-1} H, where t = H^H v
-    is column j of the current Q: with M0 the one inverse of the call and
-    Q0 = H^H M0 H, t = conj(Q0[j]) + sum_i conj(t_i[j]) t_i / (1 - d_i)
-    over the stored columns t_i. d and u move by that term (v^H s = u_j),
-    so a drop costs O(n + m n) with m stored columns.
+    is column j of the current Q: with M0 = A^{-1} and Q0 = H^H M0 H,
+    t = conj(Q0[j]) + sum_i conj(t_i[j]) t_i / (1 - d_i) over the stored
+    columns t_i. d and u move by that term (v^H s = u_j), so a drop costs
+    O(n + m n) with m stored columns. The loop stops at one antenna, so the
+    support is never empty.
     """
     k, n = H.shape
     HH = H.conj().T
-    M0 = np.linalg.inv(lam * np.eye(k) + H @ HH)
+    A = lam * np.eye(k) + H @ HH
+    if not lam0 > 0:
+        y = np.linalg.solve(A, s)
+        y = y + np.linalg.solve(A, s - A @ y)
+        return HH @ y
+    M0 = np.linalg.inv(A)
     Q0 = HH @ (M0 @ H)
     u = HH @ (M0 @ s)
     d = Q0.diagonal().real.copy()
@@ -171,7 +160,8 @@ def _greedy_backward_support(H: np.ndarray, s: np.ndarray, lam: float,
         u += t * (u[j] / dj)
         T[m] = t
         den[m] = dj
-    return dead == 0.0
+    u[dead != 0.0] = 0.0
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +196,7 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     """Exact-prox cyclic descent from x0. After each sweep the objective is
     recomputed from the true residual s - Hx; the descent stops when a
     sweep lowers it by at most tol relative, or after max_sweeps sweeps.
+    With max_sweeps = 0 it returns x0 and its objective before any set-up.
 
     The usable columns (g_j > 0, in index order) are swept in blocks of
     _CCD_BLOCK. A block starts from q = (h_j^H r) of all its columns, one
@@ -222,8 +213,14 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     """
     H, s, spec = problem.H, problem.s, problem.penalty
     g = np.einsum("ij,ij->j", H.conj(), H).real
-    usable = np.flatnonzero(g > 0.0)
     degenerate = tuple(int(j) for j in np.flatnonzero(g <= 0.0))
+    x = x0.astype(complex, copy=True)
+    r = s - H @ x
+    obj = _objective(spec, x, r)
+    if max_sweeps <= 0:
+        return PrecodeResult(x=x, objective=obj, sweeps=0, converged=False,
+                             degenerate_columns=degenerate)
+    usable = np.flatnonzero(g > 0.0)
     # per usable column j: the coordinate weight c_j = 1/||h_j||^2 and the
     # prox rule at c_j, unpacked (b and peak are not read)
     columns = []
@@ -247,9 +244,6 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
                Rc[lo:lo + _CCD_BLOCK], Gb)
               for lo, Gb in zip(range(0, m, _CCD_BLOCK), gram)]
 
-    x = x0.astype(complex, copy=True)
-    r = s - H @ x
-    obj = _objective(spec, x, r)
     max_drift = 0.0
     converged = False
     sweeps = 0
@@ -305,22 +299,15 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
 
 def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,
                 tol: float = 1e-10) -> PrecodeResult:
-    """Solve one precoding instance by coordinate descent from one start.
-
-    When the zero-norm weight is active the start is the ridge solution on
-    the support that greedy backward elimination selects; otherwise it is
-    the ridge solution on every antenna. On a disk the start is clipped
-    onto it. With max_sweeps = 0 the result holds the start itself.
+    """Solve one precoding instance by coordinate descent from one start,
+    `_warm_start` at the ridge weight max(lam, 1e-6): when the zero-norm
+    weight is active the ridge solution on the support that greedy backward
+    elimination selects, otherwise the ridge solution on every antenna. On
+    a disk the start is clipped onto it. With max_sweeps = 0 the result
+    holds the start itself.
     """
-    H, s, spec = problem.H, problem.s, problem.penalty
-    lam_eff = max(spec.lam, 1e-6)
-    if spec.lam0 > 0:
-        # the greedy loop stops at one antenna, so the support is never empty
-        active = _greedy_backward_support(H, s, lam_eff, spec.lam0)
-        x0 = np.zeros(problem.n, dtype=complex)
-        x0[active] = _ridge_solve(H[:, active], s, lam_eff)
-    else:
-        x0 = _ridge_solve(H, s, lam_eff)
+    spec = problem.penalty
+    x0 = _warm_start(problem.H, problem.s, max(spec.lam, 1e-6), spec.lam0)
     return _ccd_from(problem, _clip_to_support(spec, x0), max_sweeps, tol)
 
 

@@ -18,7 +18,8 @@ its one runtime path) by an independent route:
   `penalty.gaussian_law` took their place, each deriving 1 + c lam,
   sqrt(P) and the disk test from (spec, c) itself;
 - `precode_rzf` and `random_tas_rzf`: the ridge precoder with a residual
-  contract, on all antennas or on a random subset;
+  contract, on all antennas or on a random subset; the descent's start is
+  checked against `precode_rzf` on the support it keeps;
 - `complex_normal_reference` and `decoupled_magnitudes`: the Gaussian draw
   and the decoupled |x| as whole-array expressions, which the package's
   in-place and chunked forms must match byte for byte.
@@ -39,8 +40,7 @@ from lse_precoding.penalty import (OutOfSupportError, PenaltySpec, ThresholdSet,
                                    _interval_moment2, _upper_moment1,
                                    prox_array, thresholds)
 from lse_precoding.replica import ReplicaState, SystemParams
-from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
-                                     SingularSystemError, _ridge_solve)
+from lse_precoding.simulator import PrecodeProblem, PrecodeResult
 
 
 class ShapeMismatchError(ValueError):
@@ -287,17 +287,15 @@ def precode_rzf(H: np.ndarray, s: np.ndarray, lam: float) -> np.ndarray:
     """Regularized zero-forcing x = H^H (H H^H + lam I)^{-1} s.
 
     One step of iterative refinement keeps the normal-equation residual
-    below 1e-10 ||s||; raises SingularSystemError when that cannot be met
+    below 1e-10 ||s||; raises np.linalg.LinAlgError when that cannot be met
     (singular or numerically near-singular system).
     """
-    x = _ridge_solve(H, s, lam)
-    # the refined y of that solve, x = H^H y, and its normal-equation residual
     A = H @ H.conj().T + lam * np.eye(H.shape[0])
     y = np.linalg.solve(A, s)
     y = y + np.linalg.solve(A, s - A @ y)
     if np.linalg.norm(s - A @ y) > 1e-10 * np.linalg.norm(s):
-        raise SingularSystemError("ridge system residual above tolerance")
-    return x
+        raise np.linalg.LinAlgError("ridge system residual above tolerance")
+    return H.conj().T @ y
 
 
 def random_tas_rzf(problem: PrecodeProblem, eta_r: float, lam: float,

@@ -713,6 +713,32 @@ def test_solver_error_exits_1_with_message(tmp_path, capsys, monkeypatch):
         cli.main(["replica", "--config", str(ini)])
 
 
+def test_unreachable_eta_target_is_a_solver_error(tmp_path, capsys):
+    # calibration walks at most 200 unit steps of lambda0 / lambda_rs, so it
+    # reaches active fractions down to about exp(-200); below that the
+    # target is not achievable: error rows in a sweep that still writes its
+    # other targets, and exit 1 with one line from calibrate
+    ini = tmp_path / "base.ini"
+    ini.write_text(BASE)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(ini),
+                     "--set", "system.alpha_inverse=1.5,2.0",
+                     "--set", "penalty.eta_targets=0.5,1e-100",
+                     "--out", str(out)]) == 0
+    _, rows = read_csv(str(out / "sweep_eta0.5.csv"))
+    assert [row[-1] for row in rows] == ["ok", "ok"]
+    _, rows = read_csv(str(out / "sweep_eta1e-100.csv"))
+    assert len(rows) == 2
+    assert all(row[-1].startswith("error: active fraction 1e-100 ") for row in rows)
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--config", str(ini), "--set",
+                     "penalty.eta_target=1e-100",
+                     "--out", str(tmp_path / "calibrate")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: active fraction 1e-100 ")
+    assert len(err.splitlines()) == 1
+
+
 def _package_env(**extra):
     """Environment for a fresh interpreter that imports this lse_precoding."""
     src = os.path.dirname(os.path.dirname(lse_precoding.__file__))

@@ -9,12 +9,10 @@ from lse_precoding.experiments import _mean_ci95
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import OutOfSupportError, PenaltySpec, thresholds
 from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
-                                     SingularSystemError, _ccd_from,
-                                     _clip_to_support,
-                                     _greedy_backward_support, _objective,
-                                     _ridge_solve, _trial_workers,
-                                     generate_problem, measure,
-                                     monte_carlo, precode_ccd)
+                                     _ccd_from, _clip_to_support,
+                                     _objective, _trial_workers,
+                                     _warm_start, generate_problem,
+                                     measure, monte_carlo, precode_ccd)
 from oracles import (penalty_value, precode_rzf, prox, prox_scalar,
                      random_tas_rzf)
 
@@ -80,7 +78,7 @@ def test_rzf_large_weight_asymptote():
 def test_rzf_singular_without_weight():
     # k > n makes H H^H rank deficient
     pr = generate_problem(4, 8, 1.0, PenaltySpec(), RandomStream(2, 0))
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(np.linalg.LinAlgError):
         precode_rzf(pr.H, pr.s, 0.0)
 
 
@@ -180,24 +178,28 @@ def test_ccd_disk_feasibility():
 @pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
 @pytest.mark.parametrize("lam0", [0.05, 0.0], ids=["greedy", "ridge"])
 def test_ccd_takes_one_start(peak, lam0):
-    # with no sweep the result is the start itself: the ridge solution on
-    # the greedy support when lambda0 > 0, on every antenna otherwise,
-    # clipped onto a disk; the descent of every run begins there
+    # with no sweep the result is the start itself, clipped onto a disk; the
+    # descent of every run begins there. With lambda0 = 0 it is the ridge
+    # solution on every antenna, byte for byte; with lambda0 > 0 it is the
+    # ridge solution on the support the explicit greedy reference selects,
+    # to rounding, and zero off it
     for seed in range(4):
         pr = small_problem(seed=30 + seed, n=64, k=32, lam=0.1, lam0=lam0,
                            peak=peak)
         H, s, lam = pr.H, pr.s, pr.penalty.lam
-        if lam0 > 0:
-            active = _greedy_backward_support(H, s, lam, lam0)
-            assert 0 < np.count_nonzero(active) < pr.n
-            x0 = np.zeros(pr.n, dtype=complex)
-            x0[active] = _ridge_solve(H[:, active], s, lam)
-        else:
-            x0 = _ridge_solve(H, s, lam)
-        x0 = _clip_to_support(pr.penalty, x0)
         res = precode_ccd(pr, max_sweeps=0)
         assert res.sweeps == 0
-        assert res.x.tobytes() == x0.tobytes()
+        if lam0 == 0:
+            x0 = _clip_to_support(pr.penalty, precode_rzf(H, s, lam))
+            assert res.x.tobytes() == x0.tobytes()
+            continue
+        active = _reference_greedy_support(H, s, lam, lam0)
+        assert 0 < np.count_nonzero(active) < pr.n
+        x0 = np.zeros(pr.n, dtype=complex)
+        x0[active] = precode_rzf(H[:, active], s, lam)
+        x0 = _clip_to_support(pr.penalty, x0)
+        assert np.all(res.x[~active] == 0)
+        assert _rel(res.x[active], x0[active]) <= 1e-12
 
 
 @pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
@@ -222,12 +224,14 @@ def test_ccd_fixed_point_of_certified_prox(peak):
         assert np.any(np.isclose(np.abs(res.x), math.sqrt(peak), rtol=0, atol=1e-12))
 
 
-def test_ccd_skips_degenerate_column():
+@pytest.mark.parametrize("opts", [{"max_sweeps": 0}, {}],
+                         ids=["zero_sweeps", "default"])
+def test_ccd_skips_degenerate_column(opts):
     pr = small_problem(seed=18, n=16, k=8)
     H = pr.H.copy()
     H[:, 3] = 0.0
     bad = PrecodeProblem(H=H, s=pr.s, penalty=pr.penalty)
-    res = precode_ccd(bad)
+    res = precode_ccd(bad, **opts)
     assert res.degenerate_columns == (3,)
     assert res.x[3] == 0.0
 
@@ -289,7 +293,7 @@ def _start(pr: PrecodeProblem, kind: str, rng: np.random.Generator) -> np.ndarra
         return precode_ccd(pr, max_sweeps=0).x
     if kind == "zero":
         return np.zeros(pr.n, dtype=complex)
-    x = _ridge_solve(pr.H, pr.s, pr.penalty.lam)
+    x = precode_rzf(pr.H, pr.s, pr.penalty.lam)
     if kind == "random":
         density = 0.25 + 0.5 * rng.random()
         x[rng.random(pr.n) >= density] = 0.0
@@ -520,13 +524,21 @@ def _calibrated_weights(papr_db):
     return lam, lam0
 
 
-def _support_objective(pr, mask, lam, lam0):
-    """F(S) from the ridge solve on the |S| x |S| Gram matrix, which stays
-    well conditioned when the support is smaller than k."""
+def _support_ridge(pr, mask, lam):
+    """The ridge solution on support `mask`, zero off it, from the solve on
+    the |S| x |S| Gram matrix, which stays well conditioned when the
+    support is smaller than k."""
     Ha = pr.H[:, mask]
-    x = np.linalg.solve(Ha.conj().T @ Ha + lam * np.eye(Ha.shape[1]),
-                        Ha.conj().T @ pr.s)
-    r = pr.s - Ha @ x
+    x = np.zeros(pr.n, dtype=complex)
+    x[mask] = np.linalg.solve(Ha.conj().T @ Ha + lam * np.eye(Ha.shape[1]),
+                              Ha.conj().T @ pr.s)
+    return x
+
+
+def _support_objective(pr, mask, lam, lam0):
+    """F(S) at the ridge solution on S."""
+    x = _support_ridge(pr, mask, lam)
+    r = pr.s - pr.H @ x
     return float(np.vdot(r, r).real + lam * np.vdot(x, x).real) + lam0 * mask.sum()
 
 
@@ -555,7 +567,7 @@ def test_greedy_support_matches_reference(case):
         lam, lam0 = _calibrated_weights(8.0 if case == "disk_8db" else None)
     for t in range(8):
         pr = generate_problem(400, 200, 1.0, PenaltySpec(), RandomStream(29, t))
-        mask = _greedy_backward_support(pr.H, pr.s, lam, lam0)
+        mask = _warm_start(pr.H, pr.s, lam, lam0) != 0
         ref = _reference_greedy_support(pr.H, pr.s, lam, lam0)
         if case == "stress" and t == _STRESS_NEAR_TIE:
             assert mask.sum() == ref.sum()
@@ -578,7 +590,7 @@ def test_greedy_support_matches_reference_weights_and_loads(lam, lam0, k):
         lam, lam0 = _calibrated_weights(None)
     for t in range(4):
         pr = generate_problem(400, k, 1.0, PenaltySpec(), RandomStream(31, t))
-        mask = _greedy_backward_support(pr.H, pr.s, lam, lam0)
+        mask = _warm_start(pr.H, pr.s, lam, lam0) != 0
         assert np.array_equal(mask, _reference_greedy_support(pr.H, pr.s, lam, lam0))
         assert 64 < 400 - mask.sum() < 399
 
@@ -587,8 +599,27 @@ def test_greedy_support_matches_reference_small():
     # the size and weights of the thread-determinism acceptance run
     for t in range(20):
         pr = generate_problem(64, 32, 1.0, PenaltySpec(), RandomStream(4242, t))
-        mask = _greedy_backward_support(pr.H, pr.s, 0.1, 0.05)
+        mask = _warm_start(pr.H, pr.s, 0.1, 0.05) != 0
         assert np.array_equal(mask, _reference_greedy_support(pr.H, pr.s, 0.1, 0.05))
+
+
+def test_greedy_start_below_k_users_at_almost_no_ridge():
+    # more users than antennas (alpha = 1.25) and lambda = 1e-6: the support
+    # keeps fewer columns than k, M^{-1} has eigenvalues near 1/lambda, and
+    # the u that elimination carries is ~1e-6 relative off the ridge solution
+    # on its support; the descent from it must stop within its own tol of
+    # the descent from that ridge solution (the k x k oracle precode_rzf
+    # cannot meet its residual contract here; the Gram form on S can)
+    lam, lam0, tol = 1e-6, 0.05, 1e-10
+    for t in range(8):
+        pr = generate_problem(64, 80, 1.0, PenaltySpec(lam=lam, lam0=lam0),
+                              RandomStream(37, t))
+        mask = _warm_start(pr.H, pr.s, lam, lam0) != 0
+        assert mask.sum() < pr.k
+        res = precode_ccd(pr, tol=tol)
+        ref = _ccd_from(pr, _support_ridge(pr, mask, lam), 500, tol)
+        assert res.converged and ref.converged
+        assert res.objective <= (1 + tol) * ref.objective
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +698,10 @@ def test_monte_carlo_bit_identical_for_one_two_three_workers(spec):
         == _report_bytes(reports[2])
 
 
+class _TrialError(RuntimeError):
+    """Raised by one trial of test_monte_carlo_worker_error_keeps_its_type."""
+
+
 def test_monte_carlo_worker_error_keeps_its_type(monkeypatch):
     import lse_precoding.simulator as simulator
     parent = os.getpid()
@@ -674,11 +709,11 @@ def test_monte_carlo_worker_error_keeps_its_type(monkeypatch):
     def failing(n, k, lambda_s, penalty, stream):
         # only a forked worker raises, so the error must cross the pool
         if stream.stream_index == 1 and os.getpid() != parent:
-            raise SingularSystemError("trial 1 is singular")
+            raise _TrialError("trial 1 fails")
         return generate_problem(n, k, lambda_s, penalty, stream)
 
     monkeypatch.setattr(simulator, "generate_problem", failing)  # forked workers see it
-    with pytest.raises(SingularSystemError, match="trial 1 is singular"):
+    with pytest.raises(_TrialError, match="trial 1 fails"):
         monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
                     trials=4, master_seed=5, workers=2)
 
