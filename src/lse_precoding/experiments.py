@@ -147,7 +147,8 @@ def _parse_grid(text: str) -> tuple:
         start, step, stop = parts
         if step <= 0:
             raise ConfigError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        # the points start + i step that do not pass stop, to 1e-9 of a step
+        count = math.floor((stop - start) / step + 1e-9) + 1
         # each point is the decimal it prints as (1.7, not 1.7000000000000002),
         # so the manifest's grid parses back to the same floats
         values = tuple(float(_fmt(start + i * step)) for i in range(count))
@@ -230,6 +231,11 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     return cfg
 
 
+def _curve_tag(eta: float, papr_db: float | None) -> str:
+    """The <tag> of a sweep curve's sweep_<tag>.csv: its targets as %g."""
+    return f"eta{eta:g}" + ("" if papr_db is None else f"_papr{papr_db:g}db")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.mode not in _RUNNERS:
         raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {cfg.mode!r}")
@@ -279,6 +285,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not all(0 < eta <= 1 for eta in cfg.eta_targets
                + (() if cfg.eta_target is None else (cfg.eta_target,))):
         raise ConfigError("eta_target and eta_targets must lie in (0, 1]")
+    # two targets of one list that print alike would share one sweep CSV
+    for key, tags in (("eta_targets", [_curve_tag(e, None) for e in cfg.eta_targets]),
+                      ("papr_db_targets", [_curve_tag(1, d) for d in cfg.papr_db_targets])):
+        values = getattr(cfg, key)
+        for i, tag in enumerate(tags):
+            if tags.index(tag) < i:
+                raise ConfigError(f"{key} {values[tags.index(tag)]!r} and {values[i]!r} "
+                                  "print alike in the sweep's CSV names")
     if cfg.mode in ("replica", "simulate", "compare", "calibrate"):
         if len(cfg.alpha_inverse) != 1:
             raise ConfigError(f"{cfg.mode} mode needs a single alpha_inverse")
@@ -498,7 +512,7 @@ def run_replica_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     curves: dict[str, list] = {}
     for ainv, eta_t, papr_db, values, status in _grid_rows(
             cfg, row, (math.nan,) * 8 + (0,)):
-        tag = f"eta{eta_t:g}" + ("" if papr_db is None else f"_papr{papr_db:g}db")
+        tag = _curve_tag(eta_t, papr_db)
         curves.setdefault(tag, []).append(((ainv,) + values, status))
     return {tag: write_csv(os.path.join(out_dir, f"sweep_{tag}.csv"), SWEEP_COLUMNS, rows)
             for tag, rows in curves.items()}

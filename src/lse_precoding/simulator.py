@@ -24,9 +24,9 @@ form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
 a coordinate corrects the block's later inner products through the
 block's Gram matrix, and the residual moves once per block. The cyclic
 order and the prox steps are those of the column-by-column loop. A sweep
-does only the descent; after it the objective is recomputed from the
-true residual s - Hx, and the descent stops once a sweep lowers it by at
-most tol relative.
+does only the descent; after it the residual is recomputed as s - Hx, the
+objective is taken from it, and the next sweep starts from it. The
+descent stops once a sweep lowers the objective by at most tol relative.
 
 A Monte Carlo run spreads its trials over forked worker processes when the
 cores outnumber the BLAS threads of one process (for instance under
@@ -70,8 +70,6 @@ class PrecodeResult:
     objective: float
     sweeps: int
     converged: bool
-    degenerate_columns: tuple = ()
-    max_residual_drift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -193,10 +191,11 @@ def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
 
 def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
               tol: float) -> PrecodeResult:
-    """Exact-prox cyclic descent from x0. After each sweep the objective is
-    recomputed from the true residual s - Hx; the descent stops when a
-    sweep lowers it by at most tol relative, or after max_sweeps sweeps.
-    With max_sweeps = 0 it returns x0 and its objective before any set-up.
+    """Exact-prox cyclic descent from x0. Each sweep starts from the true
+    residual r = s - Hx, and after it r and the objective are recomputed
+    from the new x; the descent stops when a sweep lowers the objective by
+    at most tol relative, or after max_sweeps sweeps. With max_sweeps = 0
+    it returns x0 and its objective before any set-up.
 
     The usable columns (g_j > 0, in index order) are swept in blocks of
     _CCD_BLOCK. A block starts from q = (h_j^H r) of all its columns, one
@@ -208,18 +207,16 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     update) for at most 15 scalar products on a change; larger blocks make
     those products the cost. At n = 400, k = 200 blocks of 8 and 16 ran
     alike, and 32 and 64 ran 1.2 and 1.7 times as long (one OpenBLAS
-    thread, 2-vCPU Xeon VM). Every 50 sweeps the carried r is replaced by
-    the true residual; the largest distance between the two is reported.
+    thread, 2-vCPU Xeon VM). Zero columns (g_j = 0) are skipped, so their
+    x_j keep their start.
     """
     H, s, spec = problem.H, problem.s, problem.penalty
-    g = np.einsum("ij,ij->j", H.conj(), H).real
-    degenerate = tuple(int(j) for j in np.flatnonzero(g <= 0.0))
     x = x0.astype(complex, copy=True)
     r = s - H @ x
     obj = _objective(spec, x, r)
     if max_sweeps <= 0:
-        return PrecodeResult(x=x, objective=obj, sweeps=0, converged=False,
-                             degenerate_columns=degenerate)
+        return PrecodeResult(x=x, objective=obj, sweeps=0, converged=False)
+    g = np.einsum("ij,ij->j", H.conj(), H).real
     usable = np.flatnonzero(g > 0.0)
     # per usable column j: the coordinate weight c_j = 1/||h_j||^2 and the
     # prox rule at c_j, unpacked (b and peak are not read)
@@ -228,23 +225,14 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
         cj = 1.0 / gj
         tau, tau_tilde, tau_hat, _, shrink, radius, _ = thresholds(spec, cj)
         columns.append((j, cj, tau, tau_tilde, tau_hat, shrink, radius))
-    # R[p] is usable column p of H; the whole blocks' Gram matrices come
-    # from one batched product, a last short block's from its own
-    m = usable.size
+    # R[p] is usable column p of H; per block: its columns, R_b, conj(R_b)
+    # and the Gram rows G[p][i] = h_i^H h_p
     R = H.T[usable]
     Rc = R.conj()
-    full = m - m % _CCD_BLOCK
-    R3 = R[:full].reshape(-1, _CCD_BLOCK, problem.k)
-    gram = np.matmul(R3, Rc[:full].reshape(R3.shape).transpose(0, 2, 1)).tolist()
-    if full < m:
-        gram.append((R[full:] @ Rc[full:].T).tolist())
-    # per block: its columns, R_b, conj(R_b) and the Gram rows
-    # G[p][i] = h_i^H h_p
-    blocks = [(columns[lo:lo + _CCD_BLOCK], R[lo:lo + _CCD_BLOCK],
-               Rc[lo:lo + _CCD_BLOCK], Gb)
-              for lo, Gb in zip(range(0, m, _CCD_BLOCK), gram)]
+    blocks = [(columns[b], R[b], Rc[b], (R[b] @ Rc[b].T).tolist())
+              for b in (slice(lo, lo + _CCD_BLOCK)
+                        for lo in range(0, usable.size, _CCD_BLOCK))]
 
-    max_drift = 0.0
     converged = False
     sweeps = 0
     # a sweep works on Python complex scalars, which cost less per
@@ -282,19 +270,12 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
                 r += np.array(deltas) @ Rb
         x = np.array(xs, dtype=complex)
         sweeps = sweep + 1
-        r_true = s - H @ x
-        drift = float(np.linalg.norm(r - r_true))
-        if drift > max_drift:
-            max_drift = drift
-        if sweeps % 50 == 0:
-            r = r_true
-        prev, obj = obj, _objective(spec, x, r_true)
+        r = s - H @ x
+        prev, obj = obj, _objective(spec, x, r)
         if prev - obj <= tol * max(abs(prev), 1e-300):
             converged = True
             break
-    return PrecodeResult(x=x, objective=obj, sweeps=sweeps, converged=converged,
-                         degenerate_columns=degenerate,
-                         max_residual_drift=max_drift)
+    return PrecodeResult(x=x, objective=obj, sweeps=sweeps, converged=converged)
 
 
 def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,

@@ -63,6 +63,14 @@ def test_parse_grid_forms():
         (1.0, 1.5, 2.0)
     assert parse_config("[system]\nalpha_inverse = 1.0,1.7\n").alpha_inverse == \
         (1.0, 1.7)
+    # a grid ends at the last point that does not pass stop, whichever way
+    # (stop - start) / step rounds
+    for grid, values in (("1:0.6:2", (1.0, 1.6)), ("1:0.65:2", (1.0, 1.65)),
+                         ("1:0.4:2", (1.0, 1.4, 1.8)),
+                         ("1.0:0.1:2.8", tuple(round(1.0 + 0.1 * i, 1)
+                                               for i in range(19)))):
+        cfg = parse_config(f"[system]\nalpha_inverse = {grid}\n")
+        assert cfg.alpha_inverse == values, grid
 
 
 def test_parse_rejects_decreasing_grid():
@@ -218,6 +226,26 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, mode, config, overrid
     assert cli.main(args) == 2
     key = override.split("=")[0]
     assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, override, values", [
+    ("fig1.ini", "penalty.eta_targets=0.5,0.5000001", ("0.5", "0.5000001")),
+    ("fig1.ini", "penalty.eta_targets=1.0,0.5,0.5", ("0.5", "0.5")),
+    ("fig2.ini", "penalty.papr_db_targets=0,3,3.0000001", ("3.0", "3.0000001")),
+], ids=["eta_prints_alike", "eta_repeated", "papr_prints_alike"])
+def test_targets_that_name_one_curve_exit_2(tmp_path, capsys, config, override,
+                                            values):
+    # each (eta, papr) target pair of a sweep writes its own CSV, named by
+    # the targets as %g prints them; two targets that print alike would
+    # write their curves into one file
+    args = ["sweep", "--config", str(CONFIGS / config), "--set", override,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    key = override.split("=")[0].split(".")[1]
+    assert f"{key} {values[0]} and {values[1]} " in err
     assert not (tmp_path / "out").exists()
 
 
