@@ -7,8 +7,9 @@ Modes: replica, sweep, simulate, compare, calibrate, saving, plot.
 Flags override file values; every run writes a manifest next to its
 outputs that reproduces the run byte for byte. Exit status 2 means the
 configuration or a plot's input CSV was rejected or could not be read
-(missing, a directory, not UTF-8), 1 that a solver gave up on it (no fixed
-point found, or the targets are not achievable).
+(missing, a directory, not UTF-8), or an output could not be written; 1
+that a solver gave up on it (no fixed point found, or the targets are not
+achievable).
 """
 from __future__ import annotations
 

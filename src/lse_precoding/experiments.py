@@ -257,7 +257,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.support not in ("full", "disk"):
         raise ConfigError("support must be 'full' or 'disk'")
     direct = cfg.lam is not None or cfg.lam0 is not None
-    targets = cfg.uses_targets or bool(cfg.eta_targets)
+    targets = cfg.uses_targets or cfg.eta_target is not None or bool(cfg.eta_targets)
     if direct and targets:
         raise ConfigError("give either direct weights or calibration targets, not both")
     if cfg.mode in ("calibrate", "sweep", "saving"):
@@ -367,9 +367,12 @@ def manifest_text(cfg: ExperimentConfig) -> str:
 
 
 def _write(path: str, text: str) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -651,7 +654,10 @@ def _curve_from_csv(path: str):
     except ValueError as exc:
         raise SchemaError(f"{path}: missing required column") from exc
     xs, ys = [], []
-    for row in data:
+    for number, row in enumerate(data, start=2):
+        if len(row) < len(header):
+            raise SchemaError(f"{path}: row {number} has {len(row)} of "
+                              f"{len(header)} cells")
         if si is not None and row[si] != "ok" and not row[si].startswith("peak-clamped"):
             continue
         try:

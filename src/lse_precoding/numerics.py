@@ -1,5 +1,5 @@
-"""Shared numerical primitives: the Gaussian tail function, root finding,
-deterministic random streams and distribution-distance statistics.
+"""Shared numerical primitives: the Gaussian tail function, deterministic
+random streams and distribution-distance statistics.
 
 Everything here is a pure function of its arguments; repeated calls agree
 bit for bit. Only numpy and the standard library are used: Q comes from
@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-class NoSignChangeError(ValueError):
-    """Bracket endpoints do not straddle a root."""
-
-
 class NonFiniteError(ArithmeticError):
-    """A user-supplied function returned a non-finite value."""
+    """A function being solved or integrated returned a non-finite value
+    (the calibration's root solve, the test oracles' quadrature)."""
 
 
 class EmptySampleError(ValueError):
@@ -105,86 +102,6 @@ def q_function(x: float) -> float:
     against an mpmath oracle.
     """
     return 0.5 * math.erfc(float(x) / _SQRT2)
-
-
-# ---------------------------------------------------------------------------
-# root finding
-# ---------------------------------------------------------------------------
-
-_ROOT_MAX_ITER = 200
-_BRACKET_MAX_STEPS = 200
-
-
-def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
-                 tol: float = 1e-12, xtol: float | None = None) -> float:
-    """Find a root of f on [lo, hi] by bisection with secant acceleration.
-
-    Stops when |f| <= tol at an endpoint of the bracket, the bracket width
-    falls below xtol (defaults to tol) or after _ROOT_MAX_ITER steps, and
-    returns the endpoint of the final bracket where |f| is smaller (hi on a
-    tie). Deterministic; raises
-    NoSignChangeError when the bracket does not straddle a root and
-    NonFiniteError when f returns a non-finite value.
-    """
-    if xtol is None:
-        xtol = tol
-    flo, fhi = f(lo), f(hi)
-    for v in (flo, fhi):
-        if not math.isfinite(v):
-            raise NonFiniteError("f is non-finite at a bracket endpoint")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoSignChangeError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(_ROOT_MAX_ITER):
-        if min(abs(flo), abs(fhi)) <= tol or (hi - lo) <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        # secant candidate from the bracket endpoints, accepted when it
-        # falls safely inside the bracket
-        denom = fhi - flo
-        x = mid
-        if denom != 0.0:
-            xs = hi - fhi * (hi - lo) / denom
-            if lo + 0.1 * (hi - lo) < xs < hi - 0.1 * (hi - lo):
-                x = xs
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise NonFiniteError(f"f({x}) is non-finite")
-        if fx == 0.0:
-            return x
-        if flo * fx < 0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-    return lo if abs(flo) < abs(fhi) else hi
-
-
-def expand_bracket(f: Callable[[float], float], x0: float,
-                   step: float) -> tuple[float, float]:
-    """Walk outward from x0 in units of `step` until f changes sign.
-
-    Returns a bracket (lo, hi) suitable for find_root_1d. Raises
-    NoSignChangeError after _BRACKET_MAX_STEPS steps without a sign change
-    and NonFiniteError when f returns a non-finite value.
-    """
-    f0 = f(x0)
-    if not math.isfinite(f0):
-        raise NonFiniteError("f is non-finite at the starting point")
-    if f0 == 0.0:
-        return x0, x0
-    x, fx = x0, f0
-    for _ in range(_BRACKET_MAX_STEPS):
-        x_next = x + step
-        f_next = f(x_next)
-        if not math.isfinite(f_next):
-            raise NonFiniteError(f"f({x_next}) is non-finite")
-        if fx * f_next <= 0:
-            return (x, x_next) if x < x_next else (x_next, x)
-        x, fx = x_next, f_next
-    raise NoSignChangeError("bracket expansion exhausted without a sign change")
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import (NoSignChangeError, RandomStream, complex_from_parts,
-                       expand_bracket, find_root_1d)
+from .numerics import NonFiniteError, RandomStream, complex_from_parts
 from .penalty import (PenaltySpec, ThresholdSet, constant_envelope_rule,
                       gaussian_law, prox_array, thresholds)
 
@@ -253,14 +252,45 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
 
 
 def _root_of_decreasing(f, target: str) -> float:
-    """Root of a decreasing f with f(0) >= 0: unit steps up from 0 to the
-    sign change, then bisection down to rounding. Raises
-    NotAchievableError naming `target` when the steps find no sign change."""
-    try:
-        lo, hi = expand_bracket(f, 0.0, 1.0)
-    except NoSignChangeError as exc:
-        raise NotAchievableError(f"{target} is out of reach: {exc}") from exc
-    return find_root_1d(f, lo, hi, tol=1e-15, xtol=1e-15 * max(1.0, hi))
+    """Root of a decreasing f with f(0) >= 0: at most 200 unit steps up from
+    0 to a sign change, then at most 200 regula falsi steps (the secant
+    point where it falls in the middle 80% of the bracket, else the
+    midpoint) until |f| <= 1e-15 at an end or the bracket is at most
+    1e-15 max(1, hi) wide. Returns the end with the smaller |f| (hi on a
+    tie). Raises NotAchievableError naming `target` when the steps find no
+    sign change and NonFiniteError when f is not finite."""
+    def value(x):
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise NonFiniteError(f"f({x}) is non-finite")
+        return fx
+
+    hi, fhi = 0.0, value(0.0)
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        lo, flo = hi, fhi
+        hi, fhi = hi + 1.0, value(hi + 1.0)
+        if flo * fhi <= 0:
+            break
+    else:
+        raise NotAchievableError(f"{target} is out of reach: bracket expansion "
+                                 "exhausted without a sign change")
+    xtol = 1e-15 * max(1.0, hi)
+    for _ in range(200):
+        if min(abs(flo), abs(fhi)) <= 1e-15 or hi - lo <= xtol:
+            break
+        x = 0.5 * (lo + hi)
+        if fhi != flo:
+            xs = hi - fhi * (hi - lo) / (fhi - flo)
+            if lo + 0.1 * (hi - lo) < xs < hi - 0.1 * (hi - lo):
+                x = xs
+        fx = value(x)
+        if flo * fx < 0:
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+    return lo if abs(flo) < abs(fhi) else hi
 
 
 def _invert_targets(params: SystemParams, p_star: float,

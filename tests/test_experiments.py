@@ -183,15 +183,19 @@ DISK = "penalty.support=disk"
     (DIRECT, ["penalty.peak_power=2"]),
     (DIRECT, [DISK, "penalty.papr_db_target=3"]),
     (DIRECT, [DISK, "penalty.peak_power=2", "penalty.papr_db_target=3"]),
+    (DIRECT, ["penalty.eta_target=0.3"]),
+    (DIRECT, ["penalty.eta_targets=0.3"]),
 ], ids=["disk_targets_without_cap", "full_with_papr_target",
         "full_with_papr_targets", "full_with_peak_power",
         "disk_with_peak_power_and_papr_target", "disk_zero_peak_power",
         "direct_full_with_peak_power", "direct_disk_with_papr_target",
-        "direct_disk_with_peak_power_and_papr_target"])
+        "direct_disk_with_peak_power_and_papr_target", "direct_with_eta_target",
+        "direct_with_eta_targets"])
 def test_validate_rejects_unused_peak_cap(text, overrides):
-    # a peak-cap setting the run would not use is a config error: the full
-    # plane takes neither peak_power nor a papr target, a disk exactly one
-    # (peak_power with direct weights)
+    # a peak-cap or target setting the run would not use is a config error:
+    # the full plane takes neither peak_power nor a papr target, a disk
+    # exactly one (peak_power with direct weights), and direct weights take
+    # no eta target
     cfg = apply_overrides(parse_config(text), overrides)
     with pytest.raises(ConfigError):
         validate_config(cfg)
@@ -589,7 +593,9 @@ def test_emit_plot_escapes_title_and_legend(tmp_path):
     (None, "No such file or directory"),
     (b"x,y\n1,2\n", "missing required column"),
     (b"alpha_inverse,distortion_db\n1,\xff\n", "can't decode byte 0xff"),
-], ids=["missing_file", "missing_column", "not_utf8"])
+    (b"alpha_inverse,distortion_db\n1.0,-3\n1.0\n", "row 3 has 1 of 2 cells"),
+    (b"alpha_inverse,distortion_db\n\n1.0,-3\n", "row 2 has 0 of 2 cells"),
+], ids=["missing_file", "missing_column", "not_utf8", "short_row", "blank_line"])
 def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
                                                  reason):
     csv_path = tmp_path / "curve.csv"
@@ -601,6 +607,19 @@ def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
     assert rc == 2
     assert err.startswith("input error: ") and len(err.splitlines()) == 1
     assert str(csv_path) in err and reason in err
+
+
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
+    # an --out that is a file cannot take the outputs: a config error, not a
+    # traceback with the solver's exit status
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = cli.main(["replica", "--set", "penalty.lambda=0.1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: cannot write {out / 'replica.txt'}: ")
+    assert len(err.splitlines()) == 1 and "File exists" in err
+    assert out.read_text() == ""
 
 
 def test_emit_plot_byte_identical(tmp_path):

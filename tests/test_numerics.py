@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import oracles
-from lse_precoding import numerics
 from lse_precoding.numerics import (EmptySampleError, NonFiniteError,
-                                    NoSignChangeError, RandomStream,
-                                    complex_normal, expand_bracket,
-                                    find_root_1d, ks_distance, q_function)
+                                    RandomStream, complex_normal, ks_distance,
+                                    q_function)
+from lse_precoding.replica import NotAchievableError, _root_of_decreasing
 from oracles import ShapeMismatchError, radial_expectation
 
 
@@ -69,80 +68,79 @@ def test_q_monotone_decreasing():
 # ---------------------------------------------------------------------------
 
 def test_root_linear():
-    assert find_root_1d(lambda x: x - 1.0, 0.0, 2.0, tol=1e-12) == pytest.approx(1.0, abs=1e-11)
+    assert _root_of_decreasing(lambda u: 1.0 - u, "t") == 1.0
 
 
 def test_root_sqrt2():
-    x = find_root_1d(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-    assert x == pytest.approx(math.sqrt(2.0), abs=1e-7)
+    x = _root_of_decreasing(lambda u: 2.0 - u * u, "t")
+    assert x == pytest.approx(math.sqrt(2.0), rel=4e-16)
 
 
 def test_root_q_quantile():
     # quantile from the erfc oracle: Q(0.67449) = 0.25
-    x = find_root_1d(lambda x: q_function(x) - 0.25, 0.0, 4.0, tol=1e-12)
+    x = _root_of_decreasing(lambda u: q_function(u) - 0.25, "t")
     assert x == pytest.approx(0.67449, abs=1e-4)
+    assert abs(q_function(x) - 0.25) <= 1e-15
 
 
 def test_root_no_sign_change():
-    with pytest.raises(NoSignChangeError):
-        find_root_1d(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-10)
+    # a positive f that only tends to 0 never brackets a root
+    with pytest.raises(NotAchievableError, match="^active fraction 1e-100 is out of reach"):
+        _root_of_decreasing(lambda u: math.exp(-u), "active fraction 1e-100")
 
 
 def test_root_non_finite():
+    # the walk brackets [0, 1]; the first refining point is 0.5
     with pytest.raises(NonFiniteError):
-        find_root_1d(lambda x: math.inf if x > 0.5 else -1.0, 0.0, 1.0, tol=1e-10)
+        _root_of_decreasing(lambda u: math.nan if 0.1 < u < 0.9 else 0.5 - u, "t")
 
 
 def test_root_of_a_step_is_a_point_of_the_final_bracket():
-    # no point has |f| <= tol, so the search ends on the bracket width; the
-    # answer sits at the step, on the side where |f| is smaller, and not at
-    # the starting endpoint, which has the smallest |f| ever seen
+    # no point has |f| <= 1e-15, so the search ends on the bracket width;
+    # the answer sits at the step, on the side where |f| is smaller, and
+    # not at the starting end, which has the smallest |f| ever seen
     calls = []
 
-    def f(x):
-        calls.append(x)
-        return -1.0 if x < 0.999 else 8.0
+    def f(u):
+        calls.append(u)
+        return 1.0 if u < 0.999 else -8.0
 
-    x = find_root_1d(f, 0.0, 1.0, tol=1e-12)
-    assert 0.999 - 2e-12 <= x < 0.999
-    assert len(calls) < numerics._ROOT_MAX_ITER
-
-
-def test_bracket_negative_step_is_ordered():
-    # walking down from 0 the sign changes between -3 and -2
-    assert expand_bracket(lambda x: x + 2.5, 0.0, -1.0) == (-3.0, -2.0)
-    assert expand_bracket(lambda x: x - 2.5, 0.0, 1.0) == (2.0, 3.0)
+    x = _root_of_decreasing(f, "t")
+    assert 0.999 - 2e-15 <= x < 0.999
+    # the walk's two values are reused, not computed again
+    assert calls[:2] == [0.0, 1.0] and calls.count(0.0) == calls.count(1.0) == 1
+    assert len(calls) < 2 + 200
 
 
 def test_bracket_steps_run_out():
     xs = []
 
-    def f(x):
-        xs.append(x)
+    def f(u):
+        xs.append(u)
         return 1.0
 
-    with pytest.raises(NoSignChangeError):
-        expand_bracket(f, 0.0, 1.0)
-    assert len(xs) == 1 + numerics._BRACKET_MAX_STEPS
+    with pytest.raises(NotAchievableError, match="^power 9 is out of reach"):
+        _root_of_decreasing(f, "power 9")
+    assert xs == [float(i) for i in range(1 + 200)]
 
 
 def test_bracket_non_finite():
     with pytest.raises(NonFiniteError):
-        expand_bracket(lambda x: math.nan, 0.0, 1.0)
+        _root_of_decreasing(lambda u: math.nan, "t")
     with pytest.raises(NonFiniteError):
-        expand_bracket(lambda x: 1.0 if x < 3.0 else math.inf, 0.0, 1.0)
+        _root_of_decreasing(lambda u: 1.0 if u < 3.0 else math.inf, "t")
 
 
-@given(st.floats(-3, 3), st.floats(0.1, 3))
+@given(st.floats(0, 3), st.floats(0.1, 3))
 @settings(max_examples=50, deadline=None)
 def test_root_residual_bound(root, scale):
-    tol = 1e-10
+    def f(u):
+        return -scale * (u - root) * (1.0 + 0.1 * (u - root) ** 2)
 
-    def f(x):
-        return scale * (x - root) * (1.0 + 0.1 * (x - root) ** 2)
-
-    x = find_root_1d(f, root - 2.0, root + 3.0, tol=tol)
-    assert abs(f(x)) <= 10 * tol
+    x = _root_of_decreasing(f, "t")
+    # the bracket ends at most 1e-15 max(1, hi) <= 4e-15 wide, where the
+    # slope is at most 3 (1 + 0.3 * 4e-15^2) ~ 3
+    assert abs(f(x)) <= 1.2e-14
 
 
 # ---------------------------------------------------------------------------
