@@ -1,10 +1,11 @@
 """Experiment driver: config files, replica sweeps, replica-vs-simulation
-comparison reports, antenna-saving studies, CSV and SVG emission.
+comparison reports, antenna-saving studies, CSV and SVG text.
 
 Config files are line-oriented ``key = value`` text with section headers
-(INI). Every run writes a manifest with the fully resolved configuration
-next to its outputs; re-running any mode from the manifest reproduces the
-outputs byte for byte (no timestamps, fixed float formatting, trial
+(INI). Runners return their files' text; `run` alone writes them, into a
+directory it makes before the mode runs, next to a manifest with the fully
+resolved configuration. Re-running any mode from the manifest reproduces
+the outputs byte for byte (no timestamps, fixed float formatting, trial
 results independent of the thread count).
 """
 from __future__ import annotations
@@ -195,7 +196,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(" ".join(str(exc).split())) from exc
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section == "versions":  # informational manifest block
@@ -368,7 +369,6 @@ def manifest_text(cfg: ExperimentConfig) -> str:
 
 def _write(path: str, text: str) -> str:
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
@@ -452,13 +452,13 @@ def _grid_rows(cfg: ExperimentConfig, row, blank: tuple):
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def write_csv(path: str, columns, rows) -> str:
+def csv_text(columns, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(columns) + ["status"])
     for row, status in rows:
         writer.writerow([_fmt(v) for v in row] + [status])
-    return _write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def read_csv(path: str):
@@ -478,9 +478,9 @@ def _header_lines(pt: OperatingPoint) -> list[str]:
     return [f"status = {pt.status}", f"lambda = {_fmt(lam)}", f"lambda0 = {_fmt(lam0)}"]
 
 
-def run_replica_point(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Fixed-point solve at the single configured load; replica mode writes
-    replica.txt, calibrate mode the same report as calibration.txt."""
+def run_replica_point(cfg: ExperimentConfig) -> dict:
+    """Fixed-point solve at the single configured load; replica mode reports
+    in replica.txt, calibrate mode the same report in calibration.txt."""
     pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
                          cfg.papr_db_target)
     sol = pt.solution
@@ -502,10 +502,10 @@ def run_replica_point(cfg: ExperimentConfig, out_dir: str) -> dict:
         f"iterations = {sol.iterations}",
     ]
     name = "calibration" if cfg.mode == "calibrate" else "replica"
-    return {name: _write(os.path.join(out_dir, f"{name}.txt"), "\n".join(lines) + "\n")}
+    return {name: (f"{name}.txt", "\n".join(lines) + "\n")}
 
 
-def run_replica_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_replica_sweep(cfg: ExperimentConfig) -> dict:
     """One CSV per (eta target, papr target) curve over the load grid."""
     def row(ainv, eta_t, pt):
         sol = pt.solution
@@ -517,7 +517,7 @@ def run_replica_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
             cfg, row, (math.nan,) * 8 + (0,)):
         tag = _curve_tag(eta_t, papr_db)
         curves.setdefault(tag, []).append(((ainv,) + values, status))
-    return {tag: write_csv(os.path.join(out_dir, f"sweep_{tag}.csv"), SWEEP_COLUMNS, rows)
+    return {tag: (f"sweep_{tag}.csv", csv_text(SWEEP_COLUMNS, rows))
             for tag, rows in curves.items()}
 
 
@@ -565,25 +565,24 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_simulate(cfg: ExperimentConfig) -> dict:
     """Monte Carlo at the single configured load: the report's statistics,
     and a 128-bin histogram of |x| pooled over trials and antennas, with
     the mass of each half of the antenna indices next to it."""
     pt, report = _simulated_point(cfg)
-    path = _write(os.path.join(out_dir, "simulation.txt"),
-                  "\n".join(_header_lines(pt) + _report_lines(report)) + "\n")
     mags = report.magnitudes
     edges = np.linspace(0.0, float(mags.max()) or 1.0, 129)
     pooled = np.histogram(mags, bins=edges)[0]
     halves = [np.histogram(h, bins=edges)[0] for h in _index_halves(mags)]
     hist_rows = [(row, "ok") for row in zip(
         edges[:-1], pooled / pooled.sum(), *(h / max(h.sum(), 1) for h in halves))]
-    hist = write_csv(os.path.join(out_dir, "histogram.csv"),
-                     ("bin_left", "mass", "first_half", "second_half"), hist_rows)
-    return {"simulation": path, "histogram": hist}
+    return {"simulation": ("simulation.txt",
+                           "\n".join(_header_lines(pt) + _report_lines(report)) + "\n"),
+            "histogram": ("histogram.csv", csv_text(
+                ("bin_left", "mass", "first_half", "second_half"), hist_rows))}
 
 
-def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_compare(cfg: ExperimentConfig) -> dict:
     """Replica solve and Monte Carlo at the same parameters, side by side,
     plus distribution distances against the decoupled law."""
     pt, report = _simulated_point(cfg)
@@ -608,18 +607,15 @@ def run_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
         gap = abs(emp_v - replica_v)
         rel = gap / abs(replica_v) if replica_v not in (0.0, math.inf) else math.nan
         rows.append(((name, replica_v, emp_v, ci95, rel), "ok"))
-    csv_path = write_csv(os.path.join(out_dir, "compare.csv"),
-                         ("metric", "replica", "empirical", "ci95", "rel_gap"),
-                         rows)
     lines = _header_lines(pt) + [f"ks_decoupled = {_fmt(ks_law)}",
                                  f"ks_index_halves = {_fmt(ks_halves)}"] \
         + _report_lines(report)
-    summary = _write(os.path.join(out_dir, "compare_summary.txt"),
-                     "\n".join(lines) + "\n")
-    return {"compare": csv_path, "summary": summary}
+    return {"compare": ("compare.csv", csv_text(
+                ("metric", "replica", "empirical", "ci95", "rel_gap"), rows)),
+            "summary": ("compare_summary.txt", "\n".join(lines) + "\n")}
 
 
-def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_antenna_saving(cfg: ExperimentConfig) -> dict:
     """For each (papr, eta, load): solve the penalized precoder, then find
     the random-selection fraction with equal distortion; saving is the
     difference."""
@@ -631,8 +627,7 @@ def run_antenna_saving(cfg: ExperimentConfig, out_dir: str) -> dict:
     rows = [((ainv, math.nan if papr_db is None else papr_db, eta_t) + values, status)
             for ainv, eta_t, papr_db, values, status
             in _grid_rows(cfg, row, (math.nan,) * 3)]
-    return {"saving": write_csv(os.path.join(out_dir, "antenna_saving.csv"),
-                                SAVING_COLUMNS, rows)}
+    return {"saving": ("antenna_saving.csv", csv_text(SAVING_COLUMNS, rows))}
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +667,7 @@ def _curve_from_csv(path: str):
     return xs, ys
 
 
-def emit_plot(csv_paths, out_path: str, title: str = "") -> str:
+def plot_svg(csv_paths, title: str = "") -> str:
     """Deterministic SVG: one polyline per CSV, axes in inverse load and
     distortion dB, legend from file names. The title and the names are
     written with &, < and > escaped. Identical inputs give identical
@@ -736,15 +731,14 @@ def emit_plot(csv_paths, out_path: str, title: str = "") -> str:
         parts.append(f'<text x="{width - mr + 32:.1f}" y="{ly + 4:.1f}" '
                      f'font-size="11">{name}</text>')
     parts.append("</svg>")
-    return _write(out_path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def run_plot(cfg: ExperimentConfig, out_dir: str) -> dict:
-    return {"plot": emit_plot(cfg.plot_inputs, os.path.join(out_dir, "plot.svg"),
-                              cfg.plot_title)}
+def run_plot(cfg: ExperimentConfig) -> dict:
+    return {"plot": ("plot.svg", plot_svg(cfg.plot_inputs, cfg.plot_title))}
 
 
-# mode -> runner; each runner returns {name: path} of the files it wrote
+# mode -> runner; each runner returns {name: (file name, text)} of its files
 _RUNNERS = {
     "replica": run_replica_point,
     "sweep": run_replica_sweep,
@@ -757,10 +751,15 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Validate cfg, run its mode into cfg.out and write manifest.cfg next
-    to the outputs; returns {name: path} of every file written."""
+    """Validate cfg, make the directory cfg.out ("": the working directory)
+    before the mode runs, then write the mode's files and, last,
+    manifest.cfg into it; returns {name: path} of every file written."""
     validate_config(cfg)
-    written = _RUNNERS[cfg.mode](cfg, cfg.out)
-    written["manifest"] = _write(os.path.join(cfg.out, "manifest.cfg"),
-                                 manifest_text(cfg))
-    return written
+    try:
+        os.makedirs(cfg.out or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
+    files = _RUNNERS[cfg.mode](cfg)
+    files["manifest"] = ("manifest.cfg", manifest_text(cfg))
+    return {name: _write(os.path.join(cfg.out, file_name), text)
+            for name, (file_name, text) in files.items()}

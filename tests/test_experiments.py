@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,14 +9,14 @@ from pathlib import Path
 import pytest
 
 import lse_precoding
-from lse_precoding import cli
+from lse_precoding import cli, experiments
 from lse_precoding.experiments import (ConfigError, ExperimentConfig,
                                        SchemaError, apply_overrides,
-                                       emit_plot, load_config, manifest_text,
+                                       csv_text, load_config, manifest_text,
                                        match_random_selection,
                                        operating_point, parse_config,
-                                       read_csv, run, validate_config,
-                                       write_csv)
+                                       plot_svg, read_csv, run,
+                                       validate_config)
 from lse_precoding.penalty import PenaltySpec
 from lse_precoding.replica import (NotAchievableError, SystemParams,
                                    random_tas_baseline)
@@ -83,6 +84,30 @@ def test_parse_rejects_unknown_key():
         parse_config("[system]\nbogus = 1\n")
 
 
+@pytest.mark.parametrize("grid, reason", [
+    ("1:2", "grid must be start:step:stop"),
+    ("1:0:2", "grid step must be positive"),
+], ids=["two_part_grid", "zero_step_grid"])
+def test_parse_rejects_malformed_grid(grid, reason):
+    with pytest.raises(ConfigError, match="bad value for system.alpha_inverse") as exc:
+        parse_config(f"[system]\nalpha_inverse = {grid}\n")
+    assert reason in str(exc.value.__cause__)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("mode = replica\n", "File contains no section headers. "),
+    ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
+], ids=["no_section_header", "repeated_section"])
+def test_malformed_ini_exits_2_on_one_line(tmp_path, capsys, text, reason):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert cli.main(["replica", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert reason in err
+
+
 def test_validate_requires_exactly_one_parameterization():
     cfg = cfg_from()
     cfg.lam = 0.1  # both direct and targets
@@ -111,6 +136,14 @@ def test_validate_single_point_modes():
         validate_config(cfg)
 
 
+DISK = "penalty.support=disk"
+# the rule that rejects each of these values; the peak-cap cases put theirs
+# on a disk, since the full plane rejects any peak cap before these rules run
+_OWN_RULE = {"papr_db_targets": "must be >= 0 dB", "papr_db_target": "must be >= 0 dB",
+             "peak_power": "peak_power must be positive",
+             "support": "support must be 'full' or 'disk'"}
+
+
 @pytest.mark.parametrize("mode, override", [
     ("sweep", "system.alpha_inverse=2.0:0.5:1.0"),  # empty grid
     ("replica", "system.alpha_inverse=0"),
@@ -134,15 +167,16 @@ def test_validate_single_point_modes():
     ("replica", "simulation.restarts=2"),
     ("plot", "simulation.init=zero"),
     ("simulate", "simulation.zero_eps=-1"),
-    ("sweep", "penalty.papr_db_targets=3,-1"),
-    ("calibrate", "penalty.papr_db_target=-1"),
-    ("replica", "penalty.peak_power=0"),
+    ("sweep", [DISK, "penalty.papr_db_targets=3,-1"]),
+    ("calibrate", [DISK, "penalty.papr_db_target=-1"]),
+    ("replica", [DISK, "penalty.peak_power=0"]),
     ("calibrate", "penalty.p_target=-1"),
     ("calibrate", "penalty.p_target=0"),
     ("calibrate", "penalty.eta_target=0"),
     ("replica", "penalty.eta_target=1.5"),
     ("sweep", "penalty.eta_targets=0.5,1.5"),
     ("saving", "penalty.eta_targets=0,0.5"),
+    ("replica", "penalty.support=square"),
 ], ids=["empty_grid", "zero_load", "negative_lambda_s", "no_antennas",
         "compare_one_antenna",
         "one_trial", "no_users", "unknown_init", "negative_damping",
@@ -153,24 +187,43 @@ def test_validate_single_point_modes():
         "negative_papr_db_targets",
         "negative_papr_db_target", "zero_peak_power", "negative_p_target",
         "zero_p_target", "zero_eta_target", "eta_target_above_one",
-        "eta_targets_above_one", "zero_eta_targets"])
+        "eta_targets_above_one", "zero_eta_targets", "unknown_support"])
 def test_validate_rejects_out_of_range(mode, override):
-    cfg = apply_overrides(parse_config(BASE), [override])
+    overrides = [override] if isinstance(override, str) else override
+    cfg = apply_overrides(parse_config(BASE), overrides)
     cfg.mode = mode
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg)
     # restarts and init take one value each, in every mode
-    name = override.split("=")[0]
+    name = overrides[-1].split("=")[0]
     key = name.split(".")[1]
     if key in ("restarts", "init"):
         assert key in str(exc.value)
     if mode == "compare" and key == "n":
         assert name in str(exc.value)
+    if key in _OWN_RULE:
+        assert _OWN_RULE[key] in str(exc.value)
 
 
 # BASE with direct weights in place of its calibration targets
 DIRECT = BASE.replace("p_target = 0.5\neta_target = 0.5", "lambda = 0.1\nlambda0 = 0.05")
-DISK = "penalty.support=disk"
+
+
+@pytest.mark.parametrize("text, mode, message", [
+    (DIRECT, "calibrate", "calibrate mode needs calibration targets"),
+    (DIRECT, "sweep", "sweep mode needs calibration targets"),
+    (DIRECT, "saving", "saving mode needs calibration targets"),
+    (BASE.replace("eta_target =", "eta_targets ="), "replica",
+     "replica mode needs eta_target"),
+    (BASE, "plot", "plot mode needs [plot] inputs"),
+], ids=["calibrate_without_targets", "sweep_without_targets",
+        "saving_without_targets", "single_load_with_eta_targets_only",
+        "plot_without_inputs"])
+def test_validate_names_the_missing_setting(text, mode, message):
+    cfg = parse_config(text)
+    cfg.mode = mode
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(cfg)
 
 
 @pytest.mark.parametrize("text, overrides", [
@@ -286,8 +339,9 @@ def test_overrides():
 def test_csv_round_trip_twelve_digits(tmp_path):
     rows = [((1.0 / 3.0, 2.0 ** 0.5, -1.2345678901234e-7), "ok"),
             ((math.inf, 0.0, 42.0), "ok")]
-    path = write_csv(str(tmp_path / "t.csv"), ("a", "b", "c"), rows)
-    header, data = read_csv(path)
+    path = tmp_path / "t.csv"
+    path.write_text(csv_text(("a", "b", "c"), rows))
+    header, data = read_csv(str(path))
     assert header == ["a", "b", "c", "status"]
     for (orig, _), got in zip(rows, data):
         for o, g in zip(orig, got[:-1]):
@@ -554,13 +608,13 @@ def _tiny_csv(tmp_path, name="c.csv", rows=((1.0, -10.0), (2.0, -12.0))):
             for ainv, ddb in rows]
     cols = ("alpha_inverse", "lambda", "lambda0", "chi", "p", "eta",
             "papr_db", "distortion_db", "residual", "iterations")
-    return write_csv(str(tmp_path / name), cols, data)
+    path = tmp_path / name
+    path.write_text(csv_text(cols, data))
+    return str(path)
 
 
 def test_emit_plot_single_polyline(tmp_path):
-    path = _tiny_csv(tmp_path)
-    svg = emit_plot([path], str(tmp_path / "p.svg"))
-    text = Path(svg).read_text()
+    text = plot_svg([_tiny_csv(tmp_path)])
     assert text.count("<polyline") == 1
     pts = text.split('points="')[1].split('"')[0].split()
     assert len(pts) == 2
@@ -568,7 +622,7 @@ def test_emit_plot_single_polyline(tmp_path):
 
 def test_emit_plot_empty_inputs():
     with pytest.raises(SchemaError):
-        emit_plot([], "nowhere.svg")
+        plot_svg([])
 
 
 def test_emit_plot_missing_column(tmp_path):
@@ -576,14 +630,14 @@ def test_emit_plot_missing_column(tmp_path):
     with open(bad, "w") as fh:
         fh.write("x,y\n1,2\n")
     with pytest.raises(SchemaError):
-        emit_plot([bad], str(tmp_path / "p.svg"))
+        plot_svg([bad])
 
 
 def test_emit_plot_escapes_title_and_legend(tmp_path):
     # &, < and > in the title or a CSV name still give well-formed XML
     path = _tiny_csv(tmp_path, name="eta&papr.csv")
-    svg = emit_plot([path], str(tmp_path / "p.svg"), title="D < 0 dB & p = 0.5")
-    texts = [el.text for el in ET.parse(svg).getroot()
+    svg = plot_svg([path], title="D < 0 dB & p = 0.5")
+    texts = [el.text for el in ET.fromstring(svg)
              .iter("{http://www.w3.org/2000/svg}text")]
     assert "D < 0 dB & p = 0.5" in texts
     assert "eta&papr.csv" in texts
@@ -595,7 +649,11 @@ def test_emit_plot_escapes_title_and_legend(tmp_path):
     (b"alpha_inverse,distortion_db\n1,\xff\n", "can't decode byte 0xff"),
     (b"alpha_inverse,distortion_db\n1.0,-3\n1.0\n", "row 3 has 1 of 2 cells"),
     (b"alpha_inverse,distortion_db\n\n1.0,-3\n", "row 2 has 0 of 2 cells"),
-], ids=["missing_file", "missing_column", "not_utf8", "short_row", "blank_line"])
+    (b"", "empty CSV"),
+    (b"alpha_inverse,distortion_db\n1.0,-3\n1.5,low\n", "non-numeric row"),
+    (b"alpha_inverse,distortion_db\n1.0,nan\ninf,-3\n", "no plottable rows"),
+], ids=["missing_file", "missing_column", "not_utf8", "short_row", "blank_line",
+        "empty_file", "non_numeric_cell", "no_plottable_rows"])
 def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
                                                  reason):
     csv_path = tmp_path / "curve.csv"
@@ -609,6 +667,17 @@ def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
     assert str(csv_path) in err and reason in err
 
 
+def test_plot_skips_error_rows(tmp_path):
+    # a point the solver could not take is an error row, and no curve
+    # passes through it; ok and peak-clamped rows are drawn
+    path = tmp_path / "curve.csv"
+    path.write_text("alpha_inverse,distortion_db,status\n1.0,-3,ok\n"
+                    "1.5,-4,error: no crossing above the feasibility floor\n"
+                    "2.0,-5,peak-clamped\n")
+    svg = plot_svg([str(path)])
+    assert len(svg.split('points="')[1].split('"')[0].split()) == 2
+
+
 def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
     # an --out that is a file cannot take the outputs: a config error, not a
     # traceback with the solver's exit status
@@ -617,16 +686,35 @@ def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
     rc = cli.main(["replica", "--set", "penalty.lambda=0.1", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"config error: cannot write {out / 'replica.txt'}: ")
+    assert err.startswith(f"config error: cannot write {out}: ")
     assert len(err.splitlines()) == 1 and "File exists" in err
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("mode, config, flags", [
+    ("compare", "compare.ini", ["--set", "simulation.n=64", "--set", "simulation.trials=6"]),
+    ("sweep", "fig1.ini", []),
+], ids=["compare", "sweep"])
+def test_unwritable_output_fails_before_the_mode_runs(tmp_path, capsys, monkeypatch,
+                                                      mode, config, flags):
+    # the output directory is made before any solve or trial, so a bad
+    # --out costs nothing
+    def never(*args, **kwargs):
+        pytest.fail("the mode ran before its output directory was made")
+
+    monkeypatch.setattr(experiments, "monte_carlo", never)
+    monkeypatch.setattr(experiments, "operating_point", never)
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = cli.main([mode, "--config", str(CONFIGS / config), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot write {out}: ")
+
+
 def test_emit_plot_byte_identical(tmp_path):
     path = _tiny_csv(tmp_path)
-    a = emit_plot([path], str(tmp_path / "a.svg"))
-    b = emit_plot([path], str(tmp_path / "b.svg"))
-    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert plot_svg([path]) == plot_svg([path])
 
 
 # ---------------------------------------------------------------------------
