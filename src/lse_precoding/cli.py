@@ -4,9 +4,10 @@
                [--out DIR] [--seed N]
 
 Modes: replica, sweep, simulate, compare, calibrate, saving, plot.
-Flags override file values; every run writes a manifest next to its
-outputs that reproduces the run byte for byte. Exit status 2 means the
-configuration or a plot's input CSV was rejected or could not be read
+`--set` items override file values; the mode, `--out` and `--seed` then
+override `[run] mode`, `out` and `seed`. Every run writes a manifest next
+to its outputs that reproduces the run byte for byte. Exit status 2 means
+the configuration or a plot's input CSV was rejected or could not be read
 (missing, a directory, not UTF-8), or an output could not be written; 1
 that a solver gave up on it (no fixed point found, or the targets are not
 achievable).
@@ -16,8 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import (_RUNNERS, ConfigError, ExperimentConfig,
-                          SchemaError, apply_overrides, load_config, run)
+from .experiments import (_RUNNERS, ConfigError, ExperimentConfig, SchemaError,
+                          _assign, apply_overrides, load_config, run)
 from .replica import NoConvergenceError, NotAchievableError
 
 
@@ -32,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="section.key=value",
                         help="override a config value (repeatable)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", help="master seed")
     return parser
 
 
@@ -41,11 +42,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = apply_overrides(cfg, args.overrides)
-        cfg.mode = args.mode
-        if args.out is not None:
-            cfg.out = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
+        for key, raw in (("mode", args.mode), ("out", args.out), ("seed", args.seed)):
+            if raw is not None:  # as typed, after every --set
+                _assign(cfg, "run", key, raw)
         written = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,11 +2,12 @@
 comparison reports, antenna-saving studies, CSV and SVG text.
 
 Config files are line-oriented ``key = value`` text with section headers
-(INI). Runners return their files' text; `run` alone writes them, into a
-directory it makes before the mode runs, next to a manifest with the fully
-resolved configuration. Re-running any mode from the manifest reproduces
-the outputs byte for byte (no timestamps, fixed float formatting, trial
-results independent of the thread count).
+(INI); each key is declared once, on the `ExperimentConfig` field it sets,
+with its section, kind and default. Runners return their files' text; `run`
+alone writes them, into a directory it makes before the mode runs, next to
+a manifest with the fully resolved configuration. Re-running any mode from
+the manifest reproduces the outputs byte for byte (no timestamps, fixed
+float formatting, trial results independent of the thread count).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -62,40 +63,46 @@ def db10(x: float) -> float:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _key(section: str, key: str, kind, default=None):
+    """A config field, set by ``key`` in ``[section]`` and parsed as kind (a
+    type, or "grid", "floats" or "strings"); manifests list it in field order."""
+    return field(default=default, metadata={"ini": (section, key, kind)})
+
+
 @dataclass
 class ExperimentConfig:
-    mode: str = "replica"
-    out: str = "out"
-    seed: int = 1
+    mode: str = _key("run", "mode", str, "replica")
+    out: str = _key("run", "out", str, "out")
+    seed: int = _key("run", "seed", int, 1)
 
-    alpha_inverse: tuple = (2.0,)
-    lambda_s: float = 1.0
+    alpha_inverse: tuple = _key("system", "alpha_inverse", "grid", (2.0,))
+    lambda_s: float = _key("system", "lambda_s", float, 1.0)
 
-    support: str = "full"
-    lam: float | None = None
-    lam0: float | None = None
-    peak_power: float | None = None
-    p_target: float | None = None
-    eta_target: float | None = None
-    papr_db_target: float | None = None
-    eta_targets: tuple = ()
-    papr_db_targets: tuple = ()
+    support: str = _key("penalty", "support", str, "full")
+    lam: float | None = _key("penalty", "lambda", float)
+    lam0: float | None = _key("penalty", "lambda0", float)
+    peak_power: float | None = _key("penalty", "peak_power", float)
+    p_target: float | None = _key("penalty", "p_target", float)
+    eta_target: float | None = _key("penalty", "eta_target", float)
+    papr_db_target: float | None = _key("penalty", "papr_db_target", float)
+    eta_targets: tuple = _key("penalty", "eta_targets", "floats", ())
+    papr_db_targets: tuple = _key("penalty", "papr_db_targets", "floats", ())
 
-    n: int = 400
-    trials: int = 100
-    zero_eps: float = 1e-9
-    max_sweeps: int = 500
-    sim_tol: float = 1e-10
+    n: int = _key("simulation", "n", int, 400)
+    trials: int = _key("simulation", "trials", int, 100)
+    zero_eps: float = _key("simulation", "zero_eps", float, 1e-9)
+    max_sweeps: int = _key("simulation", "max_sweeps", int, 500)
+    sim_tol: float = _key("simulation", "tol", float, 1e-10)
     # single-valued: every manifest records them (validate_config)
-    restarts: int = 1
-    init: str = "auto"
+    restarts: int = _key("simulation", "restarts", int, 1)
+    init: str = _key("simulation", "init", str, "auto")
 
-    damping: float = 0.5
-    solver_tol: float = 1e-12
-    max_iter: int = 100_000
+    damping: float = _key("solver", "damping", float, 0.5)
+    solver_tol: float = _key("solver", "tol", float, 1e-12)
+    max_iter: int = _key("solver", "max_iter", int, 100_000)
 
-    plot_inputs: tuple = ()
-    plot_title: str = ""
+    plot_inputs: tuple = _key("plot", "inputs", "strings", ())
+    plot_title: str = _key("plot", "title", str, "")
 
     def solver_opts(self) -> dict:
         return dict(damping=self.damping, tol=self.solver_tol,
@@ -109,34 +116,9 @@ class ExperimentConfig:
         return self.p_target is not None
 
 
-_KEY_MAP = {
-    ("run", "mode"): ("mode", str),
-    ("run", "out"): ("out", str),
-    ("run", "seed"): ("seed", int),
-    ("system", "alpha_inverse"): ("alpha_inverse", "grid"),
-    ("system", "lambda_s"): ("lambda_s", float),
-    ("penalty", "support"): ("support", str),
-    ("penalty", "lambda"): ("lam", float),
-    ("penalty", "lambda0"): ("lam0", float),
-    ("penalty", "peak_power"): ("peak_power", float),
-    ("penalty", "p_target"): ("p_target", float),
-    ("penalty", "eta_target"): ("eta_target", float),
-    ("penalty", "papr_db_target"): ("papr_db_target", float),
-    ("penalty", "eta_targets"): ("eta_targets", "floats"),
-    ("penalty", "papr_db_targets"): ("papr_db_targets", "floats"),
-    ("simulation", "n"): ("n", int),
-    ("simulation", "trials"): ("trials", int),
-    ("simulation", "zero_eps"): ("zero_eps", float),
-    ("simulation", "max_sweeps"): ("max_sweeps", int),
-    ("simulation", "tol"): ("sim_tol", float),
-    ("simulation", "restarts"): ("restarts", int),
-    ("simulation", "init"): ("init", str),
-    ("solver", "damping"): ("damping", float),
-    ("solver", "tol"): ("solver_tol", float),
-    ("solver", "max_iter"): ("max_iter", int),
-    ("plot", "inputs"): ("plot_inputs", "strings"),
-    ("plot", "title"): ("plot_title", str),
-}
+# (section, key) -> (field name, kind); every field has its key
+_KEY_MAP = {f.metadata["ini"][:2]: (f.name, f.metadata["ini"][2])
+            for f in fields(ExperimentConfig)}
 
 
 def _parse_grid(text: str) -> tuple:
@@ -144,7 +126,7 @@ def _parse_grid(text: str) -> tuple:
     if ":" in text:
         parts = [_finite(tok) for tok in text.split(":")]
         if len(parts) != 3:
-            raise ConfigError(f"grid must be start:step:stop, got {text!r}")
+            raise ConfigError("grid must be start:step:stop")
         start, step, stop = parts
         if step <= 0:
             raise ConfigError("grid step must be positive")
@@ -188,15 +170,19 @@ def _assign(cfg: ExperimentConfig, section: str, key: str, raw: str) -> None:
     try:
         setattr(cfg, name, _convert(kind, raw))
     except ValueError as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r}: {exc}") from exc
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
+    """The config of INI text; source names it in configparser's errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc
+    if parser.defaults():  # configparser would merge it into every section
+        raise ConfigError(f"{source}: [DEFAULT] sets {', '.join(parser.defaults())}; "
+                          "give each key in its own section")
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section == "versions":  # informational manifest block
@@ -217,7 +203,7 @@ def _read_text(path: str, error) -> str:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    return parse_config(_read_text(path, ConfigError))
+    return parse_config(_read_text(path, ConfigError), path)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
@@ -340,30 +326,20 @@ def manifest_text(cfg: ExperimentConfig) -> str:
     package, numpy and the BLAS numpy was built against, which is all the
     code the outputs depend on; it holds no thread count, since the outputs
     do not depend on it."""
-    lines = []
     sections: dict[str, list[str]] = {}
     for (sec, key), (name, _) in _KEY_MAP.items():
-        if key == "out":
-            continue
         value = getattr(cfg, name)
-        if value is None or value == () or value == "":
+        if key == "out" or value is None or value == () or value == "":
             continue
-        if isinstance(value, tuple):
-            text = ",".join(_manifest_value(v) for v in value)
-        else:
-            text = _manifest_value(value)
-        sections.setdefault(sec, []).append(f"{key} = {text}")
-    for sec in ("run", "system", "penalty", "simulation", "solver", "plot"):
-        if sec in sections:
-            lines.append(f"[{sec}]")
-            lines.extend(sections[sec])
-            lines.append("")
-    lines.append("[versions]")
-    lines.append(f"lse_precoding = {__version__}")
-    lines.append(f"numpy = {np.__version__}")
+        values = value if isinstance(value, tuple) else (value,)
+        sections.setdefault(sec, []).append(
+            f"{key} = {','.join(_manifest_value(v) for v in values)}")
+    lines = []
+    for sec, body in sections.items():  # in field order
+        lines += [f"[{sec}]", *body, ""]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lines.append(f"blas = {blas['name']} {blas['version']}")
-    lines.append("")
+    lines += ["[versions]", f"lse_precoding = {__version__}", f"numpy = {np.__version__}",
+              f"blas = {blas['name']} {blas['version']}", ""]
     return "\n".join(lines)
 
 

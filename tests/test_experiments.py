@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,8 +76,10 @@ def test_parse_grid_forms():
 
 
 def test_parse_rejects_decreasing_grid():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config("[system]\nalpha_inverse = 2.0,1.0\n")
+    assert str(exc.value) == ("bad value for system.alpha_inverse: '2.0,1.0': "
+                              "alpha_inverse grid must be strictly increasing")
 
 
 def test_parse_rejects_unknown_key():
@@ -91,7 +94,7 @@ def test_parse_rejects_unknown_key():
 def test_parse_rejects_malformed_grid(grid, reason):
     with pytest.raises(ConfigError, match="bad value for system.alpha_inverse") as exc:
         parse_config(f"[system]\nalpha_inverse = {grid}\n")
-    assert reason in str(exc.value.__cause__)
+    assert str(exc.value).endswith(f": {grid!r}: {reason}")
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -105,7 +108,36 @@ def test_malformed_ini_exits_2_on_one_line(tmp_path, capsys, text, reason):
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
-    assert reason in err
+    assert reason in err and str(path) in err
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nn = 10\n",
+    # configparser would set both tolerances and make [solver] take n
+    "[DEFAULT]\ntol = 1e-3\nn = 10\n[simulation]\ntrials = 4\n[solver]\nmax_iter = 5\n",
+], ids=["alone", "merged"])
+def test_parse_rejects_default_section(text):
+    with pytest.raises(ConfigError, match=r"^run\.ini: \[DEFAULT\] sets "):
+        parse_config(text, "run.ini")
+
+
+def test_bad_seed_flag_exits_2_on_one_line(tmp_path, capsys):
+    assert cli.main(["replica", "--set", "penalty.lambda=0.1", "--seed", "abc",
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for run.seed: 'abc': ")
+    assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+
+def test_flags_override_run_keys_after_set(tmp_path, capsys):
+    # the mode, --out and --seed beat --set run.*, and --out is taken as given
+    out = tmp_path / " spaced out "
+    assert cli.main(["replica", "--set", "penalty.lambda=0.1", "--set", "run.mode=sweep",
+                     "--set", "run.seed=5", "--seed", "9", "--set", f"run.out={tmp_path}",
+                     "--out", str(out)]) == 0
+    manifest = (out / "manifest.cfg").read_text()
+    assert "[run]\nmode = replica\nseed = 9\n" in manifest
+    assert capsys.readouterr().out.splitlines()[0] == f"manifest: {out / 'manifest.cfg'}"
 
 
 def test_validate_requires_exactly_one_parameterization():
@@ -320,6 +352,32 @@ def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, make, reaso
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
     assert str(path) in err and reason in err
+
+
+# every key at a value other than its default
+_EVERY_KEY = ExperimentConfig(
+    mode="compare", out="elsewhere", seed=7, alpha_inverse=(1.0, 1.5),
+    lambda_s=2.0, support="disk", lam=0.1234567890123456, lam0=0.05,
+    peak_power=3.0, p_target=0.4, eta_target=0.3, papr_db_target=4.0,
+    eta_targets=(1.0, 0.5), papr_db_targets=(3.0, 6.0), n=64, trials=6,
+    zero_eps=1e-8, max_sweeps=50, sim_tol=1e-9, restarts=2, init="zero",
+    damping=0.7, solver_tol=1e-11, max_iter=500, plot_inputs=("a.csv", "b.csv"),
+    plot_title="every key")
+
+
+def test_manifest_writes_every_key_in_schema_order():
+    text = manifest_text(_EVERY_KEY)
+    assert text.split("[versions]\n")[0] == (
+        "[run]\nmode = compare\nseed = 7\n\n"
+        "[system]\nalpha_inverse = 1,1.5\nlambda_s = 2\n\n"
+        "[penalty]\nsupport = disk\nlambda = 0.1234567890123456\nlambda0 = 0.05\n"
+        "peak_power = 3\np_target = 0.4\neta_target = 0.3\npapr_db_target = 4\n"
+        "eta_targets = 1,0.5\npapr_db_targets = 3,6\n\n"
+        "[simulation]\nn = 64\ntrials = 6\nzero_eps = 1e-08\nmax_sweeps = 50\n"
+        "tol = 1e-09\nrestarts = 2\ninit = zero\n\n"
+        "[solver]\ndamping = 0.7\ntol = 1e-11\nmax_iter = 500\n\n"
+        "[plot]\ninputs = a.csv,b.csv\ntitle = every key\n\n")
+    assert parse_config(text) == replace(_EVERY_KEY, out=ExperimentConfig().out)
 
 
 def test_overrides():
