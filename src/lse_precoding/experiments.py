@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .numerics import RandomStream, ks_distance
+from .numerics import RandomStream, ks_distance, ks_distance_sorted
 from .penalty import PenaltySpec
 from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
@@ -173,6 +173,9 @@ def _assign(cfg: ExperimentConfig, section: str, key: str, raw: str) -> None:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}: {exc}") from exc
 
 
+_VERSION_KEYS = ("lse_precoding", "numpy", "blas")  # the manifest's [versions] lines
+
+
 def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
     """The config of INI text; source names it in configparser's errors."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -185,7 +188,11 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
                           "give each key in its own section")
     cfg = ExperimentConfig()
     for section in parser.sections():
-        if section == "versions":  # informational manifest block
+        if section == "versions":  # the manifest's block; its values go unchecked
+            stray = [key for key in parser[section] if key not in _VERSION_KEYS]
+            if stray:
+                raise ConfigError(f"{source}: [versions] sets {', '.join(stray)}; "
+                                  f"it holds only {', '.join(_VERSION_KEYS)}")
             continue
         for key, raw in parser.items(section):
             _assign(cfg, section, key, raw)
@@ -338,8 +345,9 @@ def manifest_text(cfg: ExperimentConfig) -> str:
     for sec, body in sections.items():  # in field order
         lines += [f"[{sec}]", *body, ""]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lines += ["[versions]", f"lse_precoding = {__version__}", f"numpy = {np.__version__}",
-              f"blas = {blas['name']} {blas['version']}", ""]
+    versions = (__version__, np.__version__, f"{blas['name']} {blas['version']}")
+    lines += ["[versions]", *(f"{key} = {value}" for key, value
+                              in zip(_VERSION_KEYS, versions)), ""]
     return "\n".join(lines)
 
 
@@ -504,17 +512,16 @@ _OBSERVABLES = (("distortion", lambda sol: sol.distortion),
                 ("papr", lambda sol: sol.papr))
 
 
-def _simulated_point(cfg: ExperimentConfig):
-    """Operating point and Monte Carlo report at the single configured load."""
-    pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
-                         cfg.papr_db_target)
+def _simulate(cfg: ExperimentConfig, pt: OperatingPoint, meanwhile=None):
+    """Monte Carlo report at the operating point pt of the single configured
+    load; `meanwhile` runs while the trials do (`monte_carlo`)."""
     if any(math.isnan(w) for w in pt.weights):
         raise ConfigError("the clamped boundary point has no representable "
                           "penalty weights; simulate with direct weights")
-    report = monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, pt.params.penalty,
-                         trials=cfg.trials, master_seed=cfg.seed,
-                         solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps)
-    return pt, report
+    return monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, pt.params.penalty,
+                       trials=cfg.trials, master_seed=cfg.seed,
+                       solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps,
+                       meanwhile=meanwhile)
 
 
 def _mean_ci95(report, name: str) -> tuple[float, float]:
@@ -524,6 +531,15 @@ def _mean_ci95(report, name: str) -> tuple[float, float]:
     with np.errstate(invalid="ignore"):
         return (float(values.mean()),
                 float(1.96 * values.std(ddof=1) / math.sqrt(values.size)))
+
+
+def _snap_to_rim(a: np.ndarray, rim: float) -> None:
+    """Set the entries of the 1-D array a within 1e-12 relative of the rim
+    to the rim, in place, 1 << 14 at a time: rim ties are sqrt(P) up to
+    rounding that depends on the thread count."""
+    for lo in range(0, a.size, 1 << 14):
+        part = a[lo:lo + (1 << 14)]
+        part[abs(part - rim) <= 1e-12 * rim] = rim
 
 
 def _index_halves(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -545,7 +561,9 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     """Monte Carlo at the single configured load: the report's statistics,
     and a 128-bin histogram of |x| pooled over trials and antennas, with
     the mass of each half of the antenna indices next to it."""
-    pt, report = _simulated_point(cfg)
+    pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
+                         cfg.papr_db_target)
+    report = _simulate(cfg, pt)
     mags = report.magnitudes
     edges = np.linspace(0.0, float(mags.max()) or 1.0, 129)
     pooled = np.histogram(mags, bins=edges)[0]
@@ -560,20 +578,27 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 def run_compare(cfg: ExperimentConfig) -> dict:
     """Replica solve and Monte Carlo at the same parameters, side by side,
-    plus distribution distances against the decoupled law."""
-    pt, report = _simulated_point(cfg)
+    plus distribution distances against the decoupled law. The law's 10^6
+    draws are made, rim-snapped and sorted in place while the trials run."""
+    pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
+                         cfg.papr_db_target)
     sol = pt.solution
-
-    stream = RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX)
-    law = decoupled_sample(sol.state, stream, 10 ** 6)
-    mags = report.magnitudes
     spec = pt.params.penalty
+    law = []
+
+    def draw_law():
+        sample = decoupled_sample(sol.state, RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX),
+                                  10 ** 6)
+        if spec.is_disk:
+            _snap_to_rim(sample, spec.radius)
+        sample.sort()
+        law.append(sample)
+
+    report = _simulate(cfg, pt, meanwhile=draw_law)
+    mags = report.magnitudes
     if spec.is_disk:
-        # snap rim ties, sqrt(P) up to thread-count-dependent rounding
-        rim = spec.radius
-        mags, law = (np.where(abs(a - rim) <= 1e-12 * rim, rim, a)
-                     for a in (mags, law))
-    ks_law = ks_distance(mags.ravel(), law)
+        _snap_to_rim(mags.reshape(-1), spec.radius)
+    ks_law = ks_distance_sorted(np.sort(mags, axis=None), law[0])
     ks_halves = ks_distance(*_index_halves(mags))
 
     rows = []

@@ -162,7 +162,7 @@ def solve_fixed_point(params: SystemParams, damping: float = 0.5,
         state=state, residual=residual)
 
 
-_SAMPLE_CHUNK = 1 << 16
+_SAMPLE_CHUNK = 1 << 14
 
 
 def decoupled_sample(state: ReplicaState, stream: RandomStream,

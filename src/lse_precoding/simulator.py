@@ -12,7 +12,8 @@ antennas compensate for a removal. When the zero-norm weight is active the
 solver therefore selects the support first by greedy backward elimination
 with exact re-optimized objective deltas and starts the descent from ridge
 on it; otherwise it starts from ridge on every antenna. Both starts come
-from one matrix A = lam I + H H^H per trial. Greedy works on the antenna
+from one matrix per trial, A = lam I + H H^H, or lam I + H^H H for a ridge
+start with more users than antennas. Greedy works on the antenna
 Gram matrix Q0 = H^H M0 H of its one inverse M0 = A^{-1}: a drop reads one
 row of Q0, corrects it by the columns stored for earlier drops and updates
 the removal scores (leverages d, correlations u) in place. On the support
@@ -115,6 +116,13 @@ def _warm_start(H: np.ndarray, s: np.ndarray, lam: float,
     step; with lam0 > 0 the ridge solution on the support that greedy
     backward elimination keeps, zero at the dropped antennas.
 
+    With lam0 = 0 and more users than antennas (k > n) the ridge solution
+    is solved on the antenna side instead, (lam I_n + H^H H) x = H^H s with
+    one refinement step: A has k - n eigenvalues equal to lam there, and
+    at the ridge floor lam = 1e-6 its solve amplifies rounding that
+    depends on the BLAS thread count about 1e6-fold, while the smallest
+    eigenvalue of lam I_n + H^H H is about (sqrt(k/n) - 1)^2.
+
     For support S the partially minimized objective is
         F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
     and removing column j changes the quadratic part by
@@ -131,11 +139,15 @@ def _warm_start(H: np.ndarray, s: np.ndarray, lam: float,
     """
     k, n = H.shape
     HH = H.conj().T
-    A = lam * np.eye(k) + H @ HH
     if not lam0 > 0:
-        y = np.linalg.solve(A, s)
-        y = y + np.linalg.solve(A, s - A @ y)
-        return HH @ y
+        if k > n:  # the same x = (lam I_n + H^H H)^{-1} H^H s, by push-through
+            A, b = lam * np.eye(n) + HH @ H, HH @ s
+        else:
+            A, b = lam * np.eye(k) + H @ HH, s
+        y = np.linalg.solve(A, b)
+        y = y + np.linalg.solve(A, b - A @ y)
+        return y if k > n else HH @ y
+    A = lam * np.eye(k) + H @ HH
     M0 = np.linalg.inv(A)
     Q0 = HH @ (M0 @ H)
     u = HH @ (M0 @ s)
@@ -343,8 +355,8 @@ def _run_trial(t: int, args: tuple):
 
 def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                 trials: int, master_seed: int, solver_opts: dict | None = None,
-                zero_eps: float = 1e-9, workers: int | None = None
-                ) -> MonteCarloReport:
+                zero_eps: float = 1e-9, workers: int | None = None,
+                meanwhile=None) -> MonteCarloReport:
     """Run `trials` independent instances; trial t owns the substream with
     stream_index = t, so results are identical for any worker count and any
     execution order.
@@ -354,6 +366,11 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
     reaches the caller with its own type. `workers=None` derives the count
     from the cores and the BLAS thread count (`_trial_workers`); one worker
     runs the trials in this process.
+
+    `meanwhile`, a callable without arguments, runs once in this process:
+    with workers, after every trial has been handed to the pool, whose
+    processes are forked by then, and before the results are collected, so
+    it runs while the trials do; with one worker, after the trials.
     """
     if trials < 2:
         raise ValueError("at least two trials are needed for intervals")
@@ -368,9 +385,14 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
         from concurrent.futures import ProcessPoolExecutor
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            outcomes = list(pool.map(_run_trial, range(trials),
-                                     [args] * trials, chunksize=1))
+            results = pool.map(_run_trial, range(trials), [args] * trials,
+                               chunksize=1)
+            if meanwhile is not None:
+                meanwhile()
+            outcomes = list(results)
     else:
         outcomes = [_run_trial(t, args) for t in range(trials)]
+        if meanwhile is not None:
+            meanwhile()
     return MonteCarloReport(per_trial=tuple(m for m, _ in outcomes),
                             magnitudes=np.stack([mag for _, mag in outcomes]))

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lse_precoding
@@ -18,9 +19,10 @@ from lse_precoding.experiments import (ConfigError, ExperimentConfig,
                                        operating_point, parse_config,
                                        plot_svg, read_csv, run,
                                        validate_config)
+from lse_precoding.numerics import RandomStream, ks_distance
 from lse_precoding.penalty import PenaltySpec
 from lse_precoding.replica import (NotAchievableError, SystemParams,
-                                   random_tas_baseline)
+                                   decoupled_sample, random_tas_baseline)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # calibration targets p = 0.5 at lambda_s = 1 on the full plane
@@ -119,6 +121,18 @@ def test_malformed_ini_exits_2_on_one_line(tmp_path, capsys, text, reason):
 def test_parse_rejects_default_section(text):
     with pytest.raises(ConfigError, match=r"^run\.ini: \[DEFAULT\] sets "):
         parse_config(text, "run.ini")
+
+
+def test_stray_versions_key_exits_2_on_one_line(tmp_path, capsys):
+    # [versions] takes the manifest's three keys, whatever their values
+    path = tmp_path / "run.ini"
+    path.write_text("[versions]\nn = 10\nbogus = 1\n[penalty]\nlambda = 0.1\n")
+    assert cli.main(["replica", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {path}: [versions] sets n, bogus; "
+                   "it holds only lse_precoding, numpy, blas\n")
+    cfg = parse_config("[versions]\nlse_precoding = 0\nnumpy = ?\nblas = none\n")
+    assert cfg == ExperimentConfig()
 
 
 def test_bad_seed_flag_exits_2_on_one_line(tmp_path, capsys):
@@ -973,6 +987,70 @@ def test_disk_compare_ks_independent_of_blas_threads(tmp_path):
         "simulation.n=200", "simulation.trials=20")
     assert b"peak-clamped" in outputs["1"]["compare_summary.txt"]
     assert outputs["1"] == outputs["2"]
+
+
+def test_simulate_more_users_than_antennas_independent_of_blas_threads(tmp_path):
+    # k = 500 > n = 400 at the ridge floor: the ridge start is solved on
+    # the antenna side, whose conditioning does not amplify the rounding
+    # that moves with the thread count
+    outputs = {}
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        subprocess.run([sys.executable, "-m", "lse_precoding.cli", "simulate",
+                        "--set", "system.alpha_inverse=0.8", "--set", "penalty.lambda=0",
+                        "--set", "penalty.lambda0=0", "--set", "simulation.trials=16",
+                        "--seed", "20240", "--out", str(out)],
+                       env=_package_env(OPENBLAS_NUM_THREADS=blas), check=True,
+                       capture_output=True)
+        outputs[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(outputs["1"]) == ["histogram.csv", "manifest.cfg", "simulation.txt"]
+    assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("sets", [
+    (),
+    ("penalty.support=disk", "penalty.papr_db_target=8"),
+], ids=["full_plane", "disk_8db"])
+def test_compare_ks_decoupled_is_the_snapped_two_sample_ks(tmp_path, monkeypatch, sets):
+    # compare draws, snaps and sorts the law while the trials run and calls
+    # the sorted-input KS; the statistic is ks_distance of the snapped
+    # magnitudes against the snapped decoupled_sample, float for float
+    seen = {}
+
+    def point(*args):
+        seen["pt"] = operating_point(*args)
+        return seen["pt"]
+
+    real_mc = experiments.monte_carlo
+    real_ks = experiments.ks_distance_sorted
+
+    def recording_mc(*args, **kwargs):
+        report = real_mc(*args, **kwargs)
+        seen["mags"] = report.magnitudes.copy()
+        return report
+
+    def recording_ks(a, b):
+        seen.setdefault("ks", []).append(real_ks(a, b))
+        return seen["ks"][-1]
+
+    monkeypatch.setattr(experiments, "operating_point", point)
+    monkeypatch.setattr(experiments, "monte_carlo", recording_mc)
+    monkeypatch.setattr(experiments, "ks_distance_sorted", recording_ks)
+    out = tmp_path / "cmp"
+    args = [a for kv in ("simulation.n=64", "simulation.trials=6", *sets) for a in ("--set", kv)]
+    assert cli.main(["compare", "--config", str(CONFIGS / "compare.ini"), *args,
+                     "--seed", "7", "--out", str(out)]) == 0
+    spec = seen["pt"].params.penalty
+    mags = seen["mags"]
+    law = decoupled_sample(seen["pt"].solution.state,
+                           RandomStream(7, experiments._DECOUPLED_STREAM_INDEX), 10 ** 6)
+    if spec.is_disk:
+        rim = spec.radius
+        mags, law = (np.where(abs(a - rim) <= 1e-12 * rim, rim, a) for a in (mags, law))
+    expected = ks_distance(mags.ravel(), law)
+    assert seen["ks"] == [expected]
+    summary = (out / "compare_summary.txt").read_text()
+    assert f"ks_decoupled = {expected:.12g}\n" in summary
 
 
 # Runs the modes in an interpreter where scipy cannot be imported: a finder

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
                                    fixed_point_update, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
-from oracles import decoupled_magnitudes, quadrature_update
+from oracles import decoupled_magnitudes, ks_decoupled_exact, quadrature_update
 
 
 def mp_params(alpha, lam_s=1.0, lam=0.0, lam0=0.0, peak=None):
@@ -197,7 +198,8 @@ SAMPLED_STATES = {
 CHUNK = replica._SAMPLE_CHUNK
 
 
-@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+# one symbol, a short last chunk, whole chunks, and whole chunks plus a few
+@pytest.mark.parametrize("count", [1, 4 * CHUNK - 1, 4 * CHUNK, 12 * CHUNK + 5])
 @pytest.mark.parametrize("name", list(SAMPLED_STATES))
 def test_decoupled_sample_matches_whole_array_draw(name, count):
     # the chunked draw keeps the whole-array draw order and its bytes
@@ -210,7 +212,7 @@ def test_decoupled_sample_matches_whole_array_draw(name, count):
 
 def test_decoupled_sample_holds_one_full_size_array():
     # 10^6 magnitudes are 8 MB; whole-array complex temporaries would add
-    # more than 30 MB, one chunk's add about 3.5 MB
+    # more than 30 MB, one chunk's add about 0.9 MB
     state = SAMPLED_STATES["iv_a_full_plane"]()
     tracemalloc.start()
     try:
@@ -218,7 +220,30 @@ def test_decoupled_sample_holds_one_full_size_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 10 ** 6
+    assert peak <= 10.5 * 10 ** 6
+
+
+# the decoupled law at IV-A, on the 8 dB disk and on the 0 dB constant envelope
+CDF_STATES = {
+    "iv_a_full_plane": SAMPLED_STATES["iv_a_full_plane"],
+    "disk_8db": lambda: calibrate(mp_params(0.5, peak=10.0 ** 0.8 * 0.5),
+                                  p_star=0.5, eta_star=0.5)[2].state,
+    "constant_envelope_0db": SAMPLED_STATES["constant_envelope_0db"],
+}
+
+
+@pytest.mark.parametrize("name", list(CDF_STATES))
+def test_decoupled_sample_matches_exact_cdf(name):
+    # 10^6 draws against the closed-form CDF of |x|: the KS statistic's
+    # typical size is 0.9e-3 and 0.003 lies far in its tail; draws at
+    # 1.05 lambda_rs read about 0.017 and must fail the same bound
+    state = CDF_STATES[name]()
+    count = 10 ** 6
+    assert ks_decoupled_exact(decoupled_sample(state, RandomStream(13, 8), count),
+                              state) <= 0.003
+    wide = replace(state, lambda_rs=1.05 * state.lambda_rs)
+    assert ks_decoupled_exact(decoupled_sample(wide, RandomStream(13, 8), count),
+                              state) > 0.003
 
 
 # ---------------------------------------------------------------------------
