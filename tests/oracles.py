@@ -20,6 +20,9 @@ its one runtime path) by an independent route:
 - `precode_rzf` and `random_tas_rzf`: the ridge precoder with a residual
   contract, on all antennas or on a random subset; the descent's start is
   checked against `precode_rzf` on the support it keeps;
+- `exact_full_plane_minimum`: the global minimum of the precoding
+  objective on the full plane, by enumerating all 2^n supports, against
+  which the descent's objective and active fraction are measured;
 - `complex_normal_reference` and `decoupled_magnitudes`: the Gaussian draw
   and the decoupled |x| as whole-array expressions, which the package's
   in-place and chunked forms must match byte for byte;
@@ -358,3 +361,23 @@ def random_tas_rzf(problem: PrecodeProblem, eta_r: float, lam: float,
     r = problem.s - problem.H @ x
     obj = float(np.vdot(r, r).real + lam * np.vdot(x, x).real)
     return PrecodeResult(x=x, objective=obj, sweeps=0, converged=True)
+
+
+def exact_full_plane_minimum(problem: PrecodeProblem) -> tuple[float, int]:
+    """(minimum objective, support size) of ||s - Hx||^2 + lam ||x||^2
+    + lam0 nnz(x) on the full plane, lam > 0, over all 2^n supports.
+
+    For a fixed support S the ridge solution minimizes the rest, so
+        F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
+    solved for all masks in one batch; holding 2^n k x k systems at once
+    bounds n to the mid-teens."""
+    spec = problem.penalty
+    if spec.is_disk or not spec.lam > 0:
+        raise ValueError("the enumeration needs the full plane and lam > 0")
+    H, s, n, k = problem.H, problem.s, problem.n, problem.k
+    masks = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    A = spec.lam * np.eye(k) + np.einsum("ij,mj,lj->mil", H, masks, H.conj())
+    y = np.linalg.solve(A, np.broadcast_to(s[:, None], (2 ** n, k, 1)))[..., 0]
+    F = spec.lam * (y @ s.conj()).real + spec.lam0 * masks.sum(axis=1)
+    best = int(np.argmin(F))
+    return float(F[best]), int(masks[best].sum())

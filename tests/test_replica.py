@@ -40,6 +40,34 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
+# the Marchenko-Pastur R-transform R(w) = alpha/(1 - w)
+# ---------------------------------------------------------------------------
+
+def mp_r(alpha, chi):
+    """R(-chi) as the package evaluates it."""
+    return replica._mp_r(mp_params(alpha), chi)
+
+
+def test_mp_at_zero_equals_mean_eigenvalue():
+    assert mp_r(0.5, 0.0) == pytest.approx(0.5, rel=1e-15)
+    # kappa = 1/R(-chi) is the inverse mean eigenvalue at chi = 0
+    assert make_state(mp_params(0.5), 0.0, 0.5).kappa == pytest.approx(2.0, rel=1e-15)
+
+
+def test_mp_direct_substitution():
+    assert mp_r(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert mp_r(2.0, 3.0) == pytest.approx(0.5, rel=1e-15)
+    assert make_state(mp_params(2.0), 3.0, 0.5).kappa == pytest.approx(2.0, rel=1e-15)
+
+
+def test_mp_rejects_nonpositive_load():
+    with pytest.raises(ValueError):
+        mp_params(0.0)
+    with pytest.raises(ValueError):
+        mp_params(-1.0)
+
+
+# ---------------------------------------------------------------------------
 # one-step update
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
-"""Marchenko-Pastur closed forms of the replica state: R(w) = alpha/(1 - w),
-the decoupled input variance lambda_rs and the asymptotic distortion."""
+"""The replica state's Marchenko-Pastur closed forms of the decoupled input
+variance lambda_rs and the asymptotic distortion, checked against
+product-rule oracles built on R(w) = alpha/(1 - w) (whose own values
+`test_replica` checks)."""
 import numpy as np
 import pytest
 
@@ -28,25 +30,6 @@ def lambda_rs(alpha, chi, p, lam_s):
 def distortion(alpha, chi, p, lam_s):
     params = mp_params(alpha, lam_s)
     return replica._finalize(params, make_state(params, chi, p), 0.0, 0).distortion
-
-
-def test_mp_at_zero_equals_mean_eigenvalue():
-    assert mp_r(0.5, 0.0) == pytest.approx(0.5, rel=1e-15)
-    # kappa = 1/R(-chi) is the inverse mean eigenvalue at chi = 0
-    assert make_state(mp_params(0.5), 0.0, 0.5).kappa == pytest.approx(2.0, rel=1e-15)
-
-
-def test_mp_direct_substitution():
-    assert mp_r(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert mp_r(2.0, 3.0) == pytest.approx(0.5, rel=1e-15)
-    assert make_state(mp_params(2.0), 3.0, 0.5).kappa == pytest.approx(2.0, rel=1e-15)
-
-
-def test_mp_rejects_nonpositive_load():
-    with pytest.raises(ValueError):
-        mp_params(0.0)
-    with pytest.raises(ValueError):
-        mp_params(-1.0)
 
 
 # ---------------------------------------------------------------------------

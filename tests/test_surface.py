@@ -1,9 +1,12 @@
 """The runtime package holds no code that only tests use: every module-level
 function, class and constant of `lse_precoding` is referenced elsewhere in
-the package (an export through `__all__` alone does not count; one name is
-exempt), and every method and property of a package class is read by
-attribute name outside its own definition."""
+the package (one name is exempt), and every method and property of a
+package class is read by attribute name outside its own definition. The
+package itself defines only `__version__` and imports none of its modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lse_precoding
@@ -72,3 +75,18 @@ def test_every_method_and_property_has_a_package_user():
         if not any(sub.attr == own.name and id(sub) not in inside for sub in reads):
             unused.append(f"{cls}.{own.name}")
     assert unused == []
+
+
+def test_the_package_holds_only_its_version():
+    # a docstring, then `__version__ = "..."`, and nothing else
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert [target.id for target in body[1].targets] == ["__version__"]
+    # a fresh interpreter's `import lse_precoding` loads no submodule
+    code = ("import sys, lse_precoding; "
+            "print(sorted(m for m in sys.modules if m.startswith('lse_precoding.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
