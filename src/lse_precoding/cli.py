@@ -3,22 +3,22 @@
     lse <mode> [--config FILE] [--set section.key=value ...]
                [--out DIR] [--seed N]
 
-Modes: replica, sweep, simulate, compare, calibrate, saving, plot.
-`--set` items override file values; the mode, `--out` and `--seed` then
-override `[run] mode`, `out` and `seed`. Every run writes a manifest next
-to its outputs that reproduces the run byte for byte. Exit status 2 means
-the configuration or a plot's input CSV was rejected or could not be read
-(missing, a directory, not UTF-8), or an output could not be written; 1
-that a solver gave up on it (no fixed point found, or the targets are not
-achievable).
+Modes: replica (with calibration targets, the calibration report), sweep
+(its CSVs and their SVG figure), simulate, compare, saving. `--set` items
+override file values; the mode, `--out` and `--seed` then override
+`[run] mode`, `out` and `seed`. Every run writes a manifest next to its
+outputs that reproduces the run byte for byte. Exit status 2 means the
+configuration was rejected or could not be read (missing, a directory,
+not UTF-8), or an output could not be written; 1 that a solver gave up on
+it (no fixed point found, or the targets are not achievable).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .experiments import (_RUNNERS, ConfigError, ExperimentConfig, SchemaError,
-                          _assign, apply_overrides, load_config, run)
+from .experiments import (_RUNNERS, ConfigError, ExperimentConfig, _assign,
+                          apply_overrides, load_config, run)
 from .replica import NoConvergenceError, NotAchievableError
 
 
@@ -48,9 +48,6 @@ def main(argv=None) -> int:
         written = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergenceError, NotAchievableError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
-"""Experiment driver: config files, replica sweeps, replica-vs-simulation
-comparison reports, antenna-saving studies, CSV and SVG text.
+"""Experiment driver: config files, replica points (with calibration
+targets, the calibration report), replica sweeps with their SVG figure,
+replica-vs-simulation comparison reports, antenna-saving studies, CSV and
+SVG text.
 
 Config files are line-oriented ``key = value`` text with section headers
 (INI); each key is declared once, on the `ExperimentConfig` field it sets,
-with its section, kind and default. Runners return their files' text; `run`
-alone writes them, into a directory it makes before the mode runs, next to
-a manifest with the fully resolved configuration. Re-running any mode from
-the manifest reproduces the outputs byte for byte (no timestamps, fixed
-float formatting, trial results independent of the thread count).
+with its section, kind and default. The config is the only input the
+package reads. Runners return their files' text; `run` alone writes them,
+into a directory it makes before the mode runs, next to a manifest with
+the fully resolved configuration. Re-running any mode from the manifest
+reproduces the outputs byte for byte (no timestamps, fixed float
+formatting, trial results independent of the thread count).
 """
 from __future__ import annotations
 
@@ -39,10 +42,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-class SchemaError(ValueError):
-    """Malformed or unreadable CSV input for plotting."""
-
-
 SWEEP_COLUMNS = ("alpha_inverse", "lambda", "lambda0", "chi", "p", "eta",
                  "papr_db", "distortion_db", "residual", "iterations")
 SAVING_COLUMNS = ("alpha_inverse", "papr_db", "eta_target", "distortion_db",
@@ -65,7 +64,7 @@ def db10(x: float) -> float:
 
 def _key(section: str, key: str, kind, default=None):
     """A config field, set by ``key`` in ``[section]`` and parsed as kind (a
-    type, or "grid", "floats" or "strings"); manifests list it in field order."""
+    type, or "grid" or "floats"); manifests list it in field order."""
     return field(default=default, metadata={"ini": (section, key, kind)})
 
 
@@ -100,9 +99,6 @@ class ExperimentConfig:
     damping: float = _key("solver", "damping", float, 0.5)
     solver_tol: float = _key("solver", "tol", float, 1e-12)
     max_iter: int = _key("solver", "max_iter", int, 100_000)
-
-    plot_inputs: tuple = _key("plot", "inputs", "strings", ())
-    plot_title: str = _key("plot", "title", str, "")
 
     def solver_opts(self) -> dict:
         return dict(damping=self.damping, tol=self.solver_tol,
@@ -157,8 +153,6 @@ def _convert(kind, raw: str):
         return _parse_grid(raw)
     if kind == "floats":
         return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
-    if kind == "strings":
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     return _finite(raw) if kind is float else kind(raw)
 
 
@@ -199,18 +193,15 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
     return cfg
 
 
-def _read_text(path: str, error) -> str:
-    """The UTF-8 text of path; error("<path>: <reason>") where the file
-    cannot be opened or decoded."""
+def load_config(path: str) -> ExperimentConfig:
+    """The config of the INI file at path; ConfigError("<path>: <reason>")
+    where the file cannot be opened or decoded as UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return parse_config(_read_text(path, ConfigError), path)
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return parse_config(text, path)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
@@ -238,10 +229,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if getattr(cfg, key) != only:
             raise ConfigError(f"[simulation] {key} takes only {only!r}, "
                               f"got {getattr(cfg, key)!r}")
-    if cfg.mode == "plot":
-        if not cfg.plot_inputs:
-            raise ConfigError("plot mode needs [plot] inputs")
-        return
     if not cfg.alpha_inverse:
         raise ConfigError("alpha_inverse grid is empty")
     if not all(a > 0 for a in cfg.alpha_inverse) or not cfg.lambda_s > 0:
@@ -254,11 +241,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     targets = cfg.uses_targets or cfg.eta_target is not None or bool(cfg.eta_targets)
     if direct and targets:
         raise ConfigError("give either direct weights or calibration targets, not both")
-    if cfg.mode in ("calibrate", "sweep", "saving"):
+    if cfg.mode in ("sweep", "saving"):
         if not targets:
             raise ConfigError(f"{cfg.mode} mode needs calibration targets")
-        if cfg.mode in ("sweep", "saving") and not cfg.eta_targets \
-                and cfg.eta_target is None:
+        if not cfg.eta_targets and cfg.eta_target is None:
             raise ConfigError(f"{cfg.mode} mode needs eta_target or eta_targets")
     if not direct and not targets:
         raise ConfigError("give direct weights or calibration targets")
@@ -287,7 +273,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if tags.index(tag) < i:
                 raise ConfigError(f"{key} {values[tags.index(tag)]!r} and {values[i]!r} "
                                   "print alike in the sweep's CSV names")
-    if cfg.mode in ("replica", "simulate", "compare", "calibrate"):
+    if cfg.mode in ("replica", "simulate", "compare"):
         if len(cfg.alpha_inverse) != 1:
             raise ConfigError(f"{cfg.mode} mode needs a single alpha_inverse")
         if targets and cfg.eta_target is None:
@@ -410,7 +396,7 @@ def operating_point(cfg: ExperimentConfig, alpha_inverse: float,
     else:
         power = bound if bound < cfg.p_target * (1 - 1e-9) else cfg.p_target
         base = replace(base, penalty=PenaltySpec(peak_power=power / eta_target))
-        sol, lam, lam0 = solve_constant_envelope(base, power, eta_target)
+        lam, lam0, sol = solve_constant_envelope(base, power, eta_target)
         status = "peak-clamped" if power < cfg.p_target else "ok"
     penalty = replace(base.penalty, lam=lam, lam0=lam0)
     return OperatingPoint(replace(base, penalty=penalty), sol, status)
@@ -445,14 +431,6 @@ def csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def read_csv(path: str):
-    rows = list(csv.reader(io.StringIO(_read_text(path, SchemaError))))
-    if not rows:
-        raise SchemaError(f"{path}: empty CSV")
-    header, data = rows[0], rows[1:]
-    return header, data
-
-
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
@@ -463,8 +441,9 @@ def _header_lines(pt: OperatingPoint) -> list[str]:
 
 
 def run_replica_point(cfg: ExperimentConfig) -> dict:
-    """Fixed-point solve at the single configured load; replica mode reports
-    in replica.txt, calibrate mode the same report in calibration.txt."""
+    """Fixed-point solve at the single configured load, reported in
+    replica.txt: at the direct weights, or at the weights calibrated to
+    the targets (the calibration report)."""
     pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
                          cfg.papr_db_target)
     sol = pt.solution
@@ -485,12 +464,14 @@ def run_replica_point(cfg: ExperimentConfig) -> dict:
         f"residual = {_fmt(sol.residual)}",
         f"iterations = {sol.iterations}",
     ]
-    name = "calibration" if cfg.mode == "calibrate" else "replica"
-    return {name: (f"{name}.txt", "\n".join(lines) + "\n")}
+    return {"replica": ("replica.txt", "\n".join(lines) + "\n")}
 
 
 def run_replica_sweep(cfg: ExperimentConfig) -> dict:
-    """One CSV per (eta target, papr target) curve over the load grid."""
+    """One CSV per (eta target, papr target) curve over the load grid, and
+    plot.svg, whose polylines, in CSV order, draw each curve's rows with
+    status ok or peak-clamped and a finite distortion_db. A curve with no
+    such row is left out, and a sweep with none writes no plot.svg."""
     def row(ainv, eta_t, pt):
         sol = pt.solution
         return pt.weights + (sol.state.chi, sol.state.p, sol.eta, db10(sol.papr),
@@ -501,8 +482,19 @@ def run_replica_sweep(cfg: ExperimentConfig) -> dict:
             cfg, row, (math.nan,) * 8 + (0,)):
         tag = _curve_tag(eta_t, papr_db)
         curves.setdefault(tag, []).append(((ainv,) + values, status))
-    return {tag: (f"sweep_{tag}.csv", csv_text(SWEEP_COLUMNS, rows))
-            for tag, rows in curves.items()}
+    files = {tag: (f"sweep_{tag}.csv", csv_text(SWEEP_COLUMNS, rows))
+             for tag, rows in curves.items()}
+    drawn = []
+    for tag, rows in curves.items():
+        # (alpha_inverse, distortion_db) of the drawable rows
+        points = [(v[0], v[7]) for v, status in rows
+                  if status in ("ok", "peak-clamped") and math.isfinite(v[7])]
+        if points:
+            drawn.append((f"sweep_{tag}.csv", *zip(*points)))
+    if drawn:
+        files["plot"] = ("plot.svg", plot_svg(
+            drawn, f"distortion vs inverse load, power {cfg.p_target:g}"))
+    return files
 
 
 # the four observables of a Monte Carlo report and their replica values
@@ -637,47 +629,13 @@ def run_antenna_saving(cfg: ExperimentConfig) -> dict:
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#e377c2")
-# XML character data; `html.escape` would import the html.entities table
-_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
-def _curve_from_csv(path: str):
-    header, data = read_csv(path)
-    try:
-        xi = header.index("alpha_inverse")
-        yi = header.index("distortion_db")
-        si = header.index("status") if "status" in header else None
-    except ValueError as exc:
-        raise SchemaError(f"{path}: missing required column") from exc
-    xs, ys = [], []
-    for number, row in enumerate(data, start=2):
-        if len(row) < len(header):
-            raise SchemaError(f"{path}: row {number} has {len(row)} of "
-                              f"{len(header)} cells")
-        if si is not None and row[si] != "ok" and not row[si].startswith("peak-clamped"):
-            continue
-        try:
-            x, y = float(row[xi]), float(row[yi])
-        except ValueError as exc:
-            raise SchemaError(f"{path}: non-numeric row {row!r}") from exc
-        if math.isfinite(x) and math.isfinite(y):
-            xs.append(x)
-            ys.append(y)
-    if not xs:
-        raise SchemaError(f"{path}: no plottable rows")
-    return xs, ys
-
-
-def plot_svg(csv_paths, title: str = "") -> str:
-    """Deterministic SVG: one polyline per CSV, axes in inverse load and
-    distortion dB, legend from file names. The title and the names are
-    written with &, < and > escaped. Identical inputs give identical
-    bytes."""
-    if not csv_paths:
-        raise SchemaError("no input CSVs")
-    curves = [(os.path.basename(p).translate(_XML_TEXT), *_curve_from_csv(p))
-              for p in csv_paths]
-    title = title.translate(_XML_TEXT)
+def plot_svg(curves, title: str) -> str:
+    """Deterministic SVG: one polyline per curve (name, xs, ys), axes in
+    inverse load and distortion dB, legend from the names. The names and
+    the title are written as given, so they must hold no XML markup.
+    Identical curves give identical bytes."""
     width, height = 640.0, 480.0
     ml, mr, mt, mb = 60.0, 160.0, 30.0, 45.0
     xs_all = [x for _, xs, _ in curves for x in xs]
@@ -717,9 +675,8 @@ def plot_svg(csv_paths, title: str = "") -> str:
     parts.append(f'<text x="16" y="{(mt + height - mb) / 2:.1f}" font-size="13" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{(mt + height - mb) / 2:.1f})">D in [dB]</text>')
-    if title:
-        parts.append(f'<text x="{(ml + width - mr) / 2:.1f}" y="20" '
-                     f'font-size="14" text-anchor="middle">{title}</text>')
+    parts.append(f'<text x="{(ml + width - mr) / 2:.1f}" y="20" '
+                 f'font-size="14" text-anchor="middle">{title}</text>')
     for i, (name, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
@@ -735,19 +692,13 @@ def plot_svg(csv_paths, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def run_plot(cfg: ExperimentConfig) -> dict:
-    return {"plot": ("plot.svg", plot_svg(cfg.plot_inputs, cfg.plot_title))}
-
-
 # mode -> runner; each runner returns {name: (file name, text)} of its files
 _RUNNERS = {
     "replica": run_replica_point,
     "sweep": run_replica_sweep,
     "simulate": run_simulate,
     "compare": run_compare,
-    "calibrate": run_replica_point,
     "saving": run_antenna_saving,
-    "plot": run_plot,
 }
 
 

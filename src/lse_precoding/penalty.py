@@ -1,6 +1,6 @@
 """Per-antenna penalty functions and the exact scalar prox at one weight.
 
-The shipped family is u(v) = lam |v|^2 + lam0 1{v != 0} over a transmit
+The one penalty is u(v) = lam |v|^2 + lam0 1{v != 0} over a transmit
 support that is either the whole complex plane or, when the spec carries a
 peak power P, the disk of radius sqrt(P). Its prox at weight c has a
 closed four-branch form (shrink, drop, or clip to the rim), a rule that

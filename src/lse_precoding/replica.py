@@ -191,22 +191,18 @@ def decoupled_sample(state: ReplicaState, stream: RandomStream,
 # calibration to target constraints
 # ---------------------------------------------------------------------------
 
-def _response(params: SystemParams, p: float, decoupled):
-    """Self-consistent response at power p: chi solves chi R(-chi) = m,
-    where (m, extra) = decoupled(lambda_rs) and m = E Re{x* s}/lambda_rs of
-    the decoupled symbol at unit prox weight.
+def _chi_of(params: SystemParams, m: float, p: float) -> float:
+    """The response chi that solves chi R(-chi) = m, where m = E Re{x* s} /
+    lambda_rs of the decoupled symbol at unit prox weight and power p.
 
-    Under Marchenko-Pastur lambda_rs = (lambda_s + p)/alpha depends on p
-    only and chi R(-chi) = alpha chi/(1 + chi), so chi = m/(alpha - m).
-    Returns (chi, lambda_rs, extra). Raises NotAchievableError when
-    m >= alpha, the supremum of chi R(-chi).
+    Under Marchenko-Pastur chi R(-chi) = alpha chi/(1 + chi), so
+    chi = m/(alpha - m). Raises NotAchievableError when m >= alpha, the
+    supremum of chi R(-chi).
     """
-    lrs = (params.lambda_s + p) / params.alpha
-    m, extra = decoupled(lrs)
     if m >= params.alpha:
         raise NotAchievableError(
             f"no response chi solves chi R(-chi) = {m:.6g} at power {p}")
-    return m / (params.alpha - m), lrs, extra
+    return m / (params.alpha - m)
 
 
 def _check_targets(p_star: float, eta_star: float) -> None:
@@ -220,23 +216,21 @@ def _check_targets(p_star: float, eta_star: float) -> None:
 
 def solve_constant_envelope(params: SystemParams, p_star: float,
                             eta_star: float
-                            ) -> tuple[ReplicaSolution, float, float]:
-    """Boundary solution where every active antenna transmits at the peak.
+                            ) -> tuple[float, float, ReplicaSolution]:
+    """Boundary solution where every active antenna transmits at the peak,
+    as (lam, lam0, solution) in the order of `calibrate`.
 
     Feasibility of a disk penalty requires p <= eta * P; on that boundary
     the shrink branch is empty, the peak is P = p_star / eta_star, and the
     active fraction pins the rim threshold directly: eta = exp(-tau_hat^2 /
-    lambda_rs). The remaining self-consistency in chi is `_response`.
+    lambda_rs). The remaining self-consistency in chi is `_chi_of`.
     Raises NotAchievableError for the targets `_check_targets` rejects.
     """
     _check_targets(p_star, eta_star)
-
-    def rim(lrs):
-        tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
-        t = constant_envelope_rule(p_star / eta_star, tau_hat)
-        return gaussian_law(t, lrs)[1], t
-
-    chi, lrs, t = _response(params, p_star, rim)
+    lrs = (params.lambda_s + p_star) / params.alpha
+    tau_hat = math.sqrt(lrs * math.log(1.0 / eta_star)) if eta_star < 1 else 0.0
+    t = constant_envelope_rule(p_star / eta_star, tau_hat)
+    chi = _chi_of(params, gaussian_law(t, lrs)[1], p_star)
     kappa = 1.0 / _mp_r(params, chi)
     # back out a representable weight pair when the branch geometry allows it
     if t.tau_hat >= t.radius:
@@ -248,7 +242,7 @@ def solve_constant_envelope(params: SystemParams, p_star: float,
     d = (params.lambda_s + p_star) / (1.0 + chi) ** 2
     sol = ReplicaSolution(state=state, distortion=d, eta=eta_star,
                           papr=t.peak / p_star, residual=0.0, iterations=0)
-    return sol, lam, lam0
+    return lam, lam0, sol
 
 
 def _root_of_decreasing(f, target: str) -> float:
@@ -298,40 +292,39 @@ def _invert_targets(params: SystemParams, p_star: float,
     """Penalty weights (lam, lam0) whose replica state has power p_star and
     active fraction eta_star on the support of params.penalty.
 
-    At a given lambda_rs the decoupled law depends on the weights only
-    through b = 1 + kappa lam and L0 = kappa lam0, which are the weights
-    of the same prox at unit weight. eta_star fixes L0 for each b (eta
-    falls as L0 grows), then p_star fixes b (power falls as b grows), and
-    `_response` gives chi and kappa = 1/R(-chi). Raises NotAchievableError
-    when the power target needs b < 1 (a negative quadratic weight) or no
-    chi is self-consistent.
+    At the target power lambda_rs = (lambda_s + p_star)/alpha, and the
+    decoupled law depends on the weights only through b = 1 + kappa lam
+    and L0 = kappa lam0, which are the weights of the same prox at unit
+    weight. eta_star fixes L0 for each b (eta falls as L0 grows), then
+    p_star fixes b (power falls as b grows), and `_chi_of` gives chi and
+    kappa = 1/R(-chi). Raises NotAchievableError when the power target
+    needs b < 1 (a negative quadratic weight) or no chi is
+    self-consistent.
     """
+    lrs = (params.lambda_s + p_star) / params.alpha
+
     def unit(b, l0):
         return thresholds(replace(params.penalty, lam=b - 1.0, lam0=l0), 1.0)
 
-    def decoupled(lrs):
-        def l0_for(b):
-            if eta_star == 1.0:
-                return 0.0
-            # on the scale L0 / lambda_rs
-            return lrs * _root_of_decreasing(
-                lambda u: gaussian_law(unit(b, lrs * u), lrs)[2] - eta_star,
-                f"active fraction {eta_star}")
+    def l0_for(b):
+        if eta_star == 1.0:
+            return 0.0
+        # on the scale L0 / lambda_rs
+        return lrs * _root_of_decreasing(
+            lambda u: gaussian_law(unit(b, lrs * u), lrs)[2] - eta_star,
+            f"active fraction {eta_star}")
 
-        def power_gap(logb):
-            b = math.exp(logb)
-            return gaussian_law(unit(b, l0_for(b)), lrs)[0] - p_star
+    def power_gap(logb):
+        b = math.exp(logb)
+        return gaussian_law(unit(b, l0_for(b)), lrs)[0] - p_star
 
-        if power_gap(0.0) < 0:
-            raise NotAchievableError(
-                f"power {p_star} exceeds the unpenalized decoupled power at "
-                f"active fraction {eta_star}")
-        b = math.exp(_root_of_decreasing(power_gap, f"power {p_star}"))
-        l0 = l0_for(b)
-        return gaussian_law(unit(b, l0), lrs)[1], (b, l0)
-
-    chi, _, (b, l0) = _response(params, p_star, decoupled)
-    r = _mp_r(params, chi)
+    if power_gap(0.0) < 0:
+        raise NotAchievableError(
+            f"power {p_star} exceeds the unpenalized decoupled power at "
+            f"active fraction {eta_star}")
+    b = math.exp(_root_of_decreasing(power_gap, f"power {p_star}"))
+    l0 = l0_for(b)
+    r = _mp_r(params, _chi_of(params, gaussian_law(unit(b, l0), lrs)[1], p_star))
     return (b - 1.0) * r, l0 * r
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import re
@@ -13,12 +14,11 @@ import pytest
 import lse_precoding
 from lse_precoding import cli, experiments
 from lse_precoding.experiments import (ConfigError, ExperimentConfig,
-                                       SchemaError, apply_overrides,
-                                       csv_text, load_config, manifest_text,
+                                       apply_overrides, csv_text,
+                                       load_config, manifest_text,
                                        match_random_selection,
                                        operating_point, parse_config,
-                                       plot_svg, read_csv, run,
-                                       validate_config)
+                                       plot_svg, run, validate_config)
 from lse_precoding.numerics import RandomStream, ks_distance
 from lse_precoding.penalty import PenaltySpec
 from lse_precoding.replica import (NotAchievableError, SystemParams,
@@ -27,6 +27,14 @@ from lse_precoding.replica import (NotAchievableError, SystemParams,
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # calibration targets p = 0.5 at lambda_s = 1 on the full plane
 TARGETS = ExperimentConfig(p_target=0.5)
+
+
+def read_csv(path):
+    """(header, data rows) of a CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
 
 BASE = """
 [run]
@@ -203,7 +211,7 @@ _OWN_RULE = {"papr_db_targets": "must be >= 0 dB", "papr_db_target": "must be >=
     ("replica", "solver.damping=0"),
     ("replica", "solver.damping=1.5"),
     ("replica", "solver.tol=-1e-12"),
-    ("calibrate", "solver.max_iter=0"),
+    ("replica", "solver.max_iter=0"),
     ("compare", "simulation.tol=-1e-10"),
     ("compare", "simulation.max_sweeps=0"),
     ("simulate", "simulation.restarts=0"),
@@ -211,14 +219,13 @@ _OWN_RULE = {"papr_db_targets": "must be >= 0 dB", "papr_db_target": "must be >=
     ("simulate", "simulation.init=zero"),
     ("simulate", "simulation.init=greedy"),
     ("replica", "simulation.restarts=2"),
-    ("plot", "simulation.init=zero"),
     ("simulate", "simulation.zero_eps=-1"),
     ("sweep", [DISK, "penalty.papr_db_targets=3,-1"]),
-    ("calibrate", [DISK, "penalty.papr_db_target=-1"]),
+    ("replica", [DISK, "penalty.papr_db_target=-1"]),
     ("replica", [DISK, "penalty.peak_power=0"]),
-    ("calibrate", "penalty.p_target=-1"),
-    ("calibrate", "penalty.p_target=0"),
-    ("calibrate", "penalty.eta_target=0"),
+    ("replica", "penalty.p_target=-1"),
+    ("replica", "penalty.p_target=0"),
+    ("replica", "penalty.eta_target=0"),
     ("replica", "penalty.eta_target=1.5"),
     ("sweep", "penalty.eta_targets=0.5,1.5"),
     ("saving", "penalty.eta_targets=0,0.5"),
@@ -229,7 +236,7 @@ _OWN_RULE = {"papr_db_targets": "must be >= 0 dB", "papr_db_target": "must be >=
         "zero_damping", "damping_above_one", "negative_solver_tol",
         "zero_max_iter", "negative_sim_tol", "zero_max_sweeps",
         "zero_restarts", "four_restarts", "zero_init", "greedy_init",
-        "replica_two_restarts", "plot_zero_init", "negative_zero_eps",
+        "replica_two_restarts", "negative_zero_eps",
         "negative_papr_db_targets",
         "negative_papr_db_target", "zero_peak_power", "negative_p_target",
         "zero_p_target", "zero_eta_target", "eta_target_above_one",
@@ -256,15 +263,12 @@ DIRECT = BASE.replace("p_target = 0.5\neta_target = 0.5", "lambda = 0.1\nlambda0
 
 
 @pytest.mark.parametrize("text, mode, message", [
-    (DIRECT, "calibrate", "calibrate mode needs calibration targets"),
     (DIRECT, "sweep", "sweep mode needs calibration targets"),
     (DIRECT, "saving", "saving mode needs calibration targets"),
     (BASE.replace("eta_target =", "eta_targets ="), "replica",
      "replica mode needs eta_target"),
-    (BASE, "plot", "plot mode needs [plot] inputs"),
-], ids=["calibrate_without_targets", "sweep_without_targets",
-        "saving_without_targets", "single_load_with_eta_targets_only",
-        "plot_without_inputs"])
+], ids=["sweep_without_targets", "saving_without_targets",
+        "single_load_with_eta_targets_only"])
 def test_validate_names_the_missing_setting(text, mode, message):
     cfg = parse_config(text)
     cfg.mode = mode
@@ -375,8 +379,7 @@ _EVERY_KEY = ExperimentConfig(
     peak_power=3.0, p_target=0.4, eta_target=0.3, papr_db_target=4.0,
     eta_targets=(1.0, 0.5), papr_db_targets=(3.0, 6.0), n=64, trials=6,
     zero_eps=1e-8, max_sweeps=50, sim_tol=1e-9, restarts=2, init="zero",
-    damping=0.7, solver_tol=1e-11, max_iter=500, plot_inputs=("a.csv", "b.csv"),
-    plot_title="every key")
+    damping=0.7, solver_tol=1e-11, max_iter=500)
 
 
 def test_manifest_writes_every_key_in_schema_order():
@@ -389,8 +392,7 @@ def test_manifest_writes_every_key_in_schema_order():
         "eta_targets = 1,0.5\npapr_db_targets = 3,6\n\n"
         "[simulation]\nn = 64\ntrials = 6\nzero_eps = 1e-08\nmax_sweeps = 50\n"
         "tol = 1e-09\nrestarts = 2\ninit = zero\n\n"
-        "[solver]\ndamping = 0.7\ntol = 1e-11\nmax_iter = 500\n\n"
-        "[plot]\ninputs = a.csv,b.csv\ntitle = every key\n\n")
+        "[solver]\ndamping = 0.7\ntol = 1e-11\nmax_iter = 500\n\n")
     assert parse_config(text) == replace(_EVERY_KEY, out=ExperimentConfig().out)
 
 
@@ -439,10 +441,10 @@ def test_manifest_skips_execution_knobs():
     assert {"restarts = 1", "init = auto"} <= set(simulation.splitlines())
 
 
-# mode, config text (None: a plot of a BASE sweep) and the flags of a first
-# run, which a rerun from its manifest.cfg must reproduce byte for byte. The
-# sweep grid holds points (1.7) that start + i * step misses by an ulp, and
-# the replica lambda has more digits than the outputs print.
+# mode, config text and the flags of a first run, which a rerun from its
+# manifest.cfg must reproduce byte for byte. The sweep grid holds points
+# (1.7) that start + i * step misses by an ulp, and the replica lambda has
+# more digits than the outputs print.
 _DIRECT_WEIGHTS = BASE.replace("p_target = 0.5\neta_target = 0.5",
                                "lambda = 0.1234567890123456\nlambda0 = 0.05")
 
@@ -450,21 +452,13 @@ _DIRECT_WEIGHTS = BASE.replace("p_target = 0.5\neta_target = 0.5",
 @pytest.mark.parametrize("mode, text, flags", [
     ("replica", BASE, []),
     ("replica", _DIRECT_WEIGHTS, []),
-    ("calibrate", BASE, []),
     ("sweep", BASE, ["--set", "system.alpha_inverse=1.0:0.1:1.7",
                      "--set", "penalty.eta_targets=1.0,0.5,0.3"]),
     ("saving", BASE, []),
     ("simulate", BASE, ["--set", "simulation.n=32", "--set", "simulation.trials=3"]),
-    ("plot", None, []),
-], ids=["replica_targets", "replica", "calibrate", "sweep", "saving",
-        "simulate", "plot"])
+], ids=["replica_targets", "replica", "sweep", "saving", "simulate"])
 def test_every_mode_reruns_from_manifest_byte_identical(tmp_path, mode, text, flags):
     ini = tmp_path / "run.ini"
-    if text is None:
-        ini.write_text(BASE)
-        assert cli.main(["sweep", "--config", str(ini),
-                         "--out", str(tmp_path / "sweep")]) == 0
-        text = f"[plot]\ninputs = {tmp_path / 'sweep' / 'sweep_eta0.5.csv'}\n"
     ini.write_text(text)
     first, rerun = tmp_path / "first", tmp_path / "rerun"
     assert cli.main([mode, "--config", str(ini), "--out", str(first)] + flags) == 0
@@ -550,6 +544,9 @@ def test_sweep_peak_power_rows_match_papr_target_rows(tmp_path):
         assert read_csv(str(tmp_path / "peak" / f"sweep_eta{eta}.csv")) == by_papr
     # the last eta, 0.3, has p = 0.5 > eta * P = 0.299
     assert [row[-1] for row in by_papr[1]] == ["peak-clamped"] * 2
+    # and the figure draws the peak-clamped rows with the ok ones
+    svg = (tmp_path / "papr" / "plot.svg").read_text()
+    assert [len(pts.split()) for pts in re.findall(r'points="([^"]*)"', svg)] == [2, 2]
 
 
 def _boundary_run(tmp_path, mode, eta_target):
@@ -560,7 +557,7 @@ def _boundary_run(tmp_path, mode, eta_target):
                    + "papr_db_target = 0\n\n[simulation]\nn = 32\ntrials = 2\n")
     out = tmp_path / "out"
     rc = cli.main([mode, "--config", str(ini), "--out", str(out)])
-    name = {"calibrate": "calibration", "simulate": "simulation"}.get(mode, mode)
+    name = {"simulate": "simulation"}.get(mode, mode)
     path = out / f"{name}.txt"
     report = dict(line.split(" = ") for line in path.read_text().splitlines()) \
         if path.exists() else None
@@ -569,7 +566,7 @@ def _boundary_run(tmp_path, mode, eta_target):
 
 def test_calibrate_below_the_boundary_is_peak_clamped(tmp_path):
     # p = 0.5 with half the antennas at P = p: the boundary transmits eta P
-    rc, report = _boundary_run(tmp_path, "calibrate", 0.5)
+    rc, report = _boundary_run(tmp_path, "replica", 0.5)
     assert rc == 0
     assert report["status"] == "peak-clamped"
     assert float(report["p"]) == pytest.approx(0.25, rel=1e-12)
@@ -675,79 +672,62 @@ def test_saving_mode_csv(tmp_path):
 # plotting
 # ---------------------------------------------------------------------------
 
-def _tiny_csv(tmp_path, name="c.csv", rows=((1.0, -10.0), (2.0, -12.0))):
-    data = [((ainv, 0.1, 0.0, 1.0, 0.5, 1.0, math.inf, ddb, 0.0, 3), "ok")
-            for ainv, ddb in rows]
-    cols = ("alpha_inverse", "lambda", "lambda0", "chi", "p", "eta",
-            "papr_db", "distortion_db", "residual", "iterations")
-    path = tmp_path / name
-    path.write_text(csv_text(cols, data))
-    return str(path)
+# one curve (name, xs, ys) of two points
+_TINY = [("c.csv", (1.0, 2.0), (-10.0, -12.0))]
 
 
-def test_emit_plot_single_polyline(tmp_path):
-    text = plot_svg([_tiny_csv(tmp_path)])
+def test_emit_plot_single_polyline():
+    text = plot_svg(_TINY, "t")
     assert text.count("<polyline") == 1
     pts = text.split('points="')[1].split('"')[0].split()
     assert len(pts) == 2
 
 
-def test_emit_plot_empty_inputs():
-    with pytest.raises(SchemaError):
-        plot_svg([])
+def _sweep(tmp_path, eta_targets):
+    """`lse sweep` of BASE at two loads and the given eta targets; its
+    output directory."""
+    ini = tmp_path / "base.ini"
+    ini.write_text(BASE)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(ini),
+                     "--set", "system.alpha_inverse=1.5,2.0",
+                     "--set", f"penalty.eta_targets={eta_targets}",
+                     "--out", str(out)]) == 0
+    return out
 
 
-def test_emit_plot_missing_column(tmp_path):
-    bad = str(tmp_path / "bad.csv")
-    with open(bad, "w") as fh:
-        fh.write("x,y\n1,2\n")
-    with pytest.raises(SchemaError):
-        plot_svg([bad])
-
-
-def test_emit_plot_escapes_title_and_legend(tmp_path):
-    # &, < and > in the title or a CSV name still give well-formed XML
-    path = _tiny_csv(tmp_path, name="eta&papr.csv")
-    svg = plot_svg([path], title="D < 0 dB & p = 0.5")
-    texts = [el.text for el in ET.fromstring(svg)
-             .iter("{http://www.w3.org/2000/svg}text")]
-    assert "D < 0 dB & p = 0.5" in texts
-    assert "eta&papr.csv" in texts
-
-
-@pytest.mark.parametrize("content, reason", [
-    (None, "No such file or directory"),
-    (b"x,y\n1,2\n", "missing required column"),
-    (b"alpha_inverse,distortion_db\n1,\xff\n", "can't decode byte 0xff"),
-    (b"alpha_inverse,distortion_db\n1.0,-3\n1.0\n", "row 3 has 1 of 2 cells"),
-    (b"alpha_inverse,distortion_db\n\n1.0,-3\n", "row 2 has 0 of 2 cells"),
-    (b"", "empty CSV"),
-    (b"alpha_inverse,distortion_db\n1.0,-3\n1.5,low\n", "non-numeric row"),
-    (b"alpha_inverse,distortion_db\n1.0,nan\ninf,-3\n", "no plottable rows"),
-], ids=["missing_file", "missing_column", "not_utf8", "short_row", "blank_line",
-        "empty_file", "non_numeric_cell", "no_plottable_rows"])
-def test_plot_bad_input_exits_2_naming_the_file(tmp_path, capsys, content,
-                                                 reason):
-    csv_path = tmp_path / "curve.csv"
-    if content is not None:
-        csv_path.write_bytes(content)
-    rc = cli.main(["plot", "--set", f"plot.inputs={csv_path}",
-                   "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("input error: ") and len(err.splitlines()) == 1
-    assert str(csv_path) in err and reason in err
+def test_emit_plot_empty_inputs(tmp_path):
+    # every row is an error row: the CSV is written, the figure is not
+    out = _sweep(tmp_path, "1e-100")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.cfg",
+                                                      "sweep_eta1e-100.csv"]
 
 
 def test_plot_skips_error_rows(tmp_path):
     # a point the solver could not take is an error row, and no curve
-    # passes through it; ok and peak-clamped rows are drawn
-    path = tmp_path / "curve.csv"
-    path.write_text("alpha_inverse,distortion_db,status\n1.0,-3,ok\n"
-                    "1.5,-4,error: no crossing above the feasibility floor\n"
-                    "2.0,-5,peak-clamped\n")
-    svg = plot_svg([str(path)])
-    assert len(svg.split('points="')[1].split('"')[0].split()) == 2
+    # passes through it: one polyline, one point per drawable row
+    out = _sweep(tmp_path, "0.5,1e-100")
+    header, data = read_csv(str(out / "sweep_eta0.5.csv"))
+    drawable = [row for row in data if row[-1] in ("ok", "peak-clamped")
+                and math.isfinite(float(row[header.index("distortion_db")]))]
+    svg = (out / "plot.svg").read_text()
+    ET.fromstring(svg)
+    assert svg.count("<polyline") == 1
+    assert len(svg.split('points="')[1].split('"')[0].split()) == len(drawable) == 2
+    assert "sweep_eta0.5.csv" in svg and "sweep_eta1e-100.csv" not in svg
+    assert "distortion vs inverse load, power 0.5</text>" in svg
+
+
+def test_plot_section_is_an_unknown_key(tmp_path, capsys):
+    # the figure comes with its sweep; a config that still names input
+    # CSVs is a config error
+    ini = tmp_path / "plot.ini"
+    ini.write_text("[plot]\ninputs = a.csv\n")
+    rc = cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and "plot.inputs" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
@@ -784,9 +764,8 @@ def test_unwritable_output_fails_before_the_mode_runs(tmp_path, capsys, monkeypa
     assert err.startswith(f"config error: cannot write {out}: ")
 
 
-def test_emit_plot_byte_identical(tmp_path):
-    path = _tiny_csv(tmp_path)
-    assert plot_svg([path]) == plot_svg([path])
+def test_emit_plot_byte_identical():
+    assert plot_svg(_TINY, "t") == plot_svg(_TINY, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -893,8 +872,7 @@ def test_fig1_configs_run_end_to_end(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["sweep", "--config", str(CONFIGS / "fig1.ini"),
                      "--set", "system.alpha_inverse=1.5,2.0"]) == 0
-    assert cli.main(["plot", "--config", str(CONFIGS / "fig1_plot.ini")]) == 0
-    svg = (tmp_path / "runs" / "fig1" / "plot" / "plot.svg").read_text()
+    svg = (tmp_path / "runs" / "fig1" / "plot.svg").read_text()
     assert svg.count("<polyline") == 3
     for name in ("sweep_eta1.csv", "sweep_eta0.5.csv", "sweep_eta0.3.csv"):
         _, data = read_csv(str(tmp_path / "runs" / "fig1" / name))
@@ -938,9 +916,9 @@ def test_unreachable_eta_target_is_a_solver_error(tmp_path, capsys):
     assert len(rows) == 2
     assert all(row[-1].startswith("error: active fraction 1e-100 ") for row in rows)
     capsys.readouterr()
-    assert cli.main(["calibrate", "--config", str(ini), "--set",
+    assert cli.main(["replica", "--config", str(ini), "--set",
                      "penalty.eta_target=1e-100",
-                     "--out", str(tmp_path / "calibrate")]) == 1
+                     "--out", str(tmp_path / "replica")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("solver error: active fraction 1e-100 ")
     assert len(err.splitlines()) == 1

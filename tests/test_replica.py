@@ -68,6 +68,45 @@ def test_mp_rejects_nonpositive_load():
 
 
 # ---------------------------------------------------------------------------
+# decoupled input variance
+# ---------------------------------------------------------------------------
+
+def central_diff(f, x, h=1e-5):
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def lambda_rs(alpha, chi, p, lam_s):
+    return make_state(mp_params(alpha, lam_s), chi, p).lambda_rs
+
+
+def test_lambda_rs_examples():
+    assert lambda_rs(0.5, 0.7, 0.5, 1.0) == pytest.approx(3.0, rel=1e-14)
+    assert lambda_rs(1.0, 2.3, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert lambda_rs(2.0, 5.0, 1.0, 2.0) == pytest.approx(1.5, rel=1e-14)
+
+
+def test_lambda_rs_mp_collapse():
+    # (lambda_s + p)/alpha for every chi, to machine precision
+    for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.3, 0.2), (1.0, 0.7, 2.0)):
+        expected = (lam_s + p) / alpha
+        for chi in np.linspace(0.0, 50.0, 201):
+            got = lambda_rs(alpha, float(chi), p, lam_s)
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_lambda_rs_matches_product_rule_oracle():
+    # finite difference of chi -> (lambda_s chi - p) R(-chi), independent of
+    # the closed form
+    alpha, lam_s, p, chi = 0.8, 1.2, 0.4, 0.9
+
+    def product(x):
+        return (lam_s * x - p) * mp_r(alpha, x)
+
+    expected = central_diff(product, chi) / mp_r(alpha, chi) ** 2
+    assert lambda_rs(alpha, chi, p, lam_s) == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # one-step update
 # ---------------------------------------------------------------------------
 
@@ -194,7 +233,7 @@ def test_decoupled_active_fraction_matches_eta():
 def test_decoupled_constant_envelope_state():
     # the 0 dB cap at p = 0.5, eta = 0.5 clamps to the boundary p = eta P
     # with P = 0.5: every active symbol sits on the rim
-    sol, _, _ = solve_constant_envelope(mp_params(0.5), 0.25, 0.5)
+    _, _, sol = solve_constant_envelope(mp_params(0.5), 0.25, 0.5)
     count = 10 ** 6
     out = decoupled_sample(sol.state, RandomStream(5, 4), count)
     active = out[out != 0]
@@ -220,7 +259,7 @@ SAMPLED_STATES = {
     "disk_3db": lambda: calibrate(mp_params(0.5, peak=10.0 ** 0.3 * 0.5),
                                   p_star=0.5, eta_star=0.7)[2].state,
     "constant_envelope_0db": lambda: solve_constant_envelope(
-        mp_params(0.5), 0.25, 0.5)[0].state,
+        mp_params(0.5), 0.25, 0.5)[2].state,
     "all_zero": lambda: make_state(mp_params(0.5, lam=0.0, lam0=500.0), 1.0, 0.5),
 }
 CHUNK = replica._SAMPLE_CHUNK
@@ -396,7 +435,7 @@ def test_calibrate_rejects_out_of_range_targets(monkeypatch, p_star, eta_star):
 
 def test_constant_envelope_all_antennas():
     # eta = 1 at the boundary is the all-at-peak limit: p = P
-    sol, lam, lam0 = solve_constant_envelope(mp_params(0.5), 0.5, 1.0)
+    lam, lam0, sol = solve_constant_envelope(mp_params(0.5), 0.5, 1.0)
     assert sol.eta == 1.0
     assert sol.papr == pytest.approx(1.0)
     assert sol.state.thresholds.tau_hat == 0.0
@@ -408,7 +447,7 @@ def test_constant_envelope_all_antennas():
 def test_constant_envelope_consistency_with_update():
     # the boundary state is an exact fixed point of the closed-form map
     params = mp_params(0.5)
-    sol, _, _ = solve_constant_envelope(params, 0.5, 0.5)
+    _, _, sol = solve_constant_envelope(params, 0.5, 0.5)
     p_new, chi_new = fixed_point_update(sol.state)
     assert p_new == pytest.approx(sol.state.p, abs=1e-10)
     assert chi_new == pytest.approx(sol.state.chi, abs=1e-10)

@@ -1,7 +1,6 @@
-"""The replica state's Marchenko-Pastur closed forms of the decoupled input
-variance lambda_rs and the asymptotic distortion, checked against
-product-rule oracles built on R(w) = alpha/(1 - w) (whose own values
-`test_replica` checks)."""
+"""The replica state's Marchenko-Pastur closed form of the asymptotic
+distortion, checked against product-rule oracles built on R(w) =
+alpha/(1 - w) (whose own values `test_replica` checks)."""
 import numpy as np
 import pytest
 
@@ -23,44 +22,9 @@ def mp_r(alpha, chi):
     return replica._mp_r(mp_params(alpha), chi)
 
 
-def lambda_rs(alpha, chi, p, lam_s):
-    return make_state(mp_params(alpha, lam_s), chi, p).lambda_rs
-
-
 def distortion(alpha, chi, p, lam_s):
     params = mp_params(alpha, lam_s)
     return replica._finalize(params, make_state(params, chi, p), 0.0, 0).distortion
-
-
-# ---------------------------------------------------------------------------
-# decoupled input variance
-# ---------------------------------------------------------------------------
-
-def test_lambda_rs_examples():
-    assert lambda_rs(0.5, 0.7, 0.5, 1.0) == pytest.approx(3.0, rel=1e-14)
-    assert lambda_rs(1.0, 2.3, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert lambda_rs(2.0, 5.0, 1.0, 2.0) == pytest.approx(1.5, rel=1e-14)
-
-
-def test_lambda_rs_mp_collapse():
-    # (lambda_s + p)/alpha for every chi, to machine precision
-    for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.3, 0.2), (1.0, 0.7, 2.0)):
-        expected = (lam_s + p) / alpha
-        for chi in np.linspace(0.0, 50.0, 201):
-            got = lambda_rs(alpha, float(chi), p, lam_s)
-            assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_lambda_rs_matches_product_rule_oracle():
-    # finite difference of chi -> (lambda_s chi - p) R(-chi), independent of
-    # the closed form
-    alpha, lam_s, p, chi = 0.8, 1.2, 0.4, 0.9
-
-    def product(x):
-        return (lam_s * x - p) * mp_r(alpha, x)
-
-    expected = central_diff(product, chi) / mp_r(alpha, chi) ** 2
-    assert lambda_rs(alpha, chi, p, lam_s) == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
