@@ -19,7 +19,7 @@ row of Q0, corrects it by the columns stored for earlier drops and updates
 the removal scores (leverages d, correlations u) in place. On the support
 that remains, u is the ridge solution there, so it is the start itself.
 
-The descent sweeps the columns in blocks of 16 in the covariance-update
+The descent sweeps every column, in blocks of 16, in the covariance-update
 form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
 33(1), 2010): one product gives h_j^H r for a whole block, each change of
 a coordinate corrects the block's later inner products through the
@@ -164,7 +164,7 @@ def _warm_start(H: np.ndarray, s: np.ndarray, lam: float,
         t = Q0[j].conj()
         if m:
             t += (T[:m, j].conj() / den[:m]) @ T[:m]
-        dj = max(1.0 - d[j], 1e-12)
+        dj = denom[j]
         dead[j] = np.inf
         d += np.abs(t) ** 2 / dj
         u += t * (u[j] / dj)
@@ -209,18 +209,18 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     at most tol relative, or after max_sweeps sweeps. With max_sweeps = 0
     it returns x0 and its objective before any set-up.
 
-    The usable columns (g_j > 0, in index order) are swept in blocks of
-    _CCD_BLOCK. A block starts from q = (h_j^H r) of all its columns, one
-    product; a change delta of x_j adds G[p][i] delta = h_i^H h_p delta to
-    q of the block's later columns, and the block moves r once at its end.
+    Every column is swept in index order, in blocks of _CCD_BLOCK. A block
+    starts from q = (h_j^H r) of all its columns, one product; a change
+    delta of x_j adds G[p][i] delta = h_i^H h_p delta to q of the block's
+    later columns, and the block moves r once at its end.
     In exact arithmetic these are the iterates of the column-by-column
     loop; only the rounding of h_j^H r differs. A block trades the three
     numpy calls per coordinate of that loop (h_j^H r and the residual
     update) for at most 15 scalar products on a change; larger blocks make
     those products the cost. At n = 400, k = 200 blocks of 8 and 16 ran
     alike, and 32 and 64 ran 1.2 and 1.7 times as long (one OpenBLAS
-    thread, 2-vCPU Xeon VM). Zero columns (g_j = 0) are skipped, so their
-    x_j keep their start.
+    thread, 2-vCPU Xeon VM). A zero column (g_j = 0) raises
+    ZeroDivisionError; `generate_problem` draws none.
     """
     H, s, spec = problem.H, problem.s, problem.penalty
     x = x0.astype(complex, copy=True)
@@ -229,21 +229,20 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     if max_sweeps <= 0:
         return PrecodeResult(x=x, objective=obj, sweeps=0, converged=False)
     g = np.einsum("ij,ij->j", H.conj(), H).real
-    usable = np.flatnonzero(g > 0.0)
-    # per usable column j: the coordinate weight c_j = 1/||h_j||^2 and the
-    # prox rule at c_j, unpacked (b and peak are not read)
-    columns = []
-    for j, gj in zip(usable.tolist(), g[usable].tolist()):
+    # per column j: the coordinate weight c_j = 1/||h_j||^2 and the prox
+    # rule at c_j, unpacked (b and peak are not read)
+    rules = []
+    for gj in g.tolist():
         cj = 1.0 / gj
         tau, tau_tilde, tau_hat, _, shrink, radius, _ = thresholds(spec, cj)
-        columns.append((j, cj, tau, tau_tilde, tau_hat, shrink, radius))
-    # R[p] is usable column p of H; per block: its columns, R_b, conj(R_b)
-    # and the Gram rows G[p][i] = h_i^H h_p
-    R = H.T[usable]
+        rules.append((cj, tau, tau_tilde, tau_hat, shrink, radius))
+    # R[j] is column j of H; per block: its first index, its rules, R_b,
+    # conj(R_b) and the Gram rows G[p][i] = h_i^H h_p
+    R = np.ascontiguousarray(H.T)
     Rc = R.conj()
-    blocks = [(columns[b], R[b], Rc[b], (R[b] @ Rc[b].T).tolist())
+    blocks = [(b.start, rules[b], R[b], Rc[b], (R[b] @ Rc[b].T).tolist())
               for b in (slice(lo, lo + _CCD_BLOCK)
-                        for lo in range(0, usable.size, _CCD_BLOCK))]
+                        for lo in range(0, len(rules), _CCD_BLOCK))]
 
     converged = False
     sweeps = 0
@@ -252,10 +251,11 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     # division of a complex by a real does (Python's `/` does not)
     xs = x.tolist()
     for sweep in range(max_sweeps):
-        for columns, Rb, Rcb, Gb in blocks:
+        for lo, block, Rb, Rcb, Gb in blocks:
             q = (Rcb @ r).tolist()
-            deltas = None
-            for p, (j, cj, tau, tau_tilde, tau_hat, shrink, radius) in enumerate(columns):
+            deltas = [0j] * len(block)
+            for p, (cj, tau, tau_tilde, tau_hat, shrink, radius) in enumerate(block):
+                j = lo + p
                 xj = xs[j]
                 zj = xj + q[p] * cj
                 # the prox rule at c_j; a tie goes to the branch tested
@@ -272,14 +272,11 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
                 if xn != xj:
                     delta = xj - xn
                     Gp = Gb[p]
-                    for i in range(p + 1, len(columns)):
+                    for i in range(p + 1, len(block)):
                         q[i] += Gp[i] * delta
-                    if deltas is None:
-                        deltas = [0j] * len(columns)
                     deltas[p] = delta
                     xs[j] = xn
-            if deltas is not None:
-                r += np.array(deltas) @ Rb
+            r += np.array(deltas) @ Rb
         x = np.array(xs, dtype=complex)
         sweeps = sweep + 1
         r = s - H @ x

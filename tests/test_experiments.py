@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import re
@@ -765,7 +766,11 @@ def test_unwritable_output_fails_before_the_mode_runs(tmp_path, capsys, monkeypa
 
 
 def test_emit_plot_byte_identical():
-    assert plot_svg(_TINY, "t") == plot_svg(_TINY, "t")
+    # the figure's bytes are pinned: a change to what plot_svg writes must
+    # replace this digest on purpose
+    text = plot_svg(_TINY, "t")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b6d7dffb7f18c5278f98ea2ec25f5ae88acf077bf83695f752b67b10f52130b2")
 
 
 # ---------------------------------------------------------------------------

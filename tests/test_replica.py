@@ -107,6 +107,40 @@ def test_lambda_rs_matches_product_rule_oracle():
 
 
 # ---------------------------------------------------------------------------
+# asymptotic distortion: the Marchenko-Pastur closed form, checked against a
+# product-rule oracle built on R(w) = alpha/(1 - w)
+# ---------------------------------------------------------------------------
+
+def distortion(alpha, chi, p, lam_s):
+    params = mp_params(alpha, lam_s)
+    return replica._finalize(params, make_state(params, chi, p), 0.0, 0).distortion
+
+
+def test_distortion_examples():
+    assert distortion(0.5, 1.0, 0.5, 1.0) == pytest.approx(0.375, rel=1e-14)
+    # chi = 0 plug-in gives lambda_s + p
+    assert distortion(0.5, 0.0, 0.7, 1.0) == pytest.approx(1.7, rel=1e-14)
+    assert distortion(2.0, 1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
+
+
+def test_distortion_mp_collapse():
+    for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.3, 0.2), (1.0, 0.7, 2.0)):
+        for chi in np.linspace(0.0, 50.0, 201):
+            got = distortion(alpha, float(chi), p, lam_s)
+            assert got == pytest.approx((lam_s + p) / (1.0 + chi) ** 2, rel=1e-12)
+
+
+def test_distortion_matches_product_rule_oracle():
+    alpha, lam_s, p, chi = 1.4, 0.9, 1.1, 0.6
+
+    def product(x):
+        return (p - lam_s * x) * x * mp_r(alpha, x)
+
+    expected = lam_s + central_diff(product, chi) / alpha
+    assert distortion(alpha, chi, p, lam_s) == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # one-step update
 # ---------------------------------------------------------------------------
 
