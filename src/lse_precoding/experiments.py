@@ -241,6 +241,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     targets = cfg.uses_targets or cfg.eta_target is not None or bool(cfg.eta_targets)
     if direct and targets:
         raise ConfigError("give either direct weights or calibration targets, not both")
+    for key, weight in (("lambda", cfg.lam), ("lambda0", cfg.lam0)):
+        if weight is not None and weight < 0:
+            raise ConfigError(f"penalty.{key} must be non-negative, got {weight!r}")
     if cfg.mode in ("sweep", "saving"):
         if not targets:
             raise ConfigError(f"{cfg.mode} mode needs calibration targets")

@@ -4,6 +4,7 @@ Criteria 6 and 7 share one Monte Carlo run via a module-scoped fixture.
 Every test prints a single PASS line with its measured numbers (visible
 with pytest -s or in the captured block of a failure).
 """
+import math
 import time
 
 import numpy as np
@@ -78,7 +79,8 @@ def product_rule(alpha, chi, p, lam_s):
 
 def test_criterion_02_analytic_reductions():
     worst_l, worst_d = 0.0, 0.0
-    for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.4, 0.3), (0.8, 0.6, 1.7)):
+    for alpha, lam_s, p in ((0.5, 1.0, 0.5), (2.0, 1.4, 0.3), (0.8, 0.6, 1.7),
+                            (1.0, 0.7, 2.0)):
         params = SystemParams(alpha=alpha, lambda_s=lam_s, penalty=PenaltySpec())
         for chi in np.linspace(0.0, 50.0, 501):
             st = make_state(params, float(chi), p)
@@ -117,6 +119,7 @@ def test_criterion_04_exact_solvable_point():
     assert abs(sol.state.chi - 1.0) <= 1e-10
     assert abs(sol.state.p - 1.0) <= 1e-10
     assert abs(sol.distortion - 0.5) <= 1e-10
+    assert sol.eta == 1.0 and math.isinf(sol.papr)  # no zero-norm weight, no peak cap
 
     report = monte_carlo(n=200, k=400, lambda_s=1.0, penalty=PenaltySpec(),
                          trials=100, master_seed=20241)

@@ -111,7 +111,8 @@ def test_parse_rejects_malformed_grid(grid, reason):
 @pytest.mark.parametrize("text, reason", [
     ("mode = replica\n", "File contains no section headers. "),
     ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
-], ids=["no_section_header", "repeated_section"])
+    ("[DEFAULT]\nn = 10\n", "[DEFAULT] sets "),
+], ids=["no_section_header", "repeated_section", "default_section"])
 def test_malformed_ini_exits_2_on_one_line(tmp_path, capsys, text, reason):
     path = tmp_path / "run.ini"
     path.write_text(text)
@@ -323,17 +324,33 @@ def test_validate_accepts_used_peak_cap(text, overrides):
     ("sweep", "fig1.ini", "system.alpha_inverse=1:1:inf"),
     ("sweep", "fig1.ini", "penalty.p_target=inf"),
     ("sweep", "fig2.ini", "penalty.papr_db_targets=0,nan"),
+    ("replica", None, "system.alpha_inverse=1:2"),
 ], ids=["nan_lambda", "inf_load", "inf_grid_stop", "inf_p_target",
-        "nan_papr_db_targets"])
+        "nan_papr_db_targets", "two_part_grid"])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, mode, config, override):
     # nan and inf parse as floats, but no solver takes them: the value is
-    # rejected by name before anything runs
+    # rejected by name, with its reason, before anything runs
     args = [mode, "--set", override, "--out", str(tmp_path / "out")]
     if config is not None:
         args += ["--config", str(CONFIGS / config)]
     assert cli.main(args) == 2
-    key = override.split("=")[0]
-    assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
+    key, raw = override.split("=")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad value for {key}: {raw!r}: ")
+    assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["penalty.lambda=-1"], "penalty.lambda must be non-negative, got -1.0"),
+    (["penalty.lambda=0.1", "penalty.lambda0=-0.5"],
+     "penalty.lambda0 must be non-negative, got -0.5"),
+], ids=["negative_lambda", "negative_lambda0"])
+def test_negative_weight_exits_2_naming_the_key(tmp_path, capsys, overrides, message):
+    args = ["replica", "--out", str(tmp_path / "out")]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

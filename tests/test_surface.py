@@ -2,7 +2,8 @@
 function, class and constant of `lse_precoding` is referenced elsewhere in
 the package (one name is exempt), and every method and property of a
 package class is read by attribute name outside its own definition. The
-package itself defines only `__version__` and imports none of its modules."""
+package itself defines only `__version__` and imports none of its modules.
+No test asserts that an expression equals itself."""
 import ast
 import os
 import subprocess
@@ -90,3 +91,16 @@ def test_the_package_holds_only_its_version():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_no_assert_compares_an_expression_with_itself():
+    # `assert f(x) == f(x)` passes whatever f does, so it checks nothing
+    vacuous = []
+    for path in sorted(Path(__file__).resolve().parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) and isinstance(node.test, ast.Compare):
+                sides = [node.test.left, *node.test.comparators]
+                if any(isinstance(op, ast.Eq) and ast.dump(a) == ast.dump(b)
+                       for op, a, b in zip(node.test.ops, sides, sides[1:])):
+                    vacuous.append(f"{path.name}:{node.lineno}")
+    assert vacuous == []
