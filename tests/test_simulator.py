@@ -697,13 +697,28 @@ def test_monte_carlo_worker_error_keeps_its_type(monkeypatch):
         return generate_problem(n, k, lambda_s, penalty, stream)
 
     monkeypatch.setattr(simulator, "generate_problem", failing)  # forked workers see it
-    calls = []
+    with pytest.raises(_TrialError, match="trial 1 fails"):
+        monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
+                    trials=4, master_seed=5, workers=2)
+
+
+def test_monte_carlo_worker_error_keeps_its_type_after_meanwhile(monkeypatch):
     # a meanwhile callable still runs, once and in the parent
-    for meanwhile, ran in ((None, []), (lambda: calls.append(os.getpid()), [parent])):
-        with pytest.raises(_TrialError, match="trial 1 fails"):
-            monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
-                        trials=4, master_seed=5, workers=2, meanwhile=meanwhile)
-        assert calls == ran
+    import lse_precoding.simulator as simulator
+    parent = os.getpid()
+
+    def failing(n, k, lambda_s, penalty, stream):
+        if stream.stream_index == 1 and os.getpid() != parent:
+            raise _TrialError("trial 1 fails")
+        return generate_problem(n, k, lambda_s, penalty, stream)
+
+    monkeypatch.setattr(simulator, "generate_problem", failing)
+    calls = []
+    with pytest.raises(_TrialError, match="trial 1 fails"):
+        monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
+                    trials=4, master_seed=5, workers=2,
+                    meanwhile=lambda: calls.append(os.getpid()))
+    assert calls == [parent]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
