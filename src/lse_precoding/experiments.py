@@ -31,7 +31,7 @@ from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
                       SystemParams, calibrate, decoupled_sample,
                       match_random_selection, solve_constant_envelope,
                       solve_fixed_point)
-from .simulator import monte_carlo
+from .simulator import TRIAL_COLUMNS, monte_carlo
 
 # stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
 # sampler uses a far-away reserved index off the same master seed
@@ -500,11 +500,11 @@ def run_replica_sweep(cfg: ExperimentConfig) -> dict:
     return files
 
 
-# the four observables of a Monte Carlo report and their replica values
-_OBSERVABLES = (("distortion", lambda sol: sol.distortion),
-                ("power", lambda sol: sol.state.p),
-                ("eta", lambda sol: sol.eta),
-                ("papr", lambda sol: sol.papr))
+# the replica value of each per-trial statistic, by its TRIAL_COLUMNS name
+_OBSERVABLES = {"distortion": lambda sol: sol.distortion,
+                "power": lambda sol: sol.state.p,
+                "eta": lambda sol: sol.eta,
+                "papr": lambda sol: sol.papr}
 
 
 def _simulate(cfg: ExperimentConfig, pt: OperatingPoint, meanwhile=None):
@@ -520,8 +520,9 @@ def _simulate(cfg: ExperimentConfig, pt: OperatingPoint, meanwhile=None):
 
 
 def _mean_ci95(report, name: str) -> tuple[float, float]:
-    """Mean and 95 % half-width of the per-trial metric `name`."""
-    values = np.array([getattr(m, name) for m in report.per_trial])
+    """Mean and 95 % half-width of the per-trial statistic `name`, from its
+    own column (a reduction over axis 0 of the table can round otherwise)."""
+    values = report.table[:, TRIAL_COLUMNS.index(name)]
     # a trial that transmits nothing has papr = inf, whose spread is nan
     with np.errstate(invalid="ignore"):
         return (float(values.mean()),
@@ -544,12 +545,14 @@ def _index_halves(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mags[:, :half].ravel(), mags[:, half:].ravel()
 
 
-def _report_lines(report) -> list[str]:
-    lines = [f"trials = {len(report.per_trial)}"]
-    for name, _ in _OBSERVABLES:
-        mean, ci95 = _mean_ci95(report, name)
+def _report_stats(report) -> tuple[dict, list[str]]:
+    """{name: (mean, 95 % half-width)} of every column of the report's
+    table, in TRIAL_COLUMNS order, and the report lines that state them."""
+    stats = {name: _mean_ci95(report, name) for name in TRIAL_COLUMNS}
+    lines = [f"trials = {len(report.table)}"]
+    for name, (mean, ci95) in stats.items():
         lines += [f"{name}_mean = {_fmt(mean)}", f"{name}_ci95 = {_fmt(ci95)}"]
-    return lines
+    return stats, lines
 
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
@@ -566,7 +569,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     hist_rows = [(row, "ok") for row in zip(
         edges[:-1], pooled / pooled.sum(), *(h / max(h.sum(), 1) for h in halves))]
     return {"simulation": ("simulation.txt",
-                           "\n".join(_header_lines(pt) + _report_lines(report)) + "\n"),
+                           "\n".join(_header_lines(pt) + _report_stats(report)[1]) + "\n"),
             "histogram": ("histogram.csv", csv_text(
                 ("bin_left", "mass", "first_half", "second_half"), hist_rows))}
 
@@ -596,16 +599,16 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     ks_law = ks_distance_sorted(np.sort(mags, axis=None), law[0])
     ks_halves = ks_distance(*_index_halves(mags))
 
+    stats, stat_lines = _report_stats(report)
     rows = []
-    for name, replica_of in _OBSERVABLES:
-        replica_v = replica_of(sol)
-        emp_v, ci95 = _mean_ci95(report, name)
+    for name, (emp_v, ci95) in stats.items():
+        replica_v = _OBSERVABLES[name](sol)
         gap = abs(emp_v - replica_v)
         rel = gap / abs(replica_v) if replica_v not in (0.0, math.inf) else math.nan
         rows.append(((name, replica_v, emp_v, ci95, rel), "ok"))
     lines = _header_lines(pt) + [f"ks_decoupled = {_fmt(ks_law)}",
                                  f"ks_index_halves = {_fmt(ks_halves)}"] \
-        + _report_lines(report)
+        + stat_lines
     return {"compare": ("compare.csv", csv_text(
                 ("metric", "replica", "empirical", "ci95", "rel_gap"), rows)),
             "summary": ("compare_summary.txt", "\n".join(lines) + "\n")}

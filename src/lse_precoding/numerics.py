@@ -32,7 +32,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(z: int) -> int:
-    """SplitMix64 finalizer; avalanche-mixes a 64-bit word."""
+    """SplitMix64 finalizer; avalanche-mixes z taken modulo 2**64."""
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -61,7 +61,7 @@ class RandomStream:
             raise ValueError("stream_index must be non-negative")
 
     def key_words(self) -> tuple[int, int]:
-        w0 = _splitmix64((self.master_seed & _MASK64) ^ _splitmix64(self.stream_index))
+        w0 = _splitmix64(self.master_seed ^ _splitmix64(self.stream_index))
         return w0, _splitmix64(w0)
 
     def generator(self) -> np.random.Generator:

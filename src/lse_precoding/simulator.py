@@ -2,8 +2,8 @@
 least-square precoding problem by cyclic coordinate descent with exact
 scalar prox steps, and measure each trial's distortion, power, sparsity and
 peak ratio and the magnitudes of its precoded symbols. A run returns the
-trials alone; `experiments` derives the statistics and histograms it
-writes from them.
+trials alone, row t of each array being trial t: the table of statistics
+(TRIAL_COLUMNS) and |x|. `experiments` derives what it writes from them.
 
 The zero-norm term makes the problem nonconvex, and coordinate descent
 from a ridge warm start systematically keeps too many antennas active: the
@@ -46,6 +46,8 @@ from .numerics import RandomStream, complex_normal
 from .penalty import OutOfSupportError, PenaltySpec, thresholds
 
 _CCD_BLOCK = 16  # columns per coordinate-descent block (one product each)
+# the per-trial statistics, in the column order of MonteCarloReport.table
+TRIAL_COLUMNS = ("distortion", "power", "eta", "papr")
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,12 @@ class PrecodeResult:
 
 
 @dataclass(frozen=True)
-class TrialMetrics:
-    distortion: float
-    power: float
-    eta: float
-    papr: float
-
-
-@dataclass(frozen=True)
 class MonteCarloReport:
-    """The trials of a Monte Carlo run, in trial order: their metrics and
-    the trials x n array of |x| (row t is trial t)."""
+    """The trials of a Monte Carlo run: the trials x len(TRIAL_COLUMNS)
+    float array of their statistics and the trials x n array of their
+    |x|. Row t of each is trial t."""
 
-    per_trial: tuple
+    table: np.ndarray
     magnitudes: np.ndarray
 
 
@@ -306,11 +301,12 @@ def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,
 # ---------------------------------------------------------------------------
 
 def measure(result: PrecodeResult, problem: PrecodeProblem,
-            zero_eps: float = 1e-9) -> TrialMetrics:
-    """Per-trial metrics. An antenna counts as active when |x_j| exceeds
+            zero_eps: float = 1e-9) -> np.ndarray:
+    """One trial's statistics as a float64 row in TRIAL_COLUMNS order:
+    ||s - Hx||^2 / k, ||x||^2 / n, the active fraction and max |x_j|^2 over
+    the power (inf for x = 0). An antenna is active when |x_j| exceeds
     zero_eps ([simulation] zero_eps). The prox emits exact zeros, so the
-    floor decides only for coefficients the descent leaves tiny but
-    nonzero."""
+    floor decides only for coefficients the descent leaves tiny but nonzero."""
     x = result.x
     r = problem.s - problem.H @ x
     distortion = float(np.vdot(r, r).real) / problem.k
@@ -318,7 +314,7 @@ def measure(result: PrecodeResult, problem: PrecodeProblem,
     mags = np.abs(x)
     eta = float(np.count_nonzero(mags > zero_eps)) / problem.n
     papr = float(np.max(mags) ** 2 / power) if power > 0 else math.inf
-    return TrialMetrics(distortion=distortion, power=power, eta=eta, papr=papr)
+    return np.array([distortion, power, eta, papr])
 
 
 def _trial_workers(trials: int) -> int:
@@ -342,7 +338,7 @@ def _trial_workers(trials: int) -> int:
 
 
 def _run_trial(t: int, args: tuple):
-    """Trial t of a Monte Carlo run: its metrics and |x|."""
+    """Trial t of a Monte Carlo run: its row of statistics and |x|."""
     n, k, lambda_s, penalty, master_seed, solver_opts, zero_eps = args
     problem = generate_problem(n, k, lambda_s, penalty,
                                RandomStream(master_seed, t))
@@ -356,7 +352,8 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                 meanwhile=None) -> MonteCarloReport:
     """Run `trials` independent instances; trial t owns the substream with
     stream_index = t, so results are identical for any worker count and any
-    execution order.
+    execution order. Row t of the report's `table` is trial t's `measure`
+    row, and row t of its `magnitudes` the trial's |x|.
 
     With more than one worker the trials run in forked processes, handed
     out one at a time and collected in trial order; a trial's exception
@@ -386,10 +383,9 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                                chunksize=1)
             if meanwhile is not None:
                 meanwhile()
-            outcomes = list(results)
+            rows, mags = zip(*results)
     else:
-        outcomes = [_run_trial(t, args) for t in range(trials)]
+        rows, mags = zip(*[_run_trial(t, args) for t in range(trials)])
         if meanwhile is not None:
             meanwhile()
-    return MonteCarloReport(per_trial=tuple(m for m, _ in outcomes),
-                            magnitudes=np.stack([mag for _, mag in outcomes]))
+    return MonteCarloReport(table=np.stack(rows), magnitudes=np.stack(mags))

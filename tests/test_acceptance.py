@@ -14,12 +14,12 @@ from lse_precoding.experiments import (ExperimentConfig, _mean_ci95,
                                        match_random_selection,
                                        operating_point, parse_config, run)
 from lse_precoding.numerics import RandomStream, ks_distance
-from lse_precoding.penalty import PenaltySpec
+from lse_precoding.penalty import PenaltySpec, thresholds
 from lse_precoding import replica, simulator
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
                                    fixed_point_update, make_state,
                                    solve_fixed_point)
-from lse_precoding.simulator import generate_problem, monte_carlo
+from lse_precoding.simulator import TRIAL_COLUMNS, generate_problem, monte_carlo
 from oracles import precode_rzf, prox, prox_oracle, quadrature_update
 
 IV_A = dict(alpha_inverse=2.0, lambda_s=1.0, p_target=0.5, eta_target=0.5)
@@ -45,23 +45,36 @@ def iv_a_monte_carlo(iv_a_point):
 
 
 def test_criterion_01_prox_global_optimality():
+    # per drawn spec one random input, and inputs 1e-4 relative below and
+    # above each finite, positive threshold tau and tau_hat at a random
+    # phase: few random inputs land between a threshold and a slightly
+    # shifted one
     t0 = time.time()
     rng = RandomStream(11011, 0).generator()
-    worst = 0.0
+    phases = RandomStream(11011, 1).generator()
+    worst, checked = 0.0, 0
     for _ in range(10_000):
         lam = rng.uniform(0.0, 3.0) * (rng.random() > 0.15)
         lam0 = rng.uniform(0.0, 3.0) * (rng.random() > 0.15)
         peak = None if rng.random() < 0.5 else rng.uniform(0.2, 6.0)
         spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
         c = 10.0 ** rng.uniform(-2.0, 1.0)
-        z = complex(rng.normal(0.0, 2.5), rng.normal(0.0, 2.5))
-        diff = abs(prox(spec, z, c) - prox_oracle(spec, z, c, grid_n=121))
-        worst = max(worst, diff / max(1.0, abs(z)))
-        assert diff <= 1e-6 * max(1.0, abs(z))
+        inputs = [complex(rng.normal(0.0, 2.5), rng.normal(0.0, 2.5))]
+        t = thresholds(spec, c)
+        for edge in (t.tau, t.tau_hat):
+            if 0.0 < edge < math.inf:
+                for side in (1.0 - 1e-4, 1.0 + 1e-4):
+                    theta = phases.uniform(0.0, 2.0 * math.pi)
+                    inputs.append(edge * side * complex(math.cos(theta), math.sin(theta)))
+        for z in inputs:
+            diff = abs(prox(spec, z, c) - prox_oracle(spec, z, c, grid_n=121))
+            worst = max(worst, diff / max(1.0, abs(z)))
+            assert diff <= 1e-6 * max(1.0, abs(z)), (spec, c, z)
+        checked += len(inputs)
     elapsed = time.time() - t0
     assert elapsed < 30.0
-    print(f"PASS criterion 1: prox vs oracle, worst scaled gap {worst:.2e} "
-          f"in {elapsed:.1f}s")
+    print(f"PASS criterion 1: prox vs oracle at {checked} inputs, worst scaled "
+          f"gap {worst:.2e} in {elapsed:.1f}s")
 
 
 def product_rule(alpha, chi, p, lam_s):
@@ -130,7 +143,8 @@ def test_criterion_04_exact_solvable_point():
         pr = generate_problem(200, 400, 1.0, PenaltySpec(), RandomStream(20241, t))
         x, *_ = np.linalg.lstsq(pr.H, pr.s, rcond=None)
         d_ls = float(np.linalg.norm(pr.s - pr.H @ x) ** 2 / 400)
-        assert report.per_trial[t].distortion == pytest.approx(d_ls, rel=1e-6)
+        distortion_t = report.table[t, TRIAL_COLUMNS.index("distortion")]
+        assert distortion_t == pytest.approx(d_ls, rel=1e-6)
     elapsed = time.time() - t0
     assert elapsed < 120.0
     print(f"PASS criterion 4: replica (1, 1, 0.5) exact, empirical distortion "

@@ -273,12 +273,13 @@ def test_stream_distinct_indices():
 def test_stream_key_derivation_is_stable():
     # the documented mixing must not drift between versions: these words pin
     # it, at the decoupled law's reserved index 1 << 52 too, and a seed of
-    # 2**64 or more is taken modulo 2**64
+    # 2**64 or more, or below 0, is taken modulo 2**64
     assert RandomStream(0, 0).key_words() == (12035550249420947055, 2558736989570252433)
     assert RandomStream(0, 1).key_words() == (6791897765849424158, 12793040940332582595)
     words = (17189906226252350294, 11551765290396061847)
     assert RandomStream(20240, 1 << 52).key_words() == words
     assert RandomStream((1 << 64) + 20240, 1 << 52).key_words() == words
+    assert RandomStream(-1, 0).key_words() == (3303439293501059696, 8756501097250568067)
 
 
 def test_stream_rejects_negative_index():

@@ -8,13 +8,18 @@ from lse_precoding import cli, simulator
 from lse_precoding.experiments import _mean_ci95
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import OutOfSupportError, PenaltySpec, thresholds
-from lse_precoding.simulator import (PrecodeProblem, PrecodeResult,
-                                     _ccd_from, _clip_to_support,
+from lse_precoding.simulator import (TRIAL_COLUMNS, PrecodeProblem,
+                                     PrecodeResult, _ccd_from, _clip_to_support,
                                      _objective, _trial_workers,
                                      _warm_start, generate_problem,
                                      measure, monte_carlo, precode_ccd)
 from oracles import (exact_full_plane_minimum, penalty_value, precode_rzf, prox,
                      prox_scalar, random_tas_rzf)
+
+
+def stats(row):
+    """A `measure` row by its TRIAL_COLUMNS names."""
+    return dict(zip(TRIAL_COLUMNS, row.tolist()))
 
 
 def small_problem(seed=3, n=48, k=24, lam=0.1, lam0=0.0, peak=None, lam_s=1.0):
@@ -607,7 +612,7 @@ def test_descent_against_the_exact_full_plane_minimum():
         res = precode_ccd(pr)
         assert res.objective >= (1 - 1e-9) * minimum
         optimal.append(res.objective <= (1 + 1e-9) * minimum)
-        excess.append(measure(res, pr).eta - size / pr.n)
+        excess.append(stats(measure(res, pr))["eta"] - size / pr.n)
     share = float(np.mean(optimal))
     assert share == pytest.approx(0.845, abs=1.96 * math.sqrt(share * (1 - share) / 200))
     excess = np.array(excess)
@@ -645,18 +650,23 @@ def test_measure_zero_vector():
     pr = small_problem(seed=22)
     res = PrecodeResult(x=np.zeros(pr.n, dtype=complex), objective=0.0,
                         sweeps=0, converged=True)
-    m = measure(res, pr)
-    assert m.distortion == pytest.approx(np.vdot(pr.s, pr.s).real / pr.k)
-    assert m.power == 0.0 and m.eta == 0.0
-    assert math.isinf(m.papr)
+    m = stats(measure(res, pr))
+    assert m["distortion"] == pytest.approx(np.vdot(pr.s, pr.s).real / pr.k)
+    assert m["power"] == 0.0 and m["eta"] == 0.0
+    assert math.isinf(m["papr"])
 
 
 def test_measure_disk_papr_bound():
     peak = 0.6
     pr = small_problem(seed=23, lam=0.05, lam0=0.02, peak=peak)
     res = precode_ccd(pr)
-    m = measure(res, pr)
-    assert m.papr <= peak / m.power + 1e-9
+    m = stats(measure(res, pr))
+    # each named column holds its own statistic of x
+    assert m["distortion"] == pytest.approx(
+        np.linalg.norm(pr.s - pr.H @ res.x) ** 2 / pr.k, rel=1e-12)
+    assert m["power"] == pytest.approx(np.linalg.norm(res.x) ** 2 / pr.n, rel=1e-12)
+    assert m["eta"] == np.count_nonzero(res.x) / pr.n < 1.0
+    assert m["papr"] <= peak / m["power"] + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +674,8 @@ def test_measure_disk_papr_bound():
 # ---------------------------------------------------------------------------
 
 def _report_bytes(rep):
-    return rep.per_trial, rep.magnitudes.shape, rep.magnitudes.tobytes()
+    return (rep.table.shape, rep.table.tobytes(), rep.magnitudes.shape,
+            rep.magnitudes.tobytes())
 
 
 @pytest.mark.parametrize("spec", [
@@ -676,8 +687,9 @@ def test_monte_carlo_bit_identical_for_one_two_three_workers(spec):
     kwargs = dict(n=64, k=32, lambda_s=1.0, penalty=spec, trials=5,
                   master_seed=2024)
     reports = [monte_carlo(**kwargs, workers=w) for w in (1, 2, 3)]
-    assert len(reports[0].per_trial) == 5
-    assert reports[0].magnitudes.shape == (5, 64)  # row t is trial t
+    # row t is trial t
+    assert reports[0].table.shape == (5, len(TRIAL_COLUMNS))
+    assert reports[0].magnitudes.shape == (5, 64)
     assert _report_bytes(reports[0]) == _report_bytes(reports[1]) \
         == _report_bytes(reports[2])
 
@@ -778,7 +790,7 @@ def test_trial_workers_follow_cores_over_blas_threads(monkeypatch):
 def test_monte_carlo_eta_one_without_l0():
     rep = monte_carlo(n=24, k=12, lambda_s=1.0, penalty=PenaltySpec(lam=0.2),
                       trials=3, master_seed=7)
-    assert [m.eta for m in rep.per_trial] == [1.0] * 3
+    assert rep.table[:, TRIAL_COLUMNS.index("eta")].tolist() == [1.0] * 3
 
 
 def test_monte_carlo_requires_two_trials():
@@ -827,7 +839,7 @@ def test_random_selection_pairing_at_finite_n():
         pr = generate_problem(n, k, 1.0, PenaltySpec(lam=lam_phys),
                               RandomStream(717, t))
         res = random_tas_rzf(pr, eta_r, lam_phys, RandomStream(718, t))
-        ds.append(measure(res, pr).distortion)
+        ds.append(stats(measure(res, pr))["distortion"])
     d_tas = float(np.mean(ds))
     d_mean, d_ci95 = _mean_ci95(rep, "distortion")
     spread = d_ci95 + 1.96 * np.std(ds, ddof=1) / math.sqrt(trials)

@@ -54,7 +54,8 @@ def test_every_module_level_name_has_a_package_user():
                    if node is not own):
             unused.append(f"{module}.{name}")
     # the benchmark's tracer (perfbench/tracing.py) wraps this one by name;
-    # ROADMAP item 1 moves it to tests/oracles.py with that tracer row
+    # the exemption goes once ROADMAP item 15 gives it a runtime caller, or
+    # once item 19 deletes the tracer and item 9 moves it to tests/oracles.py
     assert [name for name in unused if name != "replica.random_tas_baseline"] == []
 
 
