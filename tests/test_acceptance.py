@@ -152,9 +152,18 @@ def test_criterion_04_exact_solvable_point():
 
 
 def test_criterion_05_convex_solver_equivalence():
-    from lse_precoding.simulator import precode_ccd
+    # lambda0 = 0 and lambda > 0: the accelerated proximal gradient of
+    # precode_ccd. On the plane the ridge closed form is the minimiser (and
+    # the start, so the solver stops at its first iteration). On a disk it
+    # is checked against the descent run to its floor (tol = 0), an
+    # independent algorithm: the duality gap proves f(x) - f* <= 1e-10 f(x),
+    # and f(x) - f* >= lam ||x - x*||^2, so ||x - x_ref|| may reach
+    # sqrt(1e-10 f(x) / lam), 1.3e-5 to 1.9e-5 relative here; the measured
+    # worst over these 20 draws is 0.86 of it (0.92 over 20 other draws).
+    # The bound adds 5 % for the descent's own floor.
+    from lse_precoding.simulator import _ccd_from, precode_ccd
     t0 = time.time()
-    worst = 0.0
+    worst = worst_disk = 0.0
     for t in range(20):
         pr = generate_problem(64, 32, 1.0, PenaltySpec(lam=0.1),
                               RandomStream(20242, t))
@@ -163,10 +172,22 @@ def test_criterion_05_convex_solver_equivalence():
         rel = float(np.linalg.norm(res.x - ref) / np.linalg.norm(ref))
         worst = max(worst, rel)
         assert rel <= 1e-8
+    for t in range(20):
+        pr = generate_problem(64, 32, 1.0, PenaltySpec(lam=0.1, peak_power=0.5),
+                              RandomStream(20242, t))
+        res = precode_ccd(pr)
+        ref = _ccd_from(pr, precode_ccd(pr, max_sweeps=0).x, 100000, 0.0)
+        assert res.converged and ref.converged
+        assert res.objective <= (1 + 1e-10) * ref.objective
+        gap = float(np.linalg.norm(res.x - ref.x))
+        bound = 1.05 * math.sqrt(1e-10 * res.objective / 0.1)
+        worst_disk = max(worst_disk, gap / bound)
+        assert gap <= bound
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    print(f"PASS criterion 5: coordinate descent vs ridge closed form, worst "
-          f"rel gap {worst:.2e} in {elapsed:.1f}s")
+    print(f"PASS criterion 5: convex solver vs ridge closed form on the plane, "
+          f"worst rel gap {worst:.2e}; vs the descent's floor on a disk, worst "
+          f"{worst_disk:.2f} of the certified distance; in {elapsed:.1f}s")
 
 
 def test_criterion_06_replica_vs_simulation(iv_a_point, iv_a_monte_carlo):
