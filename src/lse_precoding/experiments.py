@@ -25,17 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .numerics import RandomStream, ks_distance, ks_distance_sorted
+from .numerics import ks_distance
 from .penalty import PenaltySpec
 from .replica import (NoConvergenceError, NotAchievableError, ReplicaSolution,
-                      SystemParams, calibrate, decoupled_sample,
-                      match_random_selection, solve_constant_envelope,
-                      solve_fixed_point)
+                      SystemParams, calibrate, ks_decoupled,
+                      match_random_selection, snap_to_rim,
+                      solve_constant_envelope, solve_fixed_point)
 from .simulator import TRIAL_COLUMNS, monte_carlo
-
-# stream indices 0..trials-1 belong to Monte Carlo trials; the decoupled-law
-# sampler uses a far-away reserved index off the same master seed
-_DECOUPLED_STREAM_INDEX = 1 << 52
 
 
 class ConfigError(ValueError):
@@ -507,16 +503,15 @@ _OBSERVABLES = {"distortion": lambda sol: sol.distortion,
                 "papr": lambda sol: sol.papr}
 
 
-def _simulate(cfg: ExperimentConfig, pt: OperatingPoint, meanwhile=None):
+def _simulate(cfg: ExperimentConfig, pt: OperatingPoint):
     """Monte Carlo report at the operating point pt of the single configured
-    load; `meanwhile` runs while the trials do (`monte_carlo`)."""
+    load."""
     if any(math.isnan(w) for w in pt.weights):
         raise ConfigError("the clamped boundary point has no representable "
                           "penalty weights; simulate with direct weights")
     return monte_carlo(cfg.n, _user_count(cfg), cfg.lambda_s, pt.params.penalty,
                        trials=cfg.trials, master_seed=cfg.seed,
-                       solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps,
-                       meanwhile=meanwhile)
+                       solver_opts=cfg.sim_opts(), zero_eps=cfg.zero_eps)
 
 
 def _mean_ci95(report, name: str) -> tuple[float, float]:
@@ -527,15 +522,6 @@ def _mean_ci95(report, name: str) -> tuple[float, float]:
     with np.errstate(invalid="ignore"):
         return (float(values.mean()),
                 float(1.96 * values.std(ddof=1) / math.sqrt(values.size)))
-
-
-def _snap_to_rim(a: np.ndarray, rim: float) -> None:
-    """Set the entries of the 1-D array a within 1e-12 relative of the rim
-    to the rim, in place, 1 << 14 at a time: rim ties are sqrt(P) up to
-    rounding that depends on the thread count."""
-    for lo in range(0, a.size, 1 << 14):
-        part = a[lo:lo + (1 << 14)]
-        part[abs(part - rim) <= 1e-12 * rim] = rim
 
 
 def _index_halves(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -576,28 +562,16 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 def run_compare(cfg: ExperimentConfig) -> dict:
     """Replica solve and Monte Carlo at the same parameters, side by side,
-    plus distribution distances against the decoupled law. The law's 10^6
-    draws are made, rim-snapped and sorted in place while the trials run."""
+    plus two KS distances of the trials' magnitudes |x|, pooled and
+    snapped onto the rim (`snap_to_rim`): against the decoupled law's exact
+    CDF (`ks_decoupled`), and between the two halves of the antenna
+    indices."""
     pt = operating_point(cfg, cfg.alpha_inverse[0], cfg.eta_target,
                          cfg.papr_db_target)
     sol = pt.solution
-    spec = pt.params.penalty
-    law = []
-
-    def draw_law():
-        sample = decoupled_sample(sol.state, RandomStream(cfg.seed, _DECOUPLED_STREAM_INDEX),
-                                  10 ** 6)
-        if spec.is_disk:
-            _snap_to_rim(sample, spec.radius)
-        sample.sort()
-        law.append(sample)
-
-    report = _simulate(cfg, pt, meanwhile=draw_law)
-    mags = report.magnitudes
-    if spec.is_disk:
-        _snap_to_rim(mags.reshape(-1), spec.radius)
-    ks_law = ks_distance_sorted(np.sort(mags, axis=None), law[0])
-    ks_halves = ks_distance(*_index_halves(mags))
+    report = _simulate(cfg, pt)
+    ks_law = ks_decoupled(report.magnitudes.ravel(), sol.state)
+    ks_halves = ks_distance(*_index_halves(snap_to_rim(report.magnitudes, sol.state)))
 
     stats, stat_lines = _report_stats(report)
     rows = []

@@ -110,14 +110,9 @@ def q_function(x: float) -> float:
 
 def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance between the empirical CDFs
-    of sample_a and sample_b: `ks_distance_sorted` of both, sorted."""
-    return ks_distance_sorted(np.sort(np.asarray(sample_a, dtype=float)),
-                              np.sort(np.asarray(sample_b, dtype=float)))
-
-
-def ks_distance_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """`ks_distance` of two float arrays each sorted in ascending order,
-    which are read and not copied."""
+    of sample_a and sample_b."""
+    a = np.sort(np.asarray(sample_a, dtype=float))
+    b = np.sort(np.asarray(sample_b, dtype=float))
     n = a.size
     if n == 0:
         raise EmptySampleError("sample_a is empty")

@@ -12,9 +12,11 @@ ratio).
 The decoupled symbol is that prox applied to a complex Gaussian of
 variance lambda_rs: the fixed-point update, the active fraction and the
 calibration read its closed-form law (`penalty.gaussian_law`), and
-`decoupled_sample` draws its magnitudes |x|: the real parts of every
-Gaussian input first, then the imaginary parts chunk by chunk, so a large
-draw holds one full-size array.
+`decoupled_cdf` gives the closed-form CDF of its magnitude |x|, against
+which `ks_decoupled` scores a sample of magnitudes exactly.
+`decoupled_sample` draws that law: the real parts of every Gaussian input
+first, then the imaginary parts chunk by chunk, so a large draw holds one
+full-size array.
 
 Calibration inverts the state equations at the targets instead of searching
 over the weights. At a given lambda_rs the decoupled law depends on the
@@ -185,6 +187,56 @@ def decoupled_sample(state: ReplicaState, stream: RandomStream,
         s = complex_from_parts(re, chunk_im, state.lambda_rs)
         np.abs(prox_array(state.thresholds, s), out=re)
     return mags
+
+
+def decoupled_cdf(state: ReplicaState, m: np.ndarray, left: bool = False
+                  ) -> np.ndarray:
+    """P{|x| <= m}, or the left limit P{|x| < m} with left=True, of the
+    decoupled magnitude |x| = |prox(z)|, z ~ CN(0, lambda_rs), at each m.
+
+    The prox acts on a = |z| branch by branch: zero below tau, a/b on
+    [tau, tau_tilde], zero on (tau_tilde, tau_hat), the rim sqrt(P) from
+    tau_hat; and P{a > r} = exp(-r^2/lambda_rs). So for m >= 0
+
+        P{|x| > m} = exp(-L^2/lambda_rs) - exp(-tau_tilde^2/lambda_rs)  (if L < tau_tilde)
+                   + exp(-tau_hat^2/lambda_rs)                          (if m < sqrt(P))
+
+    with L = max(tau, b m), and the CDF is 0 below m = 0. It has atoms at
+    0 (mass 1 - eta) and at sqrt(P) (the rim's mass)."""
+    t, lrs = state.thresholds, state.lambda_rs
+    m = np.asarray(m, dtype=float)
+    low = np.maximum(t.tau, t.b * np.maximum(m, 0.0))
+    shrink = np.where(low < t.tau_tilde,
+                      np.exp(-low * low / lrs) - math.exp(-t.tau_tilde ** 2 / lrs), 0.0)
+    on_rim = m <= t.radius if left else m < t.radius
+    cdf = 1.0 - shrink - np.where(on_rim, math.exp(-t.tau_hat ** 2 / lrs), 0.0)
+    return np.where(m <= 0.0 if left else m < 0.0, 0.0, cdf)
+
+
+def snap_to_rim(mags: np.ndarray, state: ReplicaState) -> np.ndarray:
+    """The magnitudes `mags` with those within 1e-12 relative of the
+    state's rim sqrt(P) set to sqrt(P), as a new array (`mags` itself on
+    the full plane): a rim magnitude is sqrt(P) up to rounding, which can
+    depend on the thread count, and belongs to the law's atom there."""
+    rim = state.thresholds.radius
+    if not math.isfinite(rim):
+        return mags
+    return np.where(np.abs(mags - rim) <= 1e-12 * rim, rim, mags)
+
+
+def ks_decoupled(sample: np.ndarray, state: ReplicaState) -> float:
+    """One-sample Kolmogorov-Smirnov sup-distance between the EDF of the
+    magnitudes `sample`, snapped onto the rim (`snap_to_rim`), and
+    `decoupled_cdf`. Both CDFs are step functions at the atoms, so the sup
+    compares F_n(v) - F(v) and F(v-) - F_n(v-) at each distinct sample
+    value v; between them F_n is flat and F rises, so no other point is
+    needed."""
+    x = snap_to_rim(np.asarray(sample, dtype=float), state)
+    values, counts = np.unique(x, return_counts=True)
+    at_most = np.cumsum(counts)  # how many magnitudes are <= each value
+    above = at_most / x.size - decoupled_cdf(state, values)
+    below = decoupled_cdf(state, values, left=True) - (at_most - counts) / x.size
+    return float(max(above.max(), below.max()))
 
 
 # ---------------------------------------------------------------------------

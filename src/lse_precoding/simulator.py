@@ -453,8 +453,7 @@ def _run_trial(t: int, args: tuple):
 
 def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
                 trials: int, master_seed: int, solver_opts: dict | None = None,
-                zero_eps: float = 1e-9, workers: int | None = None,
-                meanwhile=None) -> MonteCarloReport:
+                zero_eps: float = 1e-9, workers: int | None = None) -> MonteCarloReport:
     """Run `trials` independent instances; trial t owns the substream with
     stream_index = t, so results are identical for any worker count and any
     execution order. Row t of the report's `table` is trial t's `measure`
@@ -465,11 +464,6 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
     reaches the caller with its own type. `workers=None` derives the count
     from the cores and the BLAS thread count (`_trial_workers`); one worker
     runs the trials in this process.
-
-    `meanwhile`, a callable without arguments, runs once in this process:
-    with workers, after every trial has been handed to the pool, whose
-    processes are forked by then, and before the results are collected, so
-    it runs while the trials do; with one worker, after the trials.
     """
     if trials < 2:
         raise ValueError("at least two trials are needed for intervals")
@@ -484,13 +478,8 @@ def monte_carlo(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
         from concurrent.futures import ProcessPoolExecutor
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            results = pool.map(_run_trial, range(trials), [args] * trials,
-                               chunksize=1)
-            if meanwhile is not None:
-                meanwhile()
-            rows, mags = zip(*results)
+            rows, mags = zip(*pool.map(_run_trial, range(trials), [args] * trials,
+                                       chunksize=1))
     else:
         rows, mags = zip(*[_run_trial(t, args) for t in range(trials)])
-        if meanwhile is not None:
-            meanwhile()
     return MonteCarloReport(table=np.stack(rows), magnitudes=np.stack(mags))

@@ -25,10 +25,9 @@ its one runtime path) by an independent route:
   which the descent's objective and active fraction are measured;
 - `complex_normal_reference` and `decoupled_magnitudes`: the Gaussian draw
   and the decoupled |x| as whole-array expressions, which the package's
-  in-place and chunked forms must match byte for byte;
-- `decoupled_cdf` and `ks_decoupled_exact`: the CDF of the decoupled |x|
-  in closed form and the one-sample KS distance of magnitudes against it,
-  which `replica.decoupled_sample`'s draws must pass.
+  in-place and chunked forms must match byte for byte. Draws of the
+  decoupled law are the tests' check of its closed-form CDF,
+  `replica.decoupled_cdf`, which the package scores `compare` against.
 
 Only numpy is needed; the panel rule comes from
 `numpy.polynomial.legendre.leggauss`.
@@ -210,48 +209,6 @@ def decoupled_magnitudes(state: ReplicaState, stream: RandomStream,
     rng = stream.generator()
     s = complex_normal_reference(rng, count, state.lambda_rs)
     return np.abs(prox_array(state.thresholds, s))
-
-
-def decoupled_cdf(state: ReplicaState, m: np.ndarray, left: bool = False
-                  ) -> np.ndarray:
-    """P{|x| <= m}, or the left limit P{|x| < m} with left=True, of the
-    decoupled magnitude |x| = |prox(z)|, z ~ CN(0, lambda_rs), at each m.
-
-    The prox acts on a = |z| branch by branch: zero below tau, a/b on
-    [tau, tau_tilde], zero on (tau_tilde, tau_hat), the rim sqrt(P) from
-    tau_hat; and P{a > r} = exp(-r^2/lambda_rs). So for m >= 0
-
-        P{|x| > m} = exp(-L^2/lambda_rs) - exp(-tau_tilde^2/lambda_rs)  (if L < tau_tilde)
-                   + exp(-tau_hat^2/lambda_rs)                          (if m < sqrt(P))
-
-    with L = max(tau, b m), and the CDF is 0 below m = 0. It has atoms at
-    0 (mass 1 - eta) and at sqrt(P) (the rim's mass)."""
-    t, lrs = state.thresholds, state.lambda_rs
-    m = np.asarray(m, dtype=float)
-    low = np.maximum(t.tau, t.b * np.maximum(m, 0.0))
-    shrink = np.where(low < t.tau_tilde,
-                      np.exp(-low * low / lrs) - math.exp(-t.tau_tilde ** 2 / lrs), 0.0)
-    on_rim = m <= t.radius if left else m < t.radius
-    cdf = 1.0 - shrink - np.where(on_rim, math.exp(-t.tau_hat ** 2 / lrs), 0.0)
-    return np.where(m <= 0.0 if left else m < 0.0, 0.0, cdf)
-
-
-def ks_decoupled_exact(sample: np.ndarray, state: ReplicaState) -> float:
-    """One-sample Kolmogorov-Smirnov sup-distance between the EDF of the
-    magnitudes `sample` and `decoupled_cdf`. On a disk, magnitudes within
-    1e-12 relative of the rim count as the rim. Both CDFs are step functions at
-    the atoms, so the sup compares F_n(v) - F(v) and F(v-) - F_n(v-) at
-    each distinct sample value v; between them F_n is flat and F rises, so
-    no other point is needed."""
-    rim = state.thresholds.radius
-    x = np.asarray(sample, dtype=float)
-    if math.isfinite(rim):
-        x = np.where(np.abs(x - rim) <= 1e-12 * rim, rim, x)
-    values, counts = np.unique(x, return_counts=True)
-    edf = np.cumsum(counts) / x.size
-    above = edf - decoupled_cdf(state, values)
-    below = decoupled_cdf(state, values, left=True) - (edf - counts / x.size)
-    return float(max(above.max(), below.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from lse_precoding.numerics import RandomStream, ks_distance
 from lse_precoding.penalty import PenaltySpec, thresholds
 from lse_precoding import replica, simulator
 from lse_precoding.replica import (SystemParams, calibrate, decoupled_sample,
-                                   fixed_point_update, make_state,
-                                   solve_fixed_point)
+                                   fixed_point_update, ks_decoupled,
+                                   make_state, solve_fixed_point)
 from lse_precoding.simulator import TRIAL_COLUMNS, generate_problem, monte_carlo
 from oracles import precode_rzf, prox, prox_oracle, quadrature_update
 
@@ -208,14 +208,19 @@ def test_criterion_06_replica_vs_simulation(iv_a_point, iv_a_monte_carlo):
 def test_criterion_07_marginal_decoupling(iv_a_point, iv_a_monte_carlo):
     _, _, sol = iv_a_point
     report, _ = iv_a_monte_carlo
-    law = decoupled_sample(sol.state, RandomStream(20240, 1 << 52), 10 ** 6)
     mags = report.magnitudes  # trials x 400
-    ks_law = ks_distance(mags.ravel(), law)
+    ks_law = ks_decoupled(mags.ravel(), sol.state)
     ks_half = ks_distance(mags[:, :200].ravel(), mags[:, 200:].ravel())
     assert ks_law <= 0.05
     assert ks_half <= 0.05
-    print(f"PASS criterion 7: KS vs decoupled law {ks_law:.4f}, "
-          f"index halves {ks_half:.4f}")
+    # the two-sample statistic against 10^6 draws of the law differs from
+    # the exact one by at most the draws' own KS distance to the law, which
+    # stays below 0.003 (test_decoupled_sample_matches_exact_cdf)
+    law = decoupled_sample(sol.state, RandomStream(20240, 1 << 52), 10 ** 6)
+    ks_drawn = ks_distance(mags.ravel(), law)
+    assert abs(ks_drawn - ks_law) <= 0.003
+    print(f"PASS criterion 7: KS vs decoupled law {ks_law:.4f} "
+          f"({ks_drawn:.4f} against 10^6 draws), index halves {ks_half:.4f}")
 
 
 def test_criterion_08_antenna_saving_regression():

@@ -20,10 +20,9 @@ from lse_precoding.experiments import (ConfigError, ExperimentConfig,
                                        match_random_selection,
                                        operating_point, parse_config,
                                        plot_svg, run, validate_config)
-from lse_precoding.numerics import RandomStream, ks_distance
 from lse_precoding.penalty import PenaltySpec
 from lse_precoding.replica import (NotAchievableError, SystemParams,
-                                   decoupled_sample, random_tas_baseline)
+                                   decoupled_cdf, random_tas_baseline)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # calibration targets p = 0.5 at lambda_s = 1 on the full plane
@@ -1007,14 +1006,20 @@ def test_simulate_more_users_than_antennas_independent_of_blas_threads(tmp_path)
     assert outputs["1"] == outputs["2"]
 
 
-@pytest.mark.parametrize("sets", [
+COMPARE_CASES = pytest.mark.parametrize("sets", [
     (),
     ("penalty.support=disk", "penalty.papr_db_target=8"),
 ], ids=["full_plane", "disk_8db"])
-def test_compare_ks_decoupled_is_the_snapped_two_sample_ks(tmp_path, monkeypatch, sets):
-    # compare draws, snaps and sorts the law while the trials run and calls
-    # the sorted-input KS; the statistic is ks_distance of the snapped
-    # magnitudes against the snapped decoupled_sample, float for float
+
+
+@COMPARE_CASES
+def test_compare_ks_decoupled_is_the_exact_ks_of_the_snapped_magnitudes(
+        tmp_path, monkeypatch, sets):
+    # compare scores the trials' magnitudes, pooled and snapped onto the rim
+    # on a disk, against the decoupled law's CDF F; the statistic is
+    # recomputed here from the order statistics x_(1) <= ... <= x_(N) as
+    # max_i max(i/N - F(x_(i)), F(x_(i)-) - (i - 1)/N), ties included. At
+    # seed 2 both cases take the sup on the left-limit side, F above F_n
     seen = {}
 
     def point(*args):
@@ -1022,35 +1027,59 @@ def test_compare_ks_decoupled_is_the_snapped_two_sample_ks(tmp_path, monkeypatch
         return seen["pt"]
 
     real_mc = experiments.monte_carlo
-    real_ks = experiments.ks_distance_sorted
 
     def recording_mc(*args, **kwargs):
         report = real_mc(*args, **kwargs)
         seen["mags"] = report.magnitudes.copy()
         return report
 
-    def recording_ks(a, b):
-        seen.setdefault("ks", []).append(real_ks(a, b))
-        return seen["ks"][-1]
-
     monkeypatch.setattr(experiments, "operating_point", point)
     monkeypatch.setattr(experiments, "monte_carlo", recording_mc)
-    monkeypatch.setattr(experiments, "ks_distance_sorted", recording_ks)
     out = tmp_path / "cmp"
     args = [a for kv in ("simulation.n=64", "simulation.trials=6", *sets) for a in ("--set", kv)]
     assert cli.main(["compare", "--config", str(CONFIGS / "compare.ini"), *args,
-                     "--seed", "7", "--out", str(out)]) == 0
-    spec = seen["pt"].params.penalty
-    mags = seen["mags"]
-    law = decoupled_sample(seen["pt"].solution.state,
-                           RandomStream(7, experiments._DECOUPLED_STREAM_INDEX), 10 ** 6)
-    if spec.is_disk:
-        rim = spec.radius
-        mags, law = (np.where(abs(a - rim) <= 1e-12 * rim, rim, a) for a in (mags, law))
-    expected = ks_distance(mags.ravel(), law)
-    assert seen["ks"] == [expected]
+                     "--seed", "2", "--out", str(out)]) == 0
+    state = seen["pt"].solution.state
+    x = seen["mags"].ravel()
+    if sets:
+        rim = seen["pt"].params.penalty.radius
+        assert state.thresholds.radius == rim
+        x = np.where(abs(x - rim) <= 1e-12 * rim, rim, x)
+    x = np.sort(x)
+    i = np.arange(1, x.size + 1)
+    expected = max((i / x.size - decoupled_cdf(state, x)).max(),
+                   (decoupled_cdf(state, x, left=True) - (i - 1) / x.size).max())
     summary = (out / "compare_summary.txt").read_text()
     assert f"ks_decoupled = {expected:.12g}\n" in summary
+
+
+# Prints the tracemalloc peak, in bytes, of experiments.run_compare on the
+# config file argv[1] with the section.key=value overrides that follow it.
+_COMPARE_PEAK = """
+import sys
+import tracemalloc
+
+from lse_precoding import experiments
+
+cfg = experiments.apply_overrides(experiments.load_config(sys.argv[1]), sys.argv[2:])
+experiments.validate_config(cfg)
+tracemalloc.start()
+experiments.run_compare(cfg)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("blas", ["1", "2"])
+@COMPARE_CASES
+def test_compare_peak_memory_holds_no_law_sample(sets, blas):
+    # compare keeps the trials' magnitudes and its reports, well under 4 MB
+    # at n = 64; 10^6 draws of the decoupled law alone would take 8 MB
+    proc = subprocess.run([sys.executable, "-c", _COMPARE_PEAK,
+                           str(CONFIGS / "compare.ini"), "simulation.n=64",
+                           "simulation.trials=6", *sets],
+                          env=_package_env(OPENBLAS_NUM_THREADS=blas),
+                          check=True, capture_output=True, text=True)
+    assert int(proc.stdout) < 4 * 10 ** 6
 
 
 # Runs the modes in an interpreter where scipy cannot be imported: a finder

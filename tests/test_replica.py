@@ -7,13 +7,14 @@ import pytest
 
 from lse_precoding.numerics import RandomStream
 from lse_precoding import replica
-from lse_precoding.penalty import PenaltySpec
+from lse_precoding.penalty import PenaltySpec, gaussian_law
 from lse_precoding.replica import (NoConvergenceError, NotAchievableError,
-                                   SystemParams, calibrate, decoupled_sample,
-                                   fixed_point_update, make_state,
+                                   SystemParams, calibrate, decoupled_cdf,
+                                   decoupled_sample, fixed_point_update,
+                                   ks_decoupled, make_state,
                                    random_tas_baseline,
                                    solve_constant_envelope, solve_fixed_point)
-from oracles import decoupled_magnitudes, ks_decoupled_exact
+from oracles import decoupled_magnitudes
 
 
 def mp_params(alpha, lam_s=1.0, lam=0.0, lam0=0.0, peak=None):
@@ -263,11 +264,52 @@ def test_decoupled_sample_matches_exact_cdf(name):
     # 1.05 lambda_rs read about 0.017 and must fail the same bound
     state = CDF_STATES[name]()
     count = 10 ** 6
-    assert ks_decoupled_exact(decoupled_sample(state, RandomStream(13, 8), count),
-                              state) <= 0.003
+    assert ks_decoupled(decoupled_sample(state, RandomStream(13, 8), count),
+                        state) <= 0.003
     wide = replace(state, lambda_rs=1.05 * state.lambda_rs)
-    assert ks_decoupled_exact(decoupled_sample(wide, RandomStream(13, 8), count),
-                              state) > 0.003
+    assert ks_decoupled(decoupled_sample(wide, RandomStream(13, 8), count),
+                        state) > 0.003
+
+
+@pytest.mark.parametrize("name", list(CDF_STATES))
+def test_decoupled_cdf_atom_at_zero_is_the_inactive_fraction(name):
+    state = CDF_STATES[name]()
+    eta = gaussian_law(state.thresholds, state.lambda_rs)[2]
+    assert 1.0 - float(decoupled_cdf(state, 0.0)) == pytest.approx(eta, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["disk_8db", "constant_envelope_0db"])
+def test_decoupled_cdf_rim_atom_is_the_rim_mass(name):
+    # F(sqrt(P)) - F(sqrt(P)-) is P{|z| >= tau_hat} = exp(-tau_hat^2 / lambda_rs)
+    state = CDF_STATES[name]()
+    t = state.thresholds
+    atom = float(decoupled_cdf(state, t.radius) - decoupled_cdf(state, t.radius, left=True))
+    assert atom == pytest.approx(math.exp(-t.tau_hat ** 2 / state.lambda_rs), rel=1e-12)
+    assert float(decoupled_cdf(state, t.radius)) == 1.0
+
+
+def test_ks_decoupled_compares_both_limits_at_the_atoms():
+    # the constant envelope at eta = 1/2 is two atoms of mass 1/2, at 0 and
+    # on the rim; rim magnitudes 1e-13 relative off sqrt(P) count as sqrt(P)
+    state = CDF_STATES["constant_envelope_0db"]()
+    rim = state.thresholds.radius
+    on_rim = rim * (1.0 + 1e-13 * np.array([-1.0, 0.0, 1.0] * 100))
+    zeros = np.zeros(300)
+    # all on the rim: the gap is F(sqrt(P)-) - F_n(sqrt(P)-), a left limit
+    assert ks_decoupled(on_rim, state) == pytest.approx(0.5, abs=1e-12)
+    assert ks_decoupled(zeros, state) == pytest.approx(0.5, abs=1e-12)
+    assert ks_decoupled(np.concatenate([zeros, on_rim]), state) \
+        == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(CDF_STATES))
+def test_decoupled_cdf_is_zero_below_zero(name):
+    # a magnitude is never negative, and the atom at 0 is not below 0
+    state = CDF_STATES[name]()
+    below = np.array([-math.inf, -1.0, -1e-300])
+    for left in (False, True):
+        assert np.array_equal(decoupled_cdf(state, below, left=left), np.zeros(3))
+    assert float(decoupled_cdf(state, 0.0, left=True)) == 0.0
 
 
 # ---------------------------------------------------------------------------

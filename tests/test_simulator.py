@@ -777,54 +777,6 @@ def test_monte_carlo_worker_error_keeps_its_type(monkeypatch):
                     trials=4, master_seed=5, workers=2)
 
 
-def test_monte_carlo_worker_error_keeps_its_type_after_meanwhile(monkeypatch):
-    # a meanwhile callable still runs, once and in the parent
-    import lse_precoding.simulator as simulator
-    parent = os.getpid()
-
-    def failing(n, k, lambda_s, penalty, stream):
-        if stream.stream_index == 1 and os.getpid() != parent:
-            raise _TrialError("trial 1 fails")
-        return generate_problem(n, k, lambda_s, penalty, stream)
-
-    monkeypatch.setattr(simulator, "generate_problem", failing)
-    calls = []
-    with pytest.raises(_TrialError, match="trial 1 fails"):
-        monte_carlo(n=16, k=8, lambda_s=1.0, penalty=PenaltySpec(lam=0.1),
-                    trials=4, master_seed=5, workers=2,
-                    meanwhile=lambda: calls.append(os.getpid()))
-    assert calls == [parent]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_monte_carlo_runs_meanwhile_once_in_the_caller(monkeypatch, workers):
-    # with workers it runs once the pool has forked, while the trials run;
-    # with one worker after the trials; the report does not change
-    import multiprocessing
-
-    import lse_precoding.simulator as simulator
-    kwargs = dict(n=32, k=16, lambda_s=1.0, penalty=PenaltySpec(lam=0.1, lam0=0.05),
-                  trials=4, master_seed=7, workers=workers)
-    trials_run = []
-
-    def counted(n, k, lambda_s, penalty, stream):
-        trials_run.append(stream.stream_index)  # seen only where trials run in this process
-        return generate_problem(n, k, lambda_s, penalty, stream)
-
-    monkeypatch.setattr(simulator, "generate_problem", counted)
-    calls = []
-
-    def meanwhile():
-        calls.append((os.getpid(), len(trials_run), len(multiprocessing.active_children())))
-
-    with_hook = monte_carlo(**kwargs, meanwhile=meanwhile)
-    if workers == 1:
-        assert calls == [(os.getpid(), 4, 0)]
-    else:
-        assert calls == [(os.getpid(), 0, workers)]
-    assert _report_bytes(with_hook) == _report_bytes(monte_carlo(**kwargs))
-
-
 def test_trial_workers_follow_cores_over_blas_threads(monkeypatch):
     import lse_precoding.simulator as simulator
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(8)))
