@@ -6,18 +6,15 @@ trials alone, row t of each array being trial t: the table of statistics
 (TRIAL_COLUMNS) and |x|. `experiments` derives what it writes from them.
 
 The zero-norm term makes the problem nonconvex, and coordinate descent
-from a ridge warm start systematically keeps too many antennas active: the
-single-coordinate exchange rate 1/||h_j||^2 understates how well the other
-antennas compensate for a removal. When the zero-norm weight is active the
-solver therefore selects the support first by greedy backward elimination
-with exact re-optimized objective deltas and starts the descent from ridge
-on it; otherwise it starts from ridge on every antenna. Both starts come
-from one matrix per trial, A = lam I + H H^H, or lam I + H^H H for a ridge
-start with more users than antennas. Greedy works on the antenna
-Gram matrix Q0 = H^H M0 H of its one inverse M0 = A^{-1}: a drop reads one
-row of Q0, corrects it by the columns stored for earlier drops and updates
-the removal scores (leverages d, correlations u) in place. On the support
-that remains, u is the ridge solution there, so it is the start itself.
+from a ridge start keeps too many antennas active: the single-coordinate
+exchange rate 1/||h_j||^2 understates how well the other antennas
+compensate for a removal. When the zero-norm weight is active the descent
+therefore starts from damped approximate message passing (AMP; Donoho,
+Maleki & Montanari, PNAS 106(45), 2009), which needs only products with H
+and uses the penalty's own prox as its denoiser. Its state evolution is
+the replica fixed point (Bayati & Montanari, IEEE T-IT 57(2), 2011), and
+its self-tuned prox weight settles at the replica's kappa. Otherwise the
+start is ridge on every antenna.
 
 The descent sweeps every column, in blocks of 16, in the covariance-update
 form of coordinate descent (Friedman, Hastie & Tibshirani, J. Stat. Softw.
@@ -78,11 +75,11 @@ class PrecodeProblem:
 @dataclass(frozen=True)
 class PrecodeResult:
     """A solve's end point x and its objective. From the coordinate descent
-    `sweeps` counts sweeps and `converged` says that the last sweep lowered
-    the objective by at most tol relative; from the accelerated proximal
-    gradient (lam0 = 0, lam > 0) `sweeps` counts iterations and `converged`
-    says that the duality gap proved the objective within tol relative of
-    the minimum."""
+    `sweeps` counts sweeps after the start (not the two inside a lam0 > 0
+    start) and `converged` says that the last one lowered the objective by
+    at most tol relative; from the accelerated proximal gradient (lam0 = 0,
+    lam > 0) `sweeps` counts iterations and `converged` says that the
+    duality gap proved the objective within tol relative of the minimum."""
 
     x: np.ndarray
     objective: float
@@ -116,75 +113,67 @@ def generate_problem(n: int, k: int, lambda_s: float, penalty: PenaltySpec,
 
 
 # ---------------------------------------------------------------------------
-# warm start: ridge, or greedy backward elimination and its ridge vector
+# starts: ridge, or damped AMP with a self-tuned prox weight
 # ---------------------------------------------------------------------------
 
-def _warm_start(H: np.ndarray, s: np.ndarray, lam: float,
-                lam0: float) -> tuple[np.ndarray, np.ndarray]:
-    """The start of the solver and the matrix A = lam I + H H^H it is
-    worked out from, formed once: with lam0 = 0 the ridge solution
-    x = H^H y, y = A^{-1} s with one refinement step; with lam0 > 0 the
-    ridge solution on the support that greedy backward elimination keeps,
-    zero at the dropped antennas.
+_AMP_ITERATIONS = 50
 
-    With lam0 = 0 and more users than antennas (k > n) the ridge solution
-    is solved on the antenna side instead, from A = lam I_n + H^H H,
-    A x = H^H s with one refinement step: lam I_k + H H^H has k - n
-    eigenvalues equal to lam there, and at the ridge floor lam = 1e-6 its
-    solve amplifies rounding that depends on the BLAS thread count about
-    1e6-fold, while the smallest eigenvalue of lam I_n + H^H H is about
+
+def _warm_start(H: np.ndarray, s: np.ndarray,
+                lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ridge solution x = H^H y, y = A^{-1} s with one refinement step,
+    and A = lam I + H H^H. With more users than antennas (k > n) it is
+    solved on the antenna side, A = lam I_n + H^H H, A x = H^H s: lam I_k +
+    H H^H has k - n eigenvalues equal to lam, and at lam = 1e-6 its solve
+    amplifies rounding that moves with the BLAS thread count about
+    1e6-fold, while lam I_n + H^H H has its smallest eigenvalue near
     (sqrt(k/n) - 1)^2. Either way the largest eigenvalue of A - lam I is
-    that of H^H H.
-
-    For support S the partially minimized objective is
-        F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
-    and removing column j changes the quadratic part by
-    lam |u_j|^2 / (1 - d_j) with u = H^H M^{-1} s and d_j = h_j^H M^{-1} h_j.
-    On S, u is the ridge solution H_S^H M^{-1} s, so the start is u itself.
-    Columns are dropped while the best delta is negative (ties go to the
-    lowest index). Removing column j adds v v^H / (1 - d_j), v = M^{-1} h_j,
-    to M^{-1}, hence t t^H / (1 - d_j) to Q = H^H M^{-1} H, where t = H^H v
-    is column j of the current Q: with M0 = A^{-1} and Q0 = H^H M0 H,
-    t = conj(Q0[j]) + sum_i conj(t_i[j]) t_i / (1 - d_i) over the stored
-    columns t_i. d and u move by that term (v^H s = u_j), so a drop costs
-    O(n + m n) with m stored columns. The loop stops at one antenna, so the
-    support is never empty.
-    """
+    that of H^H H."""
     k, n = H.shape
     HH = H.conj().T
-    if not lam0 > 0:
-        if k > n:  # the same x = (lam I_n + H^H H)^{-1} H^H s, by push-through
-            A, b = lam * np.eye(n) + HH @ H, HH @ s
-        else:
-            A, b = lam * np.eye(k) + H @ HH, s
-        y = np.linalg.solve(A, b)
-        y = y + np.linalg.solve(A, b - A @ y)
-        return (y if k > n else HH @ y), A
-    A = lam * np.eye(k) + H @ HH
-    M0 = np.linalg.inv(A)
-    Q0 = HH @ (M0 @ H)
-    u = HH @ (M0 @ s)
-    d = Q0.diagonal().real.copy()
-    T = np.empty((n, n), dtype=complex)  # rows t_i, one per drop so far
-    den = np.empty(n)                    # their 1 - d_i
-    dead = np.zeros(n)  # inf at dropped columns
-    for m in range(n - 1):
-        denom = np.maximum(1.0 - d, 1e-12)
-        delta = lam * np.abs(u) ** 2 / denom - lam0 + dead
-        j = int(np.argmin(delta))
-        if delta[j] >= 0.0:
-            break
-        t = Q0[j].conj()
-        if m:
-            t += (T[:m, j].conj() / den[:m]) @ T[:m]
-        dj = denom[j]
-        dead[j] = np.inf
-        d += np.abs(t) ** 2 / dj
-        u += t * (u[j] / dj)
-        T[m] = t
-        den[m] = dj
-    u[dead != 0.0] = 0.0
-    return u, A
+    if k > n:  # the same x = (lam I_n + H^H H)^{-1} H^H s, by push-through
+        A, b = lam * np.eye(n) + HH @ H, HH @ s
+    else:
+        A, b = lam * np.eye(k) + H @ HH, s
+    y = np.linalg.solve(A, b)
+    y = y + np.linalg.solve(A, b - A @ y)
+    return (y if k > n else HH @ y), A
+
+
+def _amp_start(problem: PrecodeProblem) -> tuple[np.ndarray, float]:
+    """Damped approximate message passing with the penalty's own prox as
+    the denoiser: its iterate and final prox weight. With alpha = k/n, from
+    x = 0, r = s and c = 1/alpha, an iteration forms z = x + H^H r / alpha,
+    a weight c+ nearer the root of f(w) = w (alpha - d(w)) = 1 (f rises
+    through 1 once, since d falls as w grows), x+ = prox at c+ of z, the
+    Stein form d = Re<z, x+> / <z, z> of the prox's mean derivative (it
+    counts the jump at the drop threshold, which the almost-everywhere
+    derivative misses) and r+ = s - H x+ + (d / alpha) r, and moves x, r
+    and c halfway to x+, r+ and c+. At a fixed point H^H (s - Hx) =
+    (alpha - d)(z - x) = (z - x) / c, stationarity on the support. x, an
+    average of prox outputs, stays on the transmit support."""
+    H, s, spec, n = problem.H, problem.s, problem.penalty, problem.n
+    alpha, HH = problem.k / n, H.conj().T
+    theta = 0.5  # the share of the new x, r and c in each iteration
+    x = np.zeros(n, dtype=complex)
+    r = s.astype(complex, copy=True)
+    c = 1.0 / alpha
+    for _ in range(_AMP_ITERATIONS):
+        z = x + (HH @ r) / alpha
+        zz = float(np.vdot(z, z).real)
+        # c+: one secant step on f from w = c and 1.01 c, within [c/2, 2c]
+        f0, f1 = (w * (alpha - np.vdot(z, prox_array(thresholds(spec, w), z)).real / zz)
+                  for w in (c, 1.01 * c))
+        c_new = (c + (1.0 - f0) * 0.01 * c / (f1 - f0) if f1 > f0
+                 else (2.0 if f0 < 1.0 else 0.5) * c)
+        c_new = min(max(c_new, 0.5 * c), 2.0 * c)
+        x_new = prox_array(thresholds(spec, c_new), z)
+        d = float(np.vdot(z, x_new).real) / zz
+        r_new = s - H @ x_new + (d / alpha) * r
+        x = theta * x_new + (1.0 - theta) * x
+        r = theta * r_new + (1.0 - theta) * r
+        c = theta * c_new + (1.0 - theta) * c
+    return x, c
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +203,32 @@ def _clip_to_support(spec: PenaltySpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _descent_blocks(problem: PrecodeProblem) -> list:
+    """The descent's set-up per block of _CCD_BLOCK columns: first index,
+    c_j = 1/||h_j||^2 and the prox rule at c_j per column (b and peak
+    unread), R_b (row j is h_j), conj(R_b), Gram rows G[p][i] = h_i^H h_p."""
+    H, spec = problem.H, problem.penalty
+    g = np.einsum("ij,ij->j", H.conj(), H).real
+    rules = []
+    for gj in g.tolist():
+        cj = 1.0 / gj
+        tau, tau_tilde, tau_hat, _, shrink, radius, _ = thresholds(spec, cj)
+        rules.append((cj, tau, tau_tilde, tau_hat, shrink, radius))
+    R = np.ascontiguousarray(H.T)
+    Rc = R.conj()
+    return [(b.start, rules[b], R[b], Rc[b], (R[b] @ Rc[b].T).tolist())
+            for b in (slice(lo, lo + _CCD_BLOCK)
+                      for lo in range(0, len(rules), _CCD_BLOCK))]
+
+
 def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
-              tol: float) -> PrecodeResult:
+              tol: float, blocks: list | None = None) -> PrecodeResult:
     """Exact-prox cyclic descent from x0. Each sweep starts from the true
     residual r = s - Hx, and after it r and the objective are recomputed
     from the new x; the descent stops when a sweep lowers the objective by
     at most tol relative, or after max_sweeps sweeps. With max_sweeps = 0
-    it returns x0 and its objective before any set-up.
+    it returns x0 and its objective before any set-up. `blocks` is the
+    set-up (`_descent_blocks`) when the caller already holds it.
 
     Every column is swept in index order, in blocks of _CCD_BLOCK. A block
     starts from q = (h_j^H r) of all its columns, one product; a change
@@ -233,7 +241,7 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     those products the cost. At n = 400, k = 200 blocks of 8 and 16 ran
     alike, and 32 and 64 ran 1.2 and 1.7 times as long (one OpenBLAS
     thread, 2-vCPU Xeon VM). A zero column (g_j = 0) raises
-    ZeroDivisionError; `generate_problem` draws none.
+    ZeroDivisionError in the set-up; `generate_problem` draws none.
     """
     H, s, spec = problem.H, problem.s, problem.penalty
     x = x0.astype(complex, copy=True)
@@ -241,21 +249,7 @@ def _ccd_from(problem: PrecodeProblem, x0: np.ndarray, max_sweeps: int,
     obj = _objective(spec, x, r)
     if max_sweeps <= 0:
         return PrecodeResult(x=x, objective=obj, sweeps=0, converged=False)
-    g = np.einsum("ij,ij->j", H.conj(), H).real
-    # per column j: the coordinate weight c_j = 1/||h_j||^2 and the prox
-    # rule at c_j, unpacked (b and peak are not read)
-    rules = []
-    for gj in g.tolist():
-        cj = 1.0 / gj
-        tau, tau_tilde, tau_hat, _, shrink, radius, _ = thresholds(spec, cj)
-        rules.append((cj, tau, tau_tilde, tau_hat, shrink, radius))
-    # R[j] is column j of H; per block: its first index, its rules, R_b,
-    # conj(R_b) and the Gram rows G[p][i] = h_i^H h_p
-    R = np.ascontiguousarray(H.T)
-    Rc = R.conj()
-    blocks = [(b.start, rules[b], R[b], Rc[b], (R[b] @ Rc[b].T).tolist())
-              for b in (slice(lo, lo + _CCD_BLOCK)
-                        for lo in range(0, len(rules), _CCD_BLOCK))]
+    blocks = blocks or _descent_blocks(problem)
 
     converged = False
     sweeps = 0
@@ -380,23 +374,27 @@ def _apg_from(problem: PrecodeProblem, x0: np.ndarray, A: np.ndarray,
 
 def precode_ccd(problem: PrecodeProblem, max_sweeps: int = 500,
                 tol: float = 1e-10) -> PrecodeResult:
-    """Solve one precoding instance from one start, `_warm_start` at the
-    ridge weight max(lam, 1e-6): when the zero-norm weight is active the
-    ridge solution on the support that greedy backward elimination
-    selects, otherwise the ridge solution on every antenna. On a disk the
-    start is clipped onto it. With max_sweeps = 0 the result holds the
-    start itself.
-
-    With lam0 = 0 and lam > 0 the problem is strictly convex and
-    `_apg_from` solves it: `sweeps` counts iterations and `converged` says
-    that the duality gap was met. Otherwise the coordinate descent
-    `_ccd_from` does: `sweeps` counts sweeps and `converged` says that the
-    last one lowered the objective by at most tol relative.
+    """Solve one precoding instance from one start, worked out at the ridge
+    weight max(lam, 1e-6) and clipped onto a disk; with max_sweeps = 0 the
+    result holds the start, and every run begins there. With lam0 > 0 the
+    start is the ridge solution (`_warm_start` on the columns kept) on the
+    support that two descent sweeps from the AMP iterate (`_amp_start`)
+    leave, and `_ccd_from` runs from it. Otherwise it is the ridge solution
+    on every antenna, from which `_apg_from` solves the strictly convex
+    problem when lam > 0 and `_ccd_from` when lam = 0. `PrecodeResult`
+    says what `sweeps` and `converged` count on each path.
     """
-    spec = problem.penalty
-    x0, A = _warm_start(problem.H, problem.s, max(spec.lam, 1e-6), spec.lam0)
+    H, s, spec = problem.H, problem.s, problem.penalty
+    lam = max(spec.lam, 1e-6)
+    if spec.lam0 > 0:
+        blocks = _descent_blocks(problem)
+        support = _ccd_from(problem, _amp_start(problem)[0], 2, 0.0, blocks).x != 0
+        x0 = np.zeros(problem.n, dtype=complex)
+        x0[support] = _warm_start(H[:, support], s, lam)[0]
+        return _ccd_from(problem, _clip_to_support(spec, x0), max_sweeps, tol, blocks)
+    x0, A = _warm_start(H, s, lam)
     x0 = _clip_to_support(spec, x0)
-    if spec.lam0 == 0 and spec.lam > 0:
+    if spec.lam > 0:
         return _apg_from(problem, x0, A, max_sweeps, tol)
     return _ccd_from(problem, x0, max_sweeps, tol)
 

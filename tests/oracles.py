@@ -23,6 +23,9 @@ its one runtime path) by an independent route:
 - `exact_full_plane_minimum`: the global minimum of the precoding
   objective on the full plane, by enumerating all 2^n supports, against
   which the descent's objective and active fraction are measured;
+- `greedy_start`: the ridge solution on the support that greedy backward
+  elimination keeps, the descent's start before damped AMP replaced it,
+  against which the AMP start's objectives are paired;
 - `complex_normal_reference` and `decoupled_magnitudes`: the Gaussian draw
   and the decoupled |x| as whole-array expressions, which the package's
   in-place and chunked forms must match byte for byte. Draws of the
@@ -338,3 +341,49 @@ def exact_full_plane_minimum(problem: PrecodeProblem) -> tuple[float, int]:
     F = spec.lam * (y @ s.conj()).real + spec.lam0 * masks.sum(axis=1)
     best = int(np.argmin(F))
     return float(F[best]), int(masks[best].sum())
+
+
+def greedy_start(H: np.ndarray, s: np.ndarray, lam: float,
+                 lam0: float) -> np.ndarray:
+    """The ridge solution on the support that greedy backward elimination
+    with exact re-optimized deltas keeps, zero at the dropped antennas.
+
+    For support S the partially minimized objective is
+        F(S) = lam s^H (lam I + H_S H_S^H)^{-1} s + lam0 |S|,
+    and removing column j changes the quadratic part by
+    lam |u_j|^2 / (1 - d_j) with u = H^H M^{-1} s and d_j = h_j^H M^{-1} h_j.
+    On S, u is the ridge solution H_S^H M^{-1} s, so the start is u itself.
+    Columns are dropped while the best delta is negative (ties go to the
+    lowest index). Removing column j adds v v^H / (1 - d_j), v = M^{-1} h_j,
+    to M^{-1}, hence t t^H / (1 - d_j) to Q = H^H M^{-1} H, where t = H^H v
+    is column j of the current Q: with M0 = (lam I + H H^H)^{-1} and
+    Q0 = H^H M0 H, t = conj(Q0[j]) + sum_i conj(t_i[j]) t_i / (1 - d_i)
+    over the stored columns t_i. d and u move by that term (v^H s = u_j).
+    The loop stops at one antenna, so the support is never empty.
+    """
+    k, n = H.shape
+    HH = H.conj().T
+    M0 = np.linalg.inv(lam * np.eye(k) + H @ HH)
+    Q0 = HH @ (M0 @ H)
+    u = HH @ (M0 @ s)
+    d = Q0.diagonal().real.copy()
+    T = np.empty((n, n), dtype=complex)  # rows t_i, one per drop so far
+    den = np.empty(n)                    # their 1 - d_i
+    dead = np.zeros(n)  # inf at dropped columns
+    for m in range(n - 1):
+        denom = np.maximum(1.0 - d, 1e-12)
+        delta = lam * np.abs(u) ** 2 / denom - lam0 + dead
+        j = int(np.argmin(delta))
+        if delta[j] >= 0.0:
+            break
+        t = Q0[j].conj()
+        if m:
+            t += (T[:m, j].conj() / den[:m]) @ T[:m]
+        dj = denom[j]
+        dead[j] = np.inf
+        d += np.abs(t) ** 2 / dj
+        u += t * (u[j] / dj)
+        T[m] = t
+        den[m] = dj
+    u[dead != 0.0] = 0.0
+    return u

@@ -988,21 +988,46 @@ def test_disk_compare_ks_independent_of_blas_threads(tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
-def test_simulate_more_users_than_antennas_independent_of_blas_threads(tmp_path):
-    # k = 500 > n = 400 at the ridge floor: the ridge start is solved on
-    # the antenna side, whose conditioning does not amplify the rounding
-    # that moves with the thread count
+@pytest.mark.parametrize("sets", [(), ("penalty.support=disk", "penalty.papr_db_target=8")],
+                         ids=["iv_a", "disk_8db"])
+def test_full_size_compare_independent_of_blas_threads(tmp_path, sets):
+    # the IV-A and 8 dB disk points at the full size n = 400, where the
+    # products of the AMP start are large enough for OpenBLAS to split them
+    # over threads
+    outputs = _compare_under_blas_threads(tmp_path, *sets, "simulation.trials=8")
+    assert outputs["1"] == outputs["2"]
+
+
+def _simulate_users_over_antennas(tmp_path, lam, lam0):
+    """`lse simulate` at k = 500 > n = 400 with direct weights, run under
+    one and under two OpenBLAS threads; returns the files each run wrote."""
     outputs = {}
     for blas in ("1", "2"):
         out = tmp_path / f"blas{blas}"
         subprocess.run([sys.executable, "-m", "lse_precoding.cli", "simulate",
-                        "--set", "system.alpha_inverse=0.8", "--set", "penalty.lambda=0",
-                        "--set", "penalty.lambda0=0", "--set", "simulation.trials=16",
+                        "--set", "system.alpha_inverse=0.8", "--set", f"penalty.lambda={lam}",
+                        "--set", f"penalty.lambda0={lam0}", "--set", "simulation.trials=16",
                         "--seed", "20240", "--out", str(out)],
                        env=_package_env(OPENBLAS_NUM_THREADS=blas), check=True,
                        capture_output=True)
         outputs[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(outputs["1"]) == ["histogram.csv", "manifest.cfg", "simulation.txt"]
+    return outputs
+
+
+def test_simulate_more_users_than_antennas_independent_of_blas_threads(tmp_path):
+    # k = 500 > n = 400 at the ridge floor: the ridge start is solved on
+    # the antenna side, whose conditioning does not amplify the rounding
+    # that moves with the thread count
+    outputs = _simulate_users_over_antennas(tmp_path, 0, 0)
+    assert outputs["1"] == outputs["2"]
+
+
+def test_simulate_more_users_than_antennas_with_l0_independent_of_blas_threads(tmp_path):
+    # the same load at almost no ridge with a zero-norm weight that drives
+    # the support far below k: the AMP start forms no k x k inverse, and the
+    # ridge solve on the support it settles on is the |S| x |S| one
+    outputs = _simulate_users_over_antennas(tmp_path, 1e-6, 2)
     assert outputs["1"] == outputs["2"]
 
 

@@ -9,12 +9,12 @@ from lse_precoding.experiments import _mean_ci95
 from lse_precoding.numerics import RandomStream
 from lse_precoding.penalty import OutOfSupportError, PenaltySpec, thresholds
 from lse_precoding.simulator import (TRIAL_COLUMNS, PrecodeProblem,
-                                     PrecodeResult, _ccd_from, _clip_to_support,
-                                     _objective, _trial_workers,
-                                     _warm_start, generate_problem,
+                                     PrecodeResult, _amp_start, _ccd_from,
+                                     _clip_to_support, _objective,
+                                     _trial_workers, generate_problem,
                                      measure, monte_carlo, precode_ccd)
-from oracles import (exact_full_plane_minimum, penalty_value, precode_rzf, prox,
-                     prox_scalar, random_tas_rzf)
+from oracles import (exact_full_plane_minimum, greedy_start, penalty_value,
+                     precode_rzf, prox, prox_scalar, random_tas_rzf)
 
 
 def stats(row):
@@ -183,11 +183,12 @@ def test_ccd_disk_feasibility():
 @pytest.mark.parametrize("peak", [None, 0.5], ids=["full_plane", "disk"])
 @pytest.mark.parametrize("lam0", [0.05, 0.0], ids=["greedy", "ridge"])
 def test_ccd_takes_one_start(peak, lam0):
-    # with no sweep the result is the start itself, clipped onto a disk; the
-    # descent of every run begins there. With lambda0 = 0 it is the ridge
-    # solution on every antenna, byte for byte; with lambda0 > 0 it is the
-    # ridge solution on the support the explicit greedy reference selects,
-    # to rounding, and zero off it
+    # with no sweep the result is the start itself, clipped onto a disk, and
+    # the descent of every run begins there, byte for byte. With lambda0 = 0
+    # it is the ridge solution on every antenna, byte for byte; with
+    # lambda0 > 0 (the "greedy" case, named for the start it replaced) it is
+    # the ridge solution, to rounding, on the support that two descent sweeps
+    # from the AMP iterate leave, and zero off it
     for seed in range(4):
         pr = small_problem(seed=30 + seed, n=64, k=32, lam=0.1, lam0=lam0,
                            peak=peak)
@@ -198,7 +199,9 @@ def test_ccd_takes_one_start(peak, lam0):
             x0 = _clip_to_support(pr.penalty, precode_rzf(H, s, lam))
             assert res.x.tobytes() == x0.tobytes()
             continue
-        active = _reference_greedy_support(H, s, lam, lam0)
+        run, ref = precode_ccd(pr), _ccd_from(pr, res.x, 500, 1e-10)
+        assert run.x.tobytes() == ref.x.tobytes() and run.sweeps == ref.sweeps
+        active = _ccd_from(pr, _amp_start(pr)[0], 2, 0.0).x != 0
         assert 0 < np.count_nonzero(active) < pr.n
         x0 = np.zeros(pr.n, dtype=complex)
         x0[active] = precode_rzf(H[:, active], s, lam)
@@ -270,10 +273,10 @@ def _reference_ccd_from(problem: PrecodeProblem, x0: np.ndarray,
 
 
 def _start(pr: PrecodeProblem, kind: str, rng: np.random.Generator) -> np.ndarray:
-    """A start for the descent kernels: the package's own ("greedy"), the
+    """A start for the descent kernels: the package's own ("package"), the
     ridge solution ("rzf"), zero, or ridge on a random support ("random",
     density then mask drawn from rng), clipped onto a disk."""
-    if kind == "greedy":
+    if kind == "package":
         return precode_ccd(pr, max_sweeps=0).x
     if kind == "zero":
         return np.zeros(pr.n, dtype=complex)
@@ -301,7 +304,7 @@ def test_ccd_matches_reference(peak):
         pr = small_problem(seed=40 + seed, n=64, k=32, lam=0.1, lam0=0.05,
                            peak=peak)
         rng = np.random.default_rng(seed)
-        for kind, tol in (("greedy", 1e-10), ("rzf", 1e-10), ("zero", 1e-16),
+        for kind, tol in (("package", 1e-10), ("rzf", 1e-10), ("zero", 1e-16),
                           ("random", 1e-10)):
             x0 = _start(pr, kind, rng)
             res = _ccd_from(pr, x0, 500, tol)
@@ -390,7 +393,7 @@ def test_ccd_matches_blocked_reference(peak):
         pr = small_problem(seed=60 + n, n=n, k=max(2, n // 2), lam=0.1,
                            lam0=0.05, peak=peak)
         rng = np.random.default_rng(n)
-        for kind, tol in (("greedy", 1e-10), ("zero", 1e-16),
+        for kind, tol in (("package", 1e-10), ("zero", 1e-16),
                           ("random", 1e-10)):
             x0 = _start(pr, kind, rng)
             res = _ccd_from(pr, x0, 500, tol)
@@ -420,9 +423,9 @@ def test_outputs_match_reference_kernel(point, tmp_path, monkeypatch):
                    + "\n[simulation]\nn = 64\ntrials = 6\n")
     calls = []
 
-    def reference(*args):
+    def reference(problem, x0, max_sweeps, tol, blocks=None):
         calls.append(1)
-        return _reference_ccd_from(*args)
+        return _reference_ccd_from(problem, x0, max_sweeps, tol)
 
     outputs = {}
     for kernel in ("package", "reference"):
@@ -501,13 +504,113 @@ def test_convex_solver_never_above_the_descent():
 
 
 # ---------------------------------------------------------------------------
-# greedy support selection
+# the start at lambda0 > 0: damped AMP, two sweeps, ridge on the support
+# ---------------------------------------------------------------------------
+
+def _calibrated_weights(papr_db):
+    from lse_precoding.replica import SystemParams, calibrate
+
+    peak = None if papr_db is None else 10.0 ** (papr_db / 10.0) * 0.5
+    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(peak_power=peak))
+    lam, lam0, sol = calibrate(params, p_star=0.5, eta_star=0.5)
+    return lam, lam0, sol
+
+
+def test_amp_prox_weight_matches_replica_kappa():
+    # the two routes agree on the prox weight: AMP tunes its c from its own
+    # iterates, and at IV-A (n = 400, k = 200) the mean final c over 24
+    # trials must hold the replica fixed point's kappa (8.04) within the
+    # trials' 95 % interval. An Onsager term from the almost-everywhere
+    # derivative of the prox, which misses the jump at the drop threshold,
+    # leaves state evolution and moves c away
+    lam, lam0, sol = _calibrated_weights(None)
+    spec = PenaltySpec(lam=lam, lam0=lam0)
+    cs = np.array([_amp_start(generate_problem(400, 200, 1.0, spec,
+                                               RandomStream(5, t)))[1]
+                   for t in range(24)])
+    half = 1.96 * cs.std(ddof=1) / math.sqrt(cs.size)
+    assert abs(cs.mean() - sol.state.kappa) <= half
+
+
+# paired against greedy backward elimination (the oracle copy of the start
+# it replaced) followed by the same descent: (n, papr_db, trials)
+_PAIRED_POINTS = {"iv_a_n200": (200, None, 40), "iv_a_n400": (400, None, 24),
+                  "iv_a_n800": (800, None, 12), "disk_8db_n400": (400, 8.0, 24)}
+
+
+@pytest.mark.parametrize("point", sorted(_PAIRED_POINTS))
+def test_amp_start_below_greedy_descent(point):
+    # at the calibrated IV-A weights, and at the 8 dB disk point, the mean
+    # relative objective change against greedy + descent on the same trials
+    # is negative with its 95 % interval
+    n, papr_db, trials = _PAIRED_POINTS[point]
+    lam, lam0, _ = _calibrated_weights(papr_db)
+    peak = None if papr_db is None else 10.0 ** (papr_db / 10.0) * 0.5
+    spec = PenaltySpec(lam=lam, lam0=lam0, peak_power=peak)
+    change = []
+    for t in range(trials):
+        pr = generate_problem(n, n // 2, 1.0, spec, RandomStream(5, t))
+        res = precode_ccd(pr)
+        x0 = _clip_to_support(spec, greedy_start(pr.H, pr.s, lam, lam0))
+        ref = _ccd_from(pr, x0, 500, 1e-10)
+        assert res.converged and ref.converged
+        change.append(res.objective / ref.objective - 1.0)
+    change = np.array(change)
+    assert change.mean() + 1.96 * change.std(ddof=1) / math.sqrt(trials) < 0.0
+
+
+@pytest.mark.parametrize("k", [100, 180, 240], ids=["alpha0.5", "alpha0.9", "alpha1.2"])
+def test_amp_start_at_other_loads(k):
+    # the start needs no replica value, so any load runs: the descent from it
+    # converges, on the plane and on a disk, and does not end above the
+    # objective of its start beyond rounding (a sweep that moves nothing
+    # but the last bits recomputes the objective an ulp higher)
+    for peak in (None, 0.5):
+        for t in range(3):
+            pr = generate_problem(200, k, 1.0, PenaltySpec(lam=0.1, lam0=0.05,
+                                                           peak_power=peak),
+                                  RandomStream(41, t))
+            start, res = precode_ccd(pr, max_sweeps=0), precode_ccd(pr)
+            assert res.converged and res.objective <= (1 + 1e-12) * start.objective
+            assert 0 < np.count_nonzero(res.x) < pr.n
+
+
+def test_descent_against_the_exact_full_plane_minimum():
+    # IV-A weights at n = 10, k = 5, where all 2^10 supports can be tried:
+    # no descent objective may fall below the exact minimum, and the share
+    # of instances where the descent reaches it (0.70) and the paired
+    # excess of its active fraction (0.0055) are pinned to within their 95 %
+    # intervals. The mean objective ends 3.7e-3 relative above the exact
+    # minimum. At this size the start it replaced, greedy elimination, does
+    # better (share 0.845, excess 0.0090, objective 2.2e-3 above), and
+    # descent from ridge alone reaches the minimum in about 26 % of these
+    # instances, with an excess of about 0.12.
+    lam, lam0, _ = _calibrated_weights(None)
+    spec = PenaltySpec(lam=lam, lam0=lam0)
+    optimal, excess = [], []
+    for t in range(200):
+        pr = generate_problem(10, 5, 1.0, spec, RandomStream(11, t))
+        minimum, size = exact_full_plane_minimum(pr)
+        res = precode_ccd(pr)
+        assert res.objective >= (1 - 1e-9) * minimum
+        optimal.append(res.objective <= (1 + 1e-9) * minimum)
+        excess.append(stats(measure(res, pr))["eta"] - size / pr.n)
+    share = float(np.mean(optimal))
+    assert share == pytest.approx(0.70, abs=1.96 * math.sqrt(share * (1 - share) / 200))
+    excess = np.array(excess)
+    assert excess.mean() == pytest.approx(
+        0.0055, abs=1.96 * excess.std(ddof=1) / math.sqrt(excess.size))
+
+
+# ---------------------------------------------------------------------------
+# greedy support selection (the oracle the AMP start is paired against)
 # ---------------------------------------------------------------------------
 
 # Reference: the explicit version, which adds each rank-one term to M^{-1}
-# and recomputes w and u from it after every drop. The selection in the
-# package, which updates d and u from rows of the antenna Gram matrix, must
-# return exactly the same masks.
+# and recomputes w and u from it after every drop. The oracle greedy_start,
+# which updates d and u from rows of the antenna Gram matrix, must return
+# exactly the same masks, or the paired start tests measure against a
+# different greedy.
 def _reference_greedy_support(H: np.ndarray, s: np.ndarray, lam: float,
                               lam0: float) -> np.ndarray:
     """Active-set mask from greedy antenna removal with exact ridge deltas.
@@ -552,29 +655,13 @@ def _reference_greedy_support(H: np.ndarray, s: np.ndarray, lam: float,
     return active
 
 
-def _calibrated_weights(papr_db):
-    from lse_precoding.replica import SystemParams, calibrate
-
-    peak = None if papr_db is None else 10.0 ** (papr_db / 10.0) * 0.5
-    params = SystemParams(alpha=0.5, lambda_s=1.0, penalty=PenaltySpec(peak_power=peak))
-    lam, lam0, _ = calibrate(params, p_star=0.5, eta_star=0.5)
-    return lam, lam0
-
-
-def _support_ridge(pr, mask, lam):
-    """The ridge solution on support `mask`, zero off it, from the solve on
-    the |S| x |S| Gram matrix, which stays well conditioned when the
-    support is smaller than k."""
+def _support_objective(pr, mask, lam, lam0):
+    """F(S) at the ridge solution on S, from the solve on the |S| x |S| Gram
+    matrix, which stays well conditioned when the support is smaller than k."""
     Ha = pr.H[:, mask]
     x = np.zeros(pr.n, dtype=complex)
     x[mask] = np.linalg.solve(Ha.conj().T @ Ha + lam * np.eye(Ha.shape[1]),
                               Ha.conj().T @ pr.s)
-    return x
-
-
-def _support_objective(pr, mask, lam, lam0):
-    """F(S) at the ridge solution on S."""
-    x = _support_ridge(pr, mask, lam)
     r = pr.s - pr.H @ x
     return float(np.vdot(r, r).real + lam * np.vdot(x, x).real) + lam0 * mask.sum()
 
@@ -582,9 +669,9 @@ def _support_objective(pr, mask, lam, lam0):
 # Stress instance 7 is a near-tie: at drop 344 of 357 the two best scores
 # are 1.5e-4 apart (relative) while 1 - d_j ~ 2e-6 is resolved only to ~1e-4,
 # by the reference as well. Which of the two columns goes is decided by
-# rounding: on a 2-vCPU Xeon (numpy 2.4.6, OpenBLAS 0.3.31) the package
-# dropped the same one under one and under two OpenBLAS threads and the
-# reference the other, but another BLAS may round it the other way. The
+# rounding: on a 2-vCPU Xeon (numpy 2.4.6, OpenBLAS 0.3.31) the Gram-row
+# form dropped the same one under one and under two OpenBLAS threads and
+# the reference the other, but another BLAS may round it the other way. The
 # supports then end 8 columns apart with objectives 1.1e-3 apart. (A
 # recomputation on the 56-column Gram matrix shows that the reference
 # drops the runner-up.)
@@ -601,10 +688,10 @@ def test_greedy_support_matches_reference(case):
     if case == "stress":
         lam, lam0 = 1e-6, 2.0
     else:
-        lam, lam0 = _calibrated_weights(8.0 if case == "disk_8db" else None)
+        lam, lam0, _ = _calibrated_weights(8.0 if case == "disk_8db" else None)
     for t in range(8):
         pr = generate_problem(400, 200, 1.0, PenaltySpec(), RandomStream(29, t))
-        mask = _warm_start(pr.H, pr.s, lam, lam0)[0] != 0
+        mask = greedy_start(pr.H, pr.s, lam, lam0) != 0
         ref = _reference_greedy_support(pr.H, pr.s, lam, lam0)
         if case == "stress" and t == _STRESS_NEAR_TIE:
             assert mask.sum() == ref.sum()
@@ -624,10 +711,10 @@ def test_greedy_support_matches_reference(case):
 def test_greedy_support_matches_reference_weights_and_loads(lam, lam0, k):
     # other weights at k = 200, and the IV-A weights at loads 1.25 and 4
     if lam is None:
-        lam, lam0 = _calibrated_weights(None)
+        lam, lam0, _ = _calibrated_weights(None)
     for t in range(4):
         pr = generate_problem(400, k, 1.0, PenaltySpec(), RandomStream(31, t))
-        mask = _warm_start(pr.H, pr.s, lam, lam0)[0] != 0
+        mask = greedy_start(pr.H, pr.s, lam, lam0) != 0
         assert np.array_equal(mask, _reference_greedy_support(pr.H, pr.s, lam, lam0))
         assert 64 < 400 - mask.sum() < 399
 
@@ -636,51 +723,8 @@ def test_greedy_support_matches_reference_small():
     # the size and weights of the thread-determinism acceptance run
     for t in range(20):
         pr = generate_problem(64, 32, 1.0, PenaltySpec(), RandomStream(4242, t))
-        mask = _warm_start(pr.H, pr.s, 0.1, 0.05)[0] != 0
+        mask = greedy_start(pr.H, pr.s, 0.1, 0.05) != 0
         assert np.array_equal(mask, _reference_greedy_support(pr.H, pr.s, 0.1, 0.05))
-
-
-def test_greedy_start_below_k_users_at_almost_no_ridge():
-    # more users than antennas (alpha = 1.25) and lambda = 1e-6: the support
-    # keeps fewer columns than k, M^{-1} has eigenvalues near 1/lambda, and
-    # the u that elimination carries is ~1e-6 relative off the ridge solution
-    # on its support; the descent from it must stop within its own tol of
-    # the descent from that ridge solution (the k x k oracle precode_rzf
-    # cannot meet its residual contract here; the Gram form on S can)
-    lam, lam0, tol = 1e-6, 0.05, 1e-10
-    for t in range(8):
-        pr = generate_problem(64, 80, 1.0, PenaltySpec(lam=lam, lam0=lam0),
-                              RandomStream(37, t))
-        mask = _warm_start(pr.H, pr.s, lam, lam0)[0] != 0
-        assert mask.sum() < pr.k
-        res = precode_ccd(pr, tol=tol)
-        ref = _ccd_from(pr, _support_ridge(pr, mask, lam), 500, tol)
-        assert res.converged and ref.converged
-        assert res.objective <= (1 + tol) * ref.objective
-
-
-def test_descent_against_the_exact_full_plane_minimum():
-    # IV-A weights at n = 10, k = 5, where all 2^10 supports can be tried:
-    # no descent objective may fall below the exact minimum, and the share
-    # of instances where the descent reaches it (0.845) and the paired
-    # excess of its active fraction (0.0090) are pinned to within their 95 %
-    # intervals. Descent from ridge without greedy reaches the minimum in
-    # about 26 % of these instances, with an excess of about 0.12.
-    lam, lam0 = _calibrated_weights(None)
-    spec = PenaltySpec(lam=lam, lam0=lam0)
-    optimal, excess = [], []
-    for t in range(200):
-        pr = generate_problem(10, 5, 1.0, spec, RandomStream(11, t))
-        minimum, size = exact_full_plane_minimum(pr)
-        res = precode_ccd(pr)
-        assert res.objective >= (1 - 1e-9) * minimum
-        optimal.append(res.objective <= (1 + 1e-9) * minimum)
-        excess.append(stats(measure(res, pr))["eta"] - size / pr.n)
-    share = float(np.mean(optimal))
-    assert share == pytest.approx(0.845, abs=1.96 * math.sqrt(share * (1 - share) / 200))
-    excess = np.array(excess)
-    assert excess.mean() == pytest.approx(
-        0.0090, abs=1.96 * excess.std(ddof=1) / math.sqrt(excess.size))
 
 
 # ---------------------------------------------------------------------------
